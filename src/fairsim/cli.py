@@ -7,6 +7,7 @@ ever seeded from the clock; every seed is a config value or flag.
 """
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -95,7 +96,7 @@ def _cmd_online(args) -> int:
         if args.lam is not None:
             regularizer = regularizer.with_strength(args.lam)
     elif args.lam is not None:
-        regularizer = fit_auxiliary(pool.points).with_strength(args.lam)
+        regularizer = fit_auxiliary(pool.pool).with_strength(args.lam)
     final, trace = run_online(
         model,
         pool,
@@ -113,24 +114,21 @@ def _cmd_online(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    try:
+    with open(args.ranking, newline="") as fh:
+        header = next(csv.reader(fh), [])
+    if header[-1:] == ["bias_coin"]:
         ranking = load_labeled(args.ranking)
-        labels = ranking.labels
-    except ConfigError:
-        ranking = None
-    if ranking is None:
-        points = load_pool(args.ranking)
-        labels = None
+        protected, labels = ranking.pool.protected, ranking.labels
     else:
-        points = ranking.points
+        protected, labels = load_pool(args.ranking).protected, None
     baseline = load_baseline(args.baseline)
     for k in args.k or []:
-        value = skew_at_k(points, k, baseline, group=args.group)
+        value = skew_at_k(protected, k, baseline, group=args.group)
         print(f"skew@{k} = {value!r}")
         if labels is not None:
             print(f"precision@{k} = {precision_at_k(labels, k)!r}")
     if args.ndcs_k is not None:
-        print(f"ndcs@{args.ndcs_k} = {ndcs(points, args.ndcs_k, baseline, group=args.group)!r}")
+        print(f"ndcs@{args.ndcs_k} = {ndcs(protected, args.ndcs_k, baseline, group=args.group)!r}")
     return 0
 
 
@@ -254,7 +252,7 @@ def main(argv=None) -> int:
     except FairsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError, NotImplementedError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,7 +5,8 @@ attribute. The protected attribute is drawn from a Bernoulli distribution.
 "Harmless" attributes are drawn independently of it, while "proxy" attributes
 are drawn from per-group normal distributions and therefore leak group
 membership. The protected attribute rides along for evaluation only; it is
-never part of the feature vector a model sees.
+never part of the feature vector a model sees. A :class:`Pool` stores the
+candidates in columns rather than as one object each.
 
 Pool generation is deterministic: a config with the same seed always produces
 bit-identical pools (see :func:`generate_pool` for the pinned draw order).
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatch
 
 
 @dataclass(frozen=True)
@@ -50,22 +51,7 @@ class Normal:
         return rng.normal(self.mean, self.std, size)
 
 
-@dataclass(frozen=True)
-class Categorical:
-    """Categorical attribute spec, accepted structurally but not sampled."""
-
-    probs: tuple[float, ...]
-
-    def validate(self) -> None:
-        p = np.asarray(self.probs, dtype=float)
-        if p.size == 0 or np.any(p < 0.0) or abs(float(p.sum()) - 1.0) > 1e-9:
-            raise ConfigError("categorical probabilities must be non-negative and sum to 1")
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        raise NotImplementedError("categorical attributes are not implemented; use uniform or normal")
-
-
-Distribution = Uniform | Normal | Categorical
+Distribution = Uniform | Normal
 
 
 @dataclass(frozen=True)
@@ -127,11 +113,32 @@ class GenConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class DataPoint:
-    """One candidate: a feature vector and its protected attribute."""
+class Pool:
+    """Candidates in columns: ``features`` is (n, m) float, ``protected`` is (n,) int.
+
+    Both arrays are private read-only copies, so a pool never changes after
+    construction and can hand them out without copying again.
+    """
 
     features: np.ndarray
-    protected: int
+    protected: np.ndarray
+
+    def __post_init__(self):
+        features = np.array(self.features, dtype=float)
+        protected = np.array(self.protected, dtype=np.int64)
+        if features.ndim != 2 or features.shape[1] < 1 or protected.shape != features.shape[:1]:
+            raise DimensionMismatch(
+                f"features {features.shape} and protected {protected.shape} are not (n, m) and (n,)"
+            )
+        if protected.size == 0:
+            raise ConfigError("pool is empty")
+        features.setflags(write=False)
+        protected.setflags(write=False)
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "protected", protected)
+
+    def __len__(self) -> int:
+        return self.protected.size
 
 
 def default_config(*, p_group: float = 0.5, n: int = 12000, seed: int = 0) -> GenConfig:
@@ -152,7 +159,7 @@ def default_config(*, p_group: float = 0.5, n: int = 12000, seed: int = 0) -> Ge
     )
 
 
-def generate_pool(cfg: GenConfig) -> list[DataPoint]:
+def generate_pool(cfg: GenConfig) -> Pool:
     """Draw a pool of ``cfg.n`` candidates.
 
     Draw order is part of the determinism contract and is pinned as follows,
@@ -176,61 +183,82 @@ def generate_pool(cfg: GenConfig) -> list[DataPoint]:
         mean = np.where(protected == 1, proxy.group1.mean, proxy.group0.mean)
         std = np.where(protected == 1, proxy.group1.std, proxy.group0.std)
         columns.append(mean + std * z)
-    features = np.column_stack(columns)
-    features.setflags(write=False)
-    return [DataPoint(features=features[i], protected=int(protected[i])) for i in range(cfg.n)]
+    return Pool(features=np.column_stack(columns), protected=protected)
 
 
-def feature_matrix(pool: list[DataPoint]) -> np.ndarray:
-    """Stack pool features into an (n, m) float matrix."""
-    if not pool:
-        raise ConfigError("pool is empty")
-    return np.array([p.features for p in pool], dtype=float)
+def feature_matrix(pool: Pool) -> np.ndarray:
+    """The pool's read-only (n, m) feature array, not a copy."""
+    return pool.features
 
 
-def protected_values(pool: list[DataPoint]) -> np.ndarray:
-    """Protected attributes of a pool as an (n,) integer array."""
-    if not pool:
-        raise ConfigError("pool is empty")
-    return np.array([p.protected for p in pool], dtype=np.int64)
+def protected_values(pool: Pool) -> np.ndarray:
+    """The pool's read-only (n,) protected-value array, not a copy."""
+    return pool.protected
 
 
-def save_pool(pool: list[DataPoint], path: str | Path) -> None:
-    """Write a pool as CSV with header ``x1,...,xm,protected``.
+def write_columns(path: str | Path, features: np.ndarray, int_columns: dict) -> None:
+    """Write CSV with header ``x1,...,xm`` plus the named integer columns.
 
-    Floats are serialized with 17 significant digits so that loading restores
+    Floats are serialized with 17 significant digits so that reading restores
     them bit for bit.
     """
-    if not pool:
-        raise ConfigError("pool is empty")
-    m = len(pool[0].features)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"x{j + 1}" for j in range(m)] + ["protected"])
-        for p in pool:
-            writer.writerow([format(v, ".17g") for v in p.features] + [p.protected])
+        writer.writerow([f"x{j + 1}" for j in range(features.shape[1])] + list(int_columns))
+        for x, ints in zip(features, zip(*int_columns.values())):
+            writer.writerow([format(v, ".17g") for v in x] + [int(v) for v in ints])
 
 
-def load_pool(path: str | Path) -> list[DataPoint]:
-    """Read a pool written by :func:`save_pool`."""
+def read_columns(path: str | Path, int_names: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Read CSV written by :func:`write_columns`.
+
+    Returns the (n, m) float features and an (n, len(int_names)) int array.
+    Every cell must parse, every feature must be finite and every integer 0
+    or 1; otherwise a ConfigError names the file and the 1-based data row.
+    """
+    width = len(int_names)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[-1] != "protected":
-            raise ConfigError(f"{path}: not a pool CSV (missing 'protected' column)")
-        m = len(header) - 1
-        if header[:m] != [f"x{j + 1}" for j in range(m)]:
-            raise ConfigError(f"{path}: unexpected header {header}")
-        pool = []
-        for row in reader:
-            if len(row) != m + 1:
-                raise ConfigError(f"{path}: row of width {len(row)}, expected {m + 1}")
-            features = np.array([float(v) for v in row[:m]], dtype=float)
-            features.setflags(write=False)
-            pool.append(DataPoint(features=features, protected=int(row[m])))
-    if not pool:
+        header = next(reader, [])
+        m = len(header) - width
+        if m < 1 or header != [f"x{j + 1}" for j in range(m)] + int_names:
+            raise ConfigError(f"{path}: header {header} is not x1..xm followed by {int_names}")
+        features, ints = [], []
+        for row_no, row in enumerate(reader, start=1):
+            if len(row) != m + width:
+                raise ConfigError(
+                    f"{path}: data row {row_no} has {len(row)} fields, expected {m + width}"
+                )
+            try:
+                features.append([float(v) for v in row[:m]])
+                ints.append([int(v) for v in row[m:]])
+            except ValueError as exc:
+                raise ConfigError(f"{path}: data row {row_no}: {exc}") from None
+    if not features:
         raise ConfigError(f"{path}: empty pool")
-    return pool
+    features, ints = np.array(features, dtype=float), np.array(ints, dtype=np.int64)
+    for values, names, ok, problem in (
+        (features, header[:m], np.isfinite(features), "is not finite"),
+        (ints, int_names, (ints == 0) | (ints == 1), "is not 0 or 1"),
+    ):
+        bad = np.argwhere(~ok)
+        if bad.size:
+            row, col = bad[0]
+            raise ConfigError(
+                f"{path}: data row {row + 1}: {names[col]} = {values[row, col]} {problem}"
+            )
+    return features, ints
+
+
+def save_pool(pool: Pool, path: str | Path) -> None:
+    """Write a pool as CSV with header ``x1,...,xm,protected``."""
+    write_columns(path, pool.features, {"protected": pool.protected})
+
+
+def load_pool(path: str | Path) -> Pool:
+    """Read a pool written by :func:`save_pool`."""
+    features, ints = read_columns(path, ["protected"])
+    return Pool(features=features, protected=ints[:, 0])
 
 
 def _dist_to_dict(dist: Distribution) -> dict:
@@ -238,8 +266,6 @@ def _dist_to_dict(dist: Distribution) -> dict:
         return {"kind": "uniform", "lo": dist.lo, "hi": dist.hi}
     if isinstance(dist, Normal):
         return {"kind": "normal", "mean": dist.mean, "std": dist.std}
-    if isinstance(dist, Categorical):
-        return {"kind": "categorical", "probs": list(dist.probs)}
     raise ConfigError(f"unknown distribution type {type(dist).__name__}")
 
 
@@ -249,8 +275,6 @@ def _dist_from_dict(obj: dict) -> Distribution:
         return Uniform(lo=float(obj["lo"]), hi=float(obj["hi"]))
     if kind == "normal":
         return Normal(mean=float(obj["mean"]), std=float(obj["std"]))
-    if kind == "categorical":
-        return Categorical(probs=tuple(float(p) for p in obj["probs"]))
     raise ConfigError(f"unknown distribution kind {kind!r}")
 
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .datagen import (
-    DataPoint,
     GenConfig,
+    Pool,
     default_config,
     feature_matrix,
     gen_config_from_dict,
@@ -189,7 +189,7 @@ class SeedContext:
     seed: int
     warm: LinearModel
     baseline: Baseline
-    online_points: list[DataPoint]
+    online_pool: Pool
     online_features: np.ndarray
     labeled: dict[float, LabeledPool]
     regularizer: FairRegularizer | None
@@ -208,12 +208,12 @@ def build_seed_context(
     the experiment seed. Labels are materialized once per (seed, p_bias), so
     every eta and lambda cell of a seed sees identical feedback.
     """
-    fair_points = generate_pool(replace(cfg.gen, seed=derive_seed(seed, STREAM_FAIR_POOL)))
-    online_points = generate_pool(replace(cfg.gen, seed=derive_seed(seed, STREAM_ONLINE_POOL)))
+    fair_pool = generate_pool(replace(cfg.gen, seed=derive_seed(seed, STREAM_FAIR_POOL)))
+    online_pool = generate_pool(replace(cfg.gen, seed=derive_seed(seed, STREAM_ONLINE_POOL)))
     fair_user = UserConfig(
         p_bias=0.0, weights=tuple(cfg.user_weights), seed=derive_seed(seed, STREAM_FAIR_USER)
     )
-    fair_labeled = label_pool(fair_points, fair_user)
+    fair_labeled = label_pool(fair_pool, fair_user)
     warm = warm_start(
         fair_labeled,
         sample_size=cfg.warm_sample_size,
@@ -221,34 +221,43 @@ def build_seed_context(
         eta=cfg.warm_eta,
         seed=derive_seed(seed, STREAM_WARM),
     )
-    baseline = compute_baseline(online_points, fair_user)
+    baseline = compute_baseline(online_pool, fair_user)
     user_seed = derive_seed(seed, STREAM_ONLINE_USER)
     labeled = {
         p_bias: label_pool(
-            online_points,
+            online_pool,
             UserConfig(p_bias=p_bias, weights=tuple(cfg.user_weights), seed=user_seed),
         )
         for p_bias in p_bias_values
     }
-    regularizer = fit_auxiliary(fair_points, alpha_a=cfg.alpha_a) if with_regularizer else None
+    regularizer = fit_auxiliary(fair_pool, alpha_a=cfg.alpha_a) if with_regularizer else None
     return SeedContext(
         seed=seed,
         warm=warm,
         baseline=baseline,
-        online_points=online_points,
-        online_features=feature_matrix(online_points),
+        online_pool=online_pool,
+        online_features=feature_matrix(online_pool),
         labeled=labeled,
         regularizer=regularizer,
     )
 
 
 def _ranked_report(
-    model: LinearModel, ctx: SeedContext, labels: np.ndarray, cfg: ExperimentConfig, k_max: int
+    model: LinearModel,
+    ctx: SeedContext,
+    labels: np.ndarray,
+    cfg: ExperimentConfig,
+    rows=slice(None),
 ) -> MetricsReport:
-    order = rank_by_model(model, ctx.online_features)
-    points = [ctx.online_points[i] for i in order]
+    """Re-rank the online pool's ``rows`` (default: all) by ``model`` and report metrics.
+
+    NDCS covers the top ``online_rounds`` positions, or every row if fewer are ranked.
+    """
+    order = rank_by_model(model, ctx.online_features[rows])
     ks = [k for k in cfg.k_list if k <= len(order)]
-    return evaluate_ranking(points, labels[order], ctx.baseline, ks, ndcs_k_max=k_max)
+    k_max = min(cfg.online_rounds, len(order))
+    protected, ranked_labels = ctx.online_pool.protected[rows][order], labels[rows][order]
+    return evaluate_ranking(protected, ranked_labels, ctx.baseline, ks, ndcs_k_max=k_max)
 
 
 def run_final_eval(cfg: ExperimentConfig, verbose: bool = False) -> list[RunResult]:
@@ -262,7 +271,7 @@ def run_final_eval(cfg: ExperimentConfig, verbose: bool = False) -> list[RunResu
         ctx = build_seed_context(cfg, seed, cfg.p_bias_grid)
         for p_bias in cfg.p_bias_grid:
             pool = ctx.labeled[p_bias]
-            warm_report = _ranked_report(ctx.warm, ctx, pool.labels, cfg, cfg.online_rounds)
+            warm_report = _ranked_report(ctx.warm, ctx, pool.labels, cfg)
             for eta in cfg.eta_grid:
                 final, trace = run_online(ctx.warm, pool, cfg.online_rounds, eta)
                 results.append(
@@ -274,7 +283,7 @@ def run_final_eval(cfg: ExperimentConfig, verbose: bool = False) -> list[RunResu
                         final_model=final,
                         warm_model=ctx.warm,
                         trace=trace,
-                        report_final=_ranked_report(final, ctx, pool.labels, cfg, cfg.online_rounds),
+                        report_final=_ranked_report(final, ctx, pool.labels, cfg),
                         report_warm=warm_report,
                         reports_evolution=[],
                         baseline=ctx.baseline,
@@ -302,26 +311,10 @@ def run_evolution(cfg: ExperimentConfig, verbose: bool = False) -> list[RunResul
                 final, trace = run_online(
                     ctx.warm, pool, cfg.online_rounds, eta, snapshot_interval=cfg.snapshot_interval
                 )
-                evolution = []
-                for round_index, snapshot in trace.snapshots:
-                    shown = trace.shown_order[:round_index]
-                    shown_features = ctx.online_features[shown]
-                    shown_labels = pool.labels[shown]
-                    order = rank_by_model(snapshot, shown_features)
-                    points = [ctx.online_points[shown[i]] for i in order]
-                    ks = [k for k in cfg.k_list if k <= round_index]
-                    evolution.append(
-                        (
-                            round_index,
-                            evaluate_ranking(
-                                points,
-                                shown_labels[order],
-                                ctx.baseline,
-                                ks,
-                                ndcs_k_max=round_index,
-                            ),
-                        )
-                    )
+                evolution = [
+                    (r, _ranked_report(snapshot, ctx, pool.labels, cfg, trace.shown_order[:r]))
+                    for r, snapshot in trace.snapshots
+                ]
                 results.append(
                     RunResult(
                         p_bias=p_bias,
@@ -331,7 +324,7 @@ def run_evolution(cfg: ExperimentConfig, verbose: bool = False) -> list[RunResul
                         final_model=final,
                         warm_model=ctx.warm,
                         trace=trace,
-                        report_final=_ranked_report(final, ctx, pool.labels, cfg, cfg.online_rounds),
+                        report_final=_ranked_report(final, ctx, pool.labels, cfg),
                         report_warm=None,
                         reports_evolution=evolution,
                         baseline=ctx.baseline,
@@ -353,7 +346,7 @@ def run_reg_sweep(cfg: ExperimentConfig, verbose: bool = False) -> list[RunResul
         ctx = build_seed_context(cfg, seed, cfg.p_bias_grid, with_regularizer=True)
         for p_bias in cfg.p_bias_grid:
             pool = ctx.labeled[p_bias]
-            warm_report = _ranked_report(ctx.warm, ctx, pool.labels, cfg, cfg.online_rounds)
+            warm_report = _ranked_report(ctx.warm, ctx, pool.labels, cfg)
             for lam in cfg.lambda_grid:
                 reg = ctx.regularizer.with_strength(lam)
                 final, trace = run_online(
@@ -368,7 +361,7 @@ def run_reg_sweep(cfg: ExperimentConfig, verbose: bool = False) -> list[RunResul
                         final_model=final,
                         warm_model=ctx.warm,
                         trace=trace,
-                        report_final=_ranked_report(final, ctx, pool.labels, cfg, cfg.online_rounds),
+                        report_final=_ranked_report(final, ctx, pool.labels, cfg),
                         report_warm=warm_report,
                         reports_evolution=[],
                         baseline=ctx.baseline,

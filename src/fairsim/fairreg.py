@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import DataPoint, feature_matrix, protected_values
+from .datagen import Pool, feature_matrix, protected_values
 from .errors import ConfigError, DimensionMismatch, SingularSystemError
 from .learner import LinearModel, augment
 
@@ -105,7 +105,7 @@ def _solve_reported(A: np.ndarray, b: np.ndarray, context: str) -> np.ndarray:
     return w
 
 
-def fit_auxiliary(pool: list[DataPoint], alpha_a: float = 1e-3, lam: float = 0.0) -> FairRegularizer:
+def fit_auxiliary(pool: Pool, alpha_a: float = 1e-3, lam: float = 0.0) -> FairRegularizer:
     """Fit the auxiliary predictor of the protected attribute and its projection.
 
     Solves ``(Xh Xh^T + alpha_a * N * I) w_a = Xh Ah^T`` on centered data and

@@ -125,7 +125,7 @@ def warm_start(
     rng = np.random.default_rng(seed)
     subsample = rng.permutation(n)[:sample_size]
     picks = rng.integers(0, sample_size, size=rounds)
-    features = feature_matrix(pool.points)
+    features = feature_matrix(pool.pool)
     model = zero_model(features.shape[1])
     for i in picks:
         j = int(subsample[i])
@@ -161,19 +161,28 @@ def run_online(
     candidate's stored label, and record the pick. With a regularizer, the
     update also applies the fairness penalty every round, mistakes or not.
 
-    Raises NumericalError if updates diverge (possible when the penalty
-    strength exceeds the stable range for the regularizer's direction).
+    Each penalty step scales the weight component along ``w_reg`` by
+    ``1 - lambda * |w_reg|^2``, so the run diverges once that factor leaves
+    [-1, 1]. Raises ConfigError when ``lambda * |w_reg|^2 > 2``, that is when
+    lambda exceeds ``2 / |w_reg|^2``.
     """
     n = len(pool)
     if rounds < 0 or rounds > n:
         raise ConfigError(f"rounds {rounds} not in [0, {n}]")
     if snapshot_interval < 0:
         raise ConfigError(f"snapshot_interval must be non-negative, got {snapshot_interval}")
-    features = feature_matrix(pool.points)
+    features = feature_matrix(pool.pool)
     if features.shape[1] != model.weights.size - 1:
         raise DimensionMismatch("pool features do not match the model")
     if regularizer is not None:
         from .fairreg import regularized_update
+
+        norm2 = float(regularizer.w_reg @ regularizer.w_reg)
+        if regularizer.lam * norm2 > 2.0:
+            raise ConfigError(
+                f"lambda={regularizer.lam!r} exceeds the online stability limit "
+                f"2 / |w_reg|^2 = {2.0 / norm2:.6g}"
+            )
     available = np.ones(n, dtype=bool)
     shown: list[int] = []
     snapshots: list[tuple[int, LinearModel]] = []
@@ -213,4 +222,4 @@ def save_trace(trace: OnlineTrace, pool: LabeledPool, path: str | Path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["round", "pool_index", "label", "protected"])
         for r, i in enumerate(trace.shown_order, start=1):
-            writer.writerow([r, i, int(pool.labels[i]), pool.points[i].protected])
+            writer.writerow([r, i, int(pool.labels[i]), int(pool.pool.protected[i])])

@@ -16,7 +16,8 @@ NDCS aggregates skew across prefix sizes with a logarithmic position discount:
     Z    = sum_{j=1..k_max} 1 / log2(j + 1).
 
 Precision@k is the fraction of the top k the user would accept, judged by the
-materialized labels.
+materialized labels. Every metric reads arrays in rank order: the protected
+values of the ranked candidates and, for precision, their labels.
 """
 
 import json
@@ -27,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datagen import DataPoint, feature_matrix, protected_values
+from .datagen import Pool, feature_matrix, protected_values
 from .errors import ConfigError, EmptyQualifiedPool
 from .usermodel import UserConfig, linear_scores
 
@@ -61,7 +62,7 @@ class MetricsReport:
     counts_at: dict[int, int]
 
 
-def compute_baseline(pool: list[DataPoint], fair_user: UserConfig) -> Baseline:
+def compute_baseline(pool: Pool, fair_user: UserConfig) -> Baseline:
     """Measure the qualified population of a pool under the fair rule.
 
     Only the user's weights matter here; any bias setting on the config is
@@ -80,57 +81,55 @@ def compute_baseline(pool: list[DataPoint], fair_user: UserConfig) -> Baseline:
     )
 
 
-def skew_at_k(ranking: Sequence[DataPoint], k: int, baseline: Baseline, group: int = 1) -> float:
+def skew_at_k(protected: np.ndarray, k: int, baseline: Baseline, group: int = 1) -> float:
     """Log-ratio of a group's share in the top k to its qualified share."""
-    if not 1 <= k <= len(ranking):
-        raise ConfigError(f"k={k} out of range for a ranking of {len(ranking)}")
-    count = sum(1 for p in ranking[:k] if p.protected == group)
-    p_top = count / k
+    if not 1 <= k <= len(protected):
+        raise ConfigError(f"k={k} out of range for a ranking of {len(protected)}")
+    p_top = int(np.count_nonzero(np.equal(protected[:k], group))) / k
     p_base = baseline.p_qualified.get(group, 0.0)
     return math.log(max(p_top, EPSILON_FLOOR) / max(p_base, EPSILON_FLOOR))
 
 
-def ndcs(ranking: Sequence[DataPoint], k_max: int, baseline: Baseline, group: int = 1) -> float:
+def ndcs(protected: np.ndarray, k_max: int, baseline: Baseline, group: int = 1) -> float:
     """Discount-weighted average of Skew@j over prefixes j = 1..k_max."""
-    if not 1 <= k_max <= len(ranking):
-        raise ConfigError(f"k_max={k_max} out of range for a ranking of {len(ranking)}")
-    attrs = np.fromiter((p.protected for p in ranking[:k_max]), dtype=np.int64, count=k_max)
+    if not 1 <= k_max <= len(protected):
+        raise ConfigError(f"k_max={k_max} out of range for a ranking of {len(protected)}")
     prefix = np.arange(1, k_max + 1, dtype=float)
-    p_top = np.cumsum(attrs == group) / prefix
+    p_top = np.cumsum(np.equal(protected[:k_max], group)) / prefix
     p_base = max(baseline.p_qualified.get(group, 0.0), EPSILON_FLOOR)
     skews = np.log(np.maximum(p_top, EPSILON_FLOOR) / p_base)
     discounts = 1.0 / np.log2(prefix + 1.0)
     return float((skews @ discounts) / discounts.sum())
 
 
-def precision_at_k(labels: Sequence[int], k: int) -> float:
+def precision_at_k(labels: np.ndarray, k: int) -> float:
     """Fraction of the top k the user accepts; ``labels`` follow ranking order."""
     if not 1 <= k <= len(labels):
         raise ConfigError(f"k={k} out of range for a ranking of {len(labels)}")
-    return float(sum(int(v) for v in labels[:k]) / k)
+    return int(np.sum(labels[:k])) / k
 
 
 def evaluate_ranking(
-    points: Sequence[DataPoint],
-    labels: Sequence[int],
+    protected: np.ndarray,
+    labels: np.ndarray,
     baseline: Baseline,
     k_list: Sequence[int],
     ndcs_k_max: int,
     group: int = 1,
 ) -> MetricsReport:
-    """Build a full report for one ranking; ``points`` and ``labels`` align."""
-    if len(points) != len(labels):
-        raise ConfigError("points and labels must have equal length")
+    """Build a full report for one ranking; ``protected`` and ``labels`` follow rank order."""
+    if len(protected) != len(labels):
+        raise ConfigError("protected values and labels must have equal length")
     skew_values: dict[int, float] = {}
     precision_values: dict[int, float] = {}
     counts: dict[int, int] = {}
     for k in k_list:
-        skew_values[k] = skew_at_k(points, k, baseline, group)
+        skew_values[k] = skew_at_k(protected, k, baseline, group)
         precision_values[k] = precision_at_k(labels, k)
-        counts[k] = sum(1 for p in points[:k] if p.protected == group)
+        counts[k] = int(np.count_nonzero(np.equal(protected[:k], group)))
     return MetricsReport(
         skew_at=skew_values,
-        ndcs=ndcs(points, ndcs_k_max, baseline, group),
+        ndcs=ndcs(protected, ndcs_k_max, baseline, group),
         precision_at=precision_values,
         counts_at=counts,
     )

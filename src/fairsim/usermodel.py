@@ -7,13 +7,12 @@ features. Labels are materialized once per pool, so every learner sweep sees
 the same feedback.
 """
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .datagen import DataPoint, feature_matrix, protected_values
+from .datagen import Pool, feature_matrix, protected_values, read_columns, write_columns
 from .errors import ConfigError, DimensionMismatch
 
 DEFAULT_USER_WEIGHTS = (-0.48, 0.35, 0.28, 0.28)
@@ -66,22 +65,22 @@ def linear_scores(features: np.ndarray, weights) -> np.ndarray:
 class LabeledPool:
     """A pool with materialized user labels and the bias coins behind them."""
 
-    points: list[DataPoint]
+    pool: Pool
     labels: np.ndarray
     bias_coin: np.ndarray
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.bias_coin = np.asarray(self.bias_coin, dtype=np.int64)
-        n = len(self.points)
+        n = len(self.pool)
         if self.labels.shape != (n,) or self.bias_coin.shape != (n,):
-            raise DimensionMismatch("labels and bias_coin must have one entry per point")
+            raise DimensionMismatch("labels and bias_coin must have one entry per candidate")
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.pool)
 
 
-def label_pool(pool: list[DataPoint], user: UserConfig) -> LabeledPool:
+def label_pool(pool: Pool, user: UserConfig) -> LabeledPool:
     """Materialize one label per candidate.
 
     One Bernoulli(p_bias) coin is drawn per point, in pool order, from a
@@ -96,42 +95,20 @@ def label_pool(pool: list[DataPoint], user: UserConfig) -> LabeledPool:
     coin = rng.random(len(pool)) < user.p_bias
     protected = protected_values(pool)
     labels = np.where(coin, protected == 1, fair)
-    return LabeledPool(points=list(pool), labels=labels, bias_coin=coin)
+    return LabeledPool(pool=pool, labels=labels, bias_coin=coin)
+
+
+LABELED_COLUMNS = ["protected", "label", "bias_coin"]
 
 
 def save_labeled(labeled: LabeledPool, path: str | Path) -> None:
     """Write a labeled pool as CSV: ``x1,...,xm,protected,label,bias_coin``."""
-    if not labeled.points:
-        raise ConfigError("pool is empty")
-    m = len(labeled.points[0].features)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"x{j + 1}" for j in range(m)] + ["protected", "label", "bias_coin"])
-        for p, label, coin in zip(labeled.points, labeled.labels, labeled.bias_coin):
-            writer.writerow(
-                [format(v, ".17g") for v in p.features] + [p.protected, int(label), int(coin)]
-            )
+    columns = (labeled.pool.protected, labeled.labels, labeled.bias_coin)
+    write_columns(path, labeled.pool.features, dict(zip(LABELED_COLUMNS, columns)))
 
 
 def load_labeled(path: str | Path) -> LabeledPool:
     """Read a labeled pool written by :func:`save_labeled`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[-3:] != ["protected", "label", "bias_coin"]:
-            raise ConfigError(f"{path}: not a labeled pool CSV")
-        m = len(header) - 3
-        if m < 1 or header[:m] != [f"x{j + 1}" for j in range(m)]:
-            raise ConfigError(f"{path}: unexpected header {header}")
-        points, labels, coins = [], [], []
-        for row in reader:
-            if len(row) != m + 3:
-                raise ConfigError(f"{path}: row of width {len(row)}, expected {m + 3}")
-            features = np.array([float(v) for v in row[:m]], dtype=float)
-            features.setflags(write=False)
-            points.append(DataPoint(features=features, protected=int(row[m])))
-            labels.append(int(row[m + 1]))
-            coins.append(int(row[m + 2]))
-    if not points:
-        raise ConfigError(f"{path}: empty pool")
-    return LabeledPool(points=points, labels=np.array(labels), bias_coin=np.array(coins))
+    features, ints = read_columns(path, LABELED_COLUMNS)
+    pool = Pool(features=features, protected=ints[:, 0])
+    return LabeledPool(pool=pool, labels=ints[:, 1], bias_coin=ints[:, 2])

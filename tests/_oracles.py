@@ -37,20 +37,21 @@ def precision_oracle(labels, k):
     return hits / k
 
 
-def fair_scores_oracle(points, weights):
-    """Per-point linear score computed with scalar arithmetic."""
+def fair_scores_oracle(pool, weights):
+    """Per-candidate linear score computed with scalar arithmetic."""
     scores = []
-    for p in points:
+    for features in pool.features:
         s = weights[0]
-        for w, x in zip(weights[1:], p.features):
+        for w, x in zip(weights[1:], features):
             s += w * float(x)
         scores.append(s)
     return scores
 
 
-def baseline_oracle(points, weights):
+def baseline_oracle(pool, weights):
     """Qualified-share baseline by direct counting under the fair rule."""
-    qualified = [p.protected for p, s in zip(points, fair_scores_oracle(points, weights)) if s >= 0.0]
+    scores = fair_scores_oracle(pool, weights)
+    qualified = [int(a) for a, s in zip(pool.protected, scores) if s >= 0.0]
     total = len(qualified)
     ones = sum(1 for a in qualified if a == 1)
     return {0: (total - ones) / total, 1: ones / total}, total

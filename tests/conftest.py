@@ -16,6 +16,20 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(line)
 
 
+@pytest.fixture
+def rewrite_cell():
+    """Overwrite one cell of a CSV file, addressed by 1-based data row and column index."""
+
+    def rewrite(path, row, column, value):
+        lines = path.read_text().splitlines()
+        cells = lines[row].split(",")
+        cells[column] = value
+        lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+
+    return rewrite
+
+
 @pytest.fixture(scope="session")
 def tiny_pool():
     """Sixty candidates, enough for ranking and fitting without being slow."""

@@ -21,8 +21,8 @@ import pytest
 from scipy import stats
 
 from fairsim import (
-    DataPoint,
     ExperimentConfig,
+    Pool,
     compute_baseline,
     default_config,
     default_user,
@@ -94,23 +94,23 @@ def test_criterion_01_metric_oracle_equivalence():
     user = default_user(0.0)
     base_pool = generate_pool(default_config(n=12, seed=2))
     order = np.argsort(-linear_scores(feature_matrix(base_pool), user.weights), kind="stable")
-    features = [base_pool[i].features for i in order]
+    features = feature_matrix(base_pool)[order]
 
     start = time.monotonic()
     checked = 0
     worst = 0.0
     for n in range(1, 13):
         for flags in itertools.product((0, 1), repeat=n):
-            pool = [DataPoint(features=features[i], protected=flags[i]) for i in range(n)]
+            pool = Pool(features=features[:n], protected=flags)
             got_base = compute_baseline(pool, user)
             want_p, want_count = baseline_oracle(pool, user.weights)
             assert got_base.qualified_count == want_count
             assert abs(got_base.p_qualified[1] - want_p[1]) <= 1e-15
             p_base = want_p[1]
             for k in range(1, n + 1):
-                diff = abs(skew_at_k(pool, k, got_base) - skew_oracle(flags, k, p_base))
+                diff = abs(skew_at_k(pool.protected, k, got_base) - skew_oracle(flags, k, p_base))
                 worst = max(worst, diff)
-            diff = abs(ndcs(pool, n, got_base) - ndcs_oracle(flags, n, p_base))
+            diff = abs(ndcs(pool.protected, n, got_base) - ndcs_oracle(flags, n, p_base))
             worst = max(worst, diff)
             checked += 1
     elapsed = time.monotonic() - start
@@ -124,9 +124,7 @@ def test_criterion_01_metric_oracle_equivalence():
 
 
 def test_criterion_02_skew_hand_value():
-    ranking = [
-        DataPoint(features=np.zeros(3), protected=1 if i < 20 else 0) for i in range(25)
-    ]
+    ranking = np.array([1 if i < 20 else 0 for i in range(25)])
     baseline = Baseline(p_qualified={0: 0.5, 1: 0.5}, qualified_count=100)
     value = skew_at_k(ranking, 25, baseline)
     diff = abs(value - math.log(1.6))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fairsim import (
+    Pool,
     compute_baseline,
     default_user,
     feature_matrix,
@@ -90,9 +91,9 @@ def test_pipeline_generate_label_warm_online_metrics(tmp_path, capsys):
     # rank the labeled pool by the final model and ask the CLI to score it
     labeled = load_labeled(labeled_csv)
     model, _ = load_model(final_json)
-    order = rank_by_model(model, feature_matrix(labeled.points))
+    order = rank_by_model(model, feature_matrix(labeled.pool))
     ranked = type(labeled)(
-        points=[labeled.points[i] for i in order],
+        pool=Pool(labeled.pool.features[order], labeled.pool.protected[order]),
         labels=labeled.labels[order],
         bias_coin=labeled.bias_coin[order],
     )
@@ -107,9 +108,9 @@ def test_pipeline_generate_label_warm_online_metrics(tmp_path, capsys):
     ) == 0
     out = capsys.readouterr().out.splitlines()
     baseline = compute_baseline(pool, default_user(0.0))
-    want_skew = skew_at_k(ranked.points, 10, baseline)
+    want_skew = skew_at_k(ranked.pool.protected, 10, baseline)
     want_prec = float(ranked.labels[:10].mean())
-    want_ndcs = ndcs(ranked.points, 25, baseline)
+    want_ndcs = ndcs(ranked.pool.protected, 25, baseline)
     assert out[0] == f"skew@10 = {want_skew!r}"
     assert out[1] == f"precision@10 = {want_prec!r}"
     assert out[2] == f"ndcs@25 = {want_ndcs!r}"
@@ -148,7 +149,7 @@ def test_online_fits_regularizer_when_only_lambda_given(tmp_path):
 
     # the same run with an explicit regularizer file gives the same weights
     reg_json = tmp_path / "reg.json"
-    save_regularizer(fit_auxiliary(load_labeled(labeled_csv).points), reg_json)
+    save_regularizer(fit_auxiliary(load_labeled(labeled_csv).pool), reg_json)
     explicit = tmp_path / "explicit.json"
     assert main(
         ["online", "--model", str(warm_json), "--pool", str(labeled_csv), "--rounds", "10",

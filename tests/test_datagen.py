@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from fairsim import (
-    Categorical,
     ConfigError,
     GenConfig,
     Normal,
+    Pool,
     ProxyDist,
     Uniform,
     default_config,
@@ -72,10 +72,12 @@ def test_proxies_are_not_clipped():
     assert feats[:, 2].min() < 0.0
 
 
-def test_point_features_are_read_only():
+def test_pool_columns_are_read_only():
     pool = generate_pool(default_config(n=3, seed=1))
     with pytest.raises(ValueError):
-        pool[0].features[0] = 99.0
+        pool.features[0, 0] = 99.0
+    with pytest.raises(ValueError):
+        pool.protected[0] = 1
 
 
 def test_config_validation_errors():
@@ -87,18 +89,15 @@ def test_config_validation_errors():
         Uniform(1.0, 0.0).validate()
     with pytest.raises(ConfigError):
         Normal(0.5, -0.1).validate()
-    with pytest.raises(ConfigError):
-        Categorical((0.5, 0.4)).validate()
     bad = GenConfig(p_group=0.5, harmless_dists=(), proxy_dists=(), n=10, seed=0)
     with pytest.raises(ConfigError):
         bad.validate()
 
 
-def test_categorical_sampling_is_not_wired_up():
-    dist = Categorical((0.5, 0.5))
-    dist.validate()
-    with pytest.raises(NotImplementedError):
-        dist.sample(np.random.default_rng(0), 4)
+def test_categorical_config_is_rejected():
+    categorical = {"kind": "categorical", "probs": [0.5, 0.5]}
+    with pytest.raises(ConfigError, match="categorical"):
+        gen_config_from_dict({"harmless_dists": [categorical]})
 
 
 def test_pool_roundtrip_is_bitwise(tmp_path, tiny_pool):
@@ -124,6 +123,30 @@ def test_config_dict_roundtrip():
 
 def test_empty_pool_helpers_raise():
     with pytest.raises(ConfigError):
-        feature_matrix([])
-    with pytest.raises(ConfigError):
-        save_pool([], "unused.csv")
+        Pool(features=np.empty((0, 3)), protected=np.empty(0, dtype=np.int64))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_pool_rejects_non_finite_feature(tmp_path, tiny_pool, rewrite_cell, value):
+    path = tmp_path / "pool.csv"
+    save_pool(tiny_pool, path)
+    rewrite_cell(path, 4, 1, value)
+    with pytest.raises(ConfigError, match=rf"pool\.csv: data row 4: x2 = {value} is not finite"):
+        load_pool(path)
+
+
+@pytest.mark.parametrize("column, value", [(0, "abc"), (-1, "1.0")])
+def test_load_pool_rejects_unparsable_cell(tmp_path, tiny_pool, rewrite_cell, column, value):
+    path = tmp_path / "pool.csv"
+    save_pool(tiny_pool, path)
+    rewrite_cell(path, 3, column, value)
+    with pytest.raises(ConfigError, match=rf"pool\.csv: data row 3: .*'{value}'"):
+        load_pool(path)
+
+
+def test_load_pool_rejects_protected_outside_zero_one(tmp_path, tiny_pool, rewrite_cell):
+    path = tmp_path / "pool.csv"
+    save_pool(tiny_pool, path)
+    rewrite_cell(path, 7, -1, "7")
+    with pytest.raises(ConfigError, match=r"pool\.csv: data row 7: protected = 7 is not 0 or 1"):
+        load_pool(path)

@@ -134,10 +134,10 @@ def test_evolution_snapshots_and_reports():
     round_index, snapshot = result.trace.snapshots[1]
     shown = result.trace.shown_order[:round_index]
     order = rank_by_model(snapshot, ctx.online_features[shown])
-    points = [ctx.online_points[shown[i]] for i in order]
+    protected = ctx.online_pool.protected[shown][order]
     labels = ctx.labeled[1.0].labels[np.array(shown)][order]
     want = evaluate_ranking(
-        points, labels, ctx.baseline, k_list=(5, 10), ndcs_k_max=round_index
+        protected, labels, ctx.baseline, k_list=(5, 10), ndcs_k_max=round_index
     )
     got = result.reports_evolution[1][1]
     assert got.skew_at == want.skew_at

@@ -8,16 +8,23 @@ from fairsim import (
     DimensionMismatch,
     FairRegularizer,
     LinearModel,
+    Pool,
     SingularSystemError,
+    default_config,
+    derive_seed,
     feature_matrix,
     fit_auxiliary,
+    generate_pool,
     load_regularizer,
     perceptron_update,
     protected_values,
     regularized_update,
+    run_online,
     save_regularizer,
     solve_exact,
+    zero_model,
 )
+from fairsim.experiments import STREAM_FAIR_POOL
 from fairsim.fairreg import RESIDUAL_TOLERANCE
 
 
@@ -57,7 +64,7 @@ def test_fit_auxiliary_direction_tracks_the_attribute(tiny_pool):
 
 def test_fit_auxiliary_argument_errors(tiny_pool):
     with pytest.raises(ConfigError):
-        fit_auxiliary(tiny_pool[:1])
+        fit_auxiliary(Pool(tiny_pool.features[:1], tiny_pool.protected[:1]))
     with pytest.raises(ConfigError):
         fit_auxiliary(tiny_pool, alpha_a=-1.0)
 
@@ -190,6 +197,20 @@ def test_penalty_contracts_the_aligned_component_geometrically():
         model = regularized_update(model, x, 0, eta=0.1, reg=reg)
         after = float(model.weights @ padded)
         assert after == pytest.approx(factor * before, rel=1e-12)
+
+
+def test_run_online_rejects_lambda_past_the_stability_limit(tiny_labeled):
+    # Seed 3's fair pool gives |w_reg|^2 = 0.01106, so the online limit is about 180.8.
+    fair_pool = generate_pool(default_config(seed=derive_seed(3, STREAM_FAIR_POOL)))
+    reg = fit_auxiliary(fair_pool, alpha_a=1e-3)
+    model = zero_model(3)
+    run_online(model, tiny_labeled, 10, eta=0.01, regularizer=reg.with_strength(180.0))
+    with pytest.raises(ConfigError, match=r"2 / \|w_reg\|\^2 = 180\.83"):
+        run_online(model, tiny_labeled, 10, eta=0.01, regularizer=reg.with_strength(190.0))
+    # The batch solve has no such limit.
+    design = np.vstack([np.ones(len(tiny_labeled)), feature_matrix(tiny_labeled.pool).T])
+    exact = solve_exact(design, tiny_labeled.labels.astype(float), reg.with_strength(190.0))
+    assert np.all(np.isfinite(exact.weights))
 
 
 def test_regularizer_roundtrip(tmp_path, tiny_pool):

@@ -78,7 +78,7 @@ def test_warm_start_matches_independent_replay(tiny_labeled):
     rng = np.random.default_rng(9)
     subsample = rng.permutation(len(tiny_labeled))[:10]
     picks = rng.integers(0, 10, size=20)
-    feats = feature_matrix(tiny_labeled.points)
+    feats = feature_matrix(tiny_labeled.pool)
     w = np.zeros(feats.shape[1] + 1)
     for i in picks:
         j = int(subsample[i])
@@ -110,7 +110,7 @@ def test_warm_start_learns_the_fair_rule():
     model = warm_start(labeled, sample_size=1000, rounds=1000, seed=1)
     rng = np.random.default_rng(1)
     subsample = rng.permutation(len(labeled))[:1000]
-    feats = feature_matrix(labeled.points)
+    feats = feature_matrix(labeled.pool)
     pred = (score_all(model, feats[subsample]) >= 0.0).astype(int)
     assert (pred == labeled.labels[subsample]).mean() >= 0.95
     pred_full = (score_all(model, feats) >= 0.0).astype(int)
@@ -136,7 +136,7 @@ def test_run_online_zero_eta_keeps_model_and_greedy_order(tiny_labeled):
     start = LinearModel(np.array([0.02, 0.4, 0.3, -0.1]))
     final, trace = run_online(start, tiny_labeled, 30, eta=0.0)
     np.testing.assert_array_equal(final.weights, start.weights)
-    want = rank_by_model(start, feature_matrix(tiny_labeled.points))[:30]
+    want = rank_by_model(start, feature_matrix(tiny_labeled.pool))[:30]
     np.testing.assert_array_equal(trace.shown_order, want)
 
 

@@ -6,7 +6,6 @@ import pytest
 from fairsim import (
     Baseline,
     ConfigError,
-    DataPoint,
     EmptyQualifiedPool,
     UserConfig,
     compute_baseline,
@@ -23,13 +22,12 @@ from fairsim.metrics import CSV_FIELDS, EPSILON_FLOOR
 from _oracles import baseline_oracle, ndcs_oracle, precision_oracle, skew_oracle
 
 
-def _points(flags):
-    feats = np.linspace(0.0, 1.0, 3)
-    return [DataPoint(features=feats, protected=int(v)) for v in flags]
+def _ranking(flags):
+    return np.array(flags, dtype=np.int64)
 
 
 def test_skew_hand_value():
-    ranking = _points([1] * 20 + [0] * 5)
+    ranking = _ranking([1] * 20 + [0] * 5)
     baseline = Baseline(p_qualified={0: 0.5, 1: 0.5}, qualified_count=100)
     assert skew_at_k(ranking, 25, baseline) == pytest.approx(math.log(1.6), abs=1e-12)
 
@@ -40,7 +38,7 @@ def test_skew_and_ndcs_match_oracle_on_random_rankings():
         n = int(rng.integers(3, 60))
         flags = (rng.random(n) < rng.random()).astype(int)
         p_base = float(rng.random())
-        ranking = _points(flags)
+        ranking = _ranking(flags)
         baseline = Baseline(p_qualified={0: 1.0 - p_base, 1: p_base}, qualified_count=n)
         for k in (1, max(1, n // 2), n):
             got = skew_at_k(ranking, k, baseline)
@@ -50,20 +48,20 @@ def test_skew_and_ndcs_match_oracle_on_random_rankings():
 
 
 def test_skew_floor_behaviour():
-    ranking = _points([0, 0, 0, 0])
+    ranking = _ranking([0, 0, 0, 0])
     baseline = Baseline(p_qualified={0: 0.5, 1: 0.5}, qualified_count=10)
     assert skew_at_k(ranking, 4, baseline) == pytest.approx(
         math.log(EPSILON_FLOOR / 0.5), abs=1e-12
     )
     empty_base = Baseline(p_qualified={0: 1.0, 1: 0.0}, qualified_count=10)
-    full = _points([1, 1])
+    full = _ranking([1, 1])
     assert skew_at_k(full, 2, empty_base) == pytest.approx(
         math.log(1.0 / EPSILON_FLOOR), abs=1e-12
     )
 
 
 def test_skew_for_group_zero():
-    ranking = _points([0, 0, 0, 1])
+    ranking = _ranking([0, 0, 0, 1])
     baseline = Baseline(p_qualified={0: 0.25, 1: 0.75}, qualified_count=8)
     assert skew_at_k(ranking, 4, baseline, group=0) == pytest.approx(
         math.log(0.75 / 0.25), abs=1e-12
@@ -71,7 +69,7 @@ def test_skew_for_group_zero():
 
 
 def test_k_range_errors():
-    ranking = _points([1, 0])
+    ranking = _ranking([1, 0])
     baseline = Baseline(p_qualified={0: 0.5, 1: 0.5}, qualified_count=2)
     for bad_k in (0, 3):
         with pytest.raises(ConfigError):
@@ -113,7 +111,7 @@ def test_compute_baseline_empty_qualified(tiny_pool):
 def test_evaluate_ranking_is_consistent():
     flags = [1, 1, 0, 1, 0, 0, 1, 0]
     labels = [1, 0, 1, 1, 1, 0, 0, 0]
-    ranking = _points(flags)
+    ranking = _ranking(flags)
     baseline = Baseline(p_qualified={0: 0.6, 1: 0.4}, qualified_count=40)
     report = evaluate_ranking(ranking, labels, baseline, k_list=(2, 5), ndcs_k_max=8)
     assert set(report.skew_at) == {2, 5}
@@ -125,7 +123,7 @@ def test_evaluate_ranking_is_consistent():
 
 
 def test_evaluate_ranking_length_mismatch():
-    ranking = _points([1, 0])
+    ranking = _ranking([1, 0])
     baseline = Baseline(p_qualified={0: 0.5, 1: 0.5}, qualified_count=2)
     with pytest.raises(ConfigError):
         evaluate_ranking(ranking, [1], baseline, k_list=(1,), ndcs_k_max=1)
@@ -133,7 +131,7 @@ def test_evaluate_ranking_length_mismatch():
 
 def test_report_rows_layout():
     flags = [1, 0, 1]
-    ranking = _points(flags)
+    ranking = _ranking(flags)
     baseline = Baseline(p_qualified={0: 0.5, 1: 0.5}, qualified_count=2)
     report = evaluate_ranking(ranking, [1, 1, 0], baseline, k_list=(3, 1), ndcs_k_max=3)
     rows = report_rows(report, config_id="demo", seed=4, p_bias=0.2, eta=0.01, lam=1.0)

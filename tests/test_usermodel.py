@@ -89,7 +89,7 @@ def test_user_config_validation():
 def test_labeled_pool_length_mismatch(tiny_pool):
     with pytest.raises(DimensionMismatch):
         LabeledPool(
-            points=tiny_pool,
+            pool=tiny_pool,
             labels=np.zeros(3, dtype=np.int64),
             bias_coin=np.zeros(3, dtype=np.int64),
         )
@@ -100,10 +100,28 @@ def test_labeled_roundtrip_is_bitwise(tmp_path, tiny_labeled):
     save_labeled(tiny_labeled, path)
     loaded = load_labeled(path)
     np.testing.assert_array_equal(
-        feature_matrix(loaded.points), feature_matrix(tiny_labeled.points)
+        feature_matrix(loaded.pool), feature_matrix(tiny_labeled.pool)
     )
     np.testing.assert_array_equal(loaded.labels, tiny_labeled.labels)
     np.testing.assert_array_equal(loaded.bias_coin, tiny_labeled.bias_coin)
+
+
+@pytest.mark.parametrize(
+    "column, value, problem",
+    [
+        (0, "nan", "x1 = nan is not finite"),
+        (-3, "7", "protected = 7 is not 0 or 1"),
+        (-2, "3", "label = 3 is not 0 or 1"),
+        (-1, "9", "bias_coin = 9 is not 0 or 1"),
+    ],
+)
+def test_load_labeled_rejects_bad_values(tmp_path, tiny_labeled, rewrite_cell, column, value,
+                                         problem):
+    path = tmp_path / "labeled.csv"
+    save_labeled(tiny_labeled, path)
+    rewrite_cell(path, 5, column, value)
+    with pytest.raises(ConfigError, match=rf"labeled\.csv: data row 5: {problem}"):
+        load_labeled(path)
 
 
 def test_load_labeled_rejects_pool_csv(tmp_path, tiny_pool):
