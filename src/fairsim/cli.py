@@ -162,9 +162,11 @@ def _cmd_experiment(args) -> int:
     out_dir = args.out or os.environ.get("FAIRSIM_OUT_DIR")
     if not out_dir:
         raise ConfigError("no output directory: pass --out or set FAIRSIM_OUT_DIR")
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     if args.jobs > 1 and len(cfg.seeds) > 1:
         results = []
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(cfg.seeds))) as pool:
             futures = [pool.submit(_run_one_seed, kind, cfg, seed) for seed in cfg.seeds]
             for future in futures:
                 results.extend(future.result())
@@ -237,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replace the eta grid (repeatable)")
         p.add_argument("--lambda", type=float, action="append", dest="lam",
                        help="replace the lambda grid (repeatable)")
-        p.add_argument("--jobs", type=int, default=1, help="parallel seed workers")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="parallel seed workers (at most one per seed)")
         p.add_argument("--verbose", action="store_true")
         p.set_defaults(func=_cmd_experiment)
 

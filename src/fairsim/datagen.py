@@ -261,6 +261,15 @@ def load_pool(path: str | Path) -> Pool:
     return Pool(features=features, protected=ints[:, 0])
 
 
+def check_config_keys(obj, allowed, what: str) -> None:
+    """Raise ConfigError unless ``obj`` is a dict whose keys all lie in ``allowed``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {what} keys {unknown}; expected a subset of {sorted(allowed)}")
+
+
 def _dist_to_dict(dist: Distribution) -> dict:
     if isinstance(dist, Uniform):
         return {"kind": "uniform", "lo": dist.lo, "hi": dist.hi}
@@ -270,12 +279,14 @@ def _dist_to_dict(dist: Distribution) -> dict:
 
 
 def _dist_from_dict(obj: dict) -> Distribution:
-    kind = obj.get("kind")
+    kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind == "uniform":
+        check_config_keys(obj, ("kind", "lo", "hi"), "uniform distribution")
         return Uniform(lo=float(obj["lo"]), hi=float(obj["hi"]))
     if kind == "normal":
+        check_config_keys(obj, ("kind", "mean", "std"), "normal distribution")
         return Normal(mean=float(obj["mean"]), std=float(obj["std"]))
-    raise ConfigError(f"unknown distribution kind {kind!r}")
+    raise ConfigError(f"unknown distribution kind {kind!r} in {obj!r}")
 
 
 def gen_config_to_dict(cfg: GenConfig) -> dict:
@@ -293,7 +304,11 @@ def gen_config_to_dict(cfg: GenConfig) -> dict:
 
 
 def gen_config_from_dict(obj: dict) -> GenConfig:
-    """Inverse of :func:`gen_config_to_dict`; missing fields take defaults."""
+    """Inverse of :func:`gen_config_to_dict`; missing fields take defaults.
+
+    Raises ConfigError for anything but a JSON object and for unknown keys.
+    """
+    check_config_keys(obj, ("p_group", "harmless_dists", "proxy_dists", "n", "seed"), "pool config")
     base = default_config()
     harmless = base.harmless_dists
     if "harmless_dists" in obj:
@@ -302,6 +317,7 @@ def gen_config_from_dict(obj: dict) -> GenConfig:
     if "proxy_dists" in obj:
         parsed = []
         for p in obj["proxy_dists"]:
+            check_config_keys(p, ("group0", "group1"), "proxy distribution")
             g0 = _dist_from_dict(p["group0"])
             g1 = _dist_from_dict(p["group1"])
             if not isinstance(g0, Normal) or not isinstance(g1, Normal):

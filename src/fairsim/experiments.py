@@ -10,7 +10,7 @@ bit-identical and the warm model is shared across every cell of a seed.
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -20,6 +20,7 @@ from . import __version__
 from .datagen import (
     GenConfig,
     Pool,
+    check_config_keys,
     default_config,
     feature_matrix,
     gen_config_from_dict,
@@ -91,12 +92,16 @@ class ExperimentConfig:
         for p in self.p_bias_grid:
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"p_bias value {p} not in [0, 1]")
-        for eta in self.eta_grid:
-            if eta < 0.0:
-                raise ConfigError(f"eta value {eta} must be non-negative")
-        for lam in self.lambda_grid:
-            if lam < 0.0:
-                raise ConfigError(f"lambda value {lam} must be non-negative")
+        for name, values in (
+            ("eta_grid", self.eta_grid),
+            ("lambda_grid", self.lambda_grid),
+            ("warm_eta", (self.warm_eta,)),
+            ("sweep_eta", (self.sweep_eta,)),
+            ("alpha_a", (self.alpha_a,)),
+        ):
+            for value in values:
+                if not (np.isfinite(value) and value >= 0.0):
+                    raise ConfigError(f"{name} value {value} must be finite and non-negative")
         for seed in self.seeds:
             if not 0 <= int(seed) < 2**64:
                 raise ConfigError(f"seed {seed} is not a 64-bit unsigned integer")
@@ -111,8 +116,6 @@ class ExperimentConfig:
         for k in self.k_list:
             if not 1 <= k <= self.gen.n:
                 raise ConfigError(f"k={k} out of range for pools of {self.gen.n}")
-        if self.warm_eta < 0.0 or self.sweep_eta < 0.0 or self.alpha_a < 0.0:
-            raise ConfigError("warm_eta, sweep_eta, and alpha_a must be non-negative")
 
     def to_dict(self) -> dict:
         return {
@@ -134,7 +137,11 @@ class ExperimentConfig:
 
 
 def experiment_config_from_dict(obj: dict) -> ExperimentConfig:
-    """Build a config from a JSON object; missing fields take the defaults."""
+    """Build a config from a JSON object; missing fields take the defaults.
+
+    Raises ConfigError for anything but a JSON object and for unknown keys.
+    """
+    check_config_keys(obj, [f.name for f in fields(ExperimentConfig)], "experiment config")
     cfg = ExperimentConfig()
     if "gen" in obj:
         cfg.gen = gen_config_from_dict(obj["gen"])
@@ -175,10 +182,10 @@ class RunResult:
     final_model: LinearModel
     warm_model: LinearModel
     trace: OnlineTrace
-    report_final: MetricsReport | None
+    report_final: MetricsReport
     report_warm: MetricsReport | None
     reports_evolution: list[tuple[int, MetricsReport]]
-    baseline: Baseline | None = None
+    baseline: Baseline
     regularizer: FairRegularizer | None = None
 
 
@@ -260,38 +267,52 @@ def _ranked_report(
     return evaluate_ranking(protected, ranked_labels, ctx.baseline, ks, ndcs_k_max=k_max)
 
 
+def _run_grid(
+    cfg: ExperimentConfig, experiment: str, cells: list[tuple[float, float]], *,
+    warm_reports: bool, snapshot_interval: int = 0, with_regularizer: bool = False,
+    verbose: bool = False,
+) -> list[RunResult]:
+    """The cell loop of every study: per seed, p_bias and ``(eta, lam)`` cell, run
+    the shared warm model online (penalized at ``lam`` if ``with_regularizer``,
+    ``lam = 0`` included), then report the re-ranked pool for the final model and
+    each snapshot. ``warm_reports`` adds one warm-model report per (seed, p_bias).
+    """
+    results = []
+    for seed in cfg.seeds:
+        ctx = build_seed_context(cfg, seed, cfg.p_bias_grid, with_regularizer=with_regularizer)
+        for p_bias in cfg.p_bias_grid:
+            pool = ctx.labeled[p_bias]
+            warm_report = _ranked_report(ctx.warm, ctx, pool.labels, cfg) if warm_reports else None
+            for eta, lam in cells:
+                reg = ctx.regularizer.with_strength(lam) if with_regularizer else None
+                final, trace = run_online(
+                    ctx.warm, pool, cfg.online_rounds, eta,
+                    regularizer=reg, snapshot_interval=snapshot_interval,
+                )
+                evolution = [
+                    (r, _ranked_report(snapshot, ctx, pool.labels, cfg, trace.shown_order[:r]))
+                    for r, snapshot in trace.snapshots
+                ]
+                results.append(RunResult(
+                    p_bias=p_bias, eta=eta, lam=lam, seed=seed,
+                    final_model=final, warm_model=ctx.warm, trace=trace,
+                    report_final=_ranked_report(final, ctx, pool.labels, cfg),
+                    report_warm=warm_report, reports_evolution=evolution,
+                    baseline=ctx.baseline, regularizer=reg,
+                ))
+            if verbose:
+                print(f"[{experiment}] seed={seed} p_bias={p_bias:g} done")
+    return results
+
+
 def run_final_eval(cfg: ExperimentConfig, verbose: bool = False) -> list[RunResult]:
     """Grid over (p_bias, eta, seed): online-personalize the shared warm model,
     then re-rank the full online pool with the final model and report metrics.
     The untouched warm model is evaluated on the same pool as a comparison
     series."""
     cfg.validate()
-    results = []
-    for seed in cfg.seeds:
-        ctx = build_seed_context(cfg, seed, cfg.p_bias_grid)
-        for p_bias in cfg.p_bias_grid:
-            pool = ctx.labeled[p_bias]
-            warm_report = _ranked_report(ctx.warm, ctx, pool.labels, cfg)
-            for eta in cfg.eta_grid:
-                final, trace = run_online(ctx.warm, pool, cfg.online_rounds, eta)
-                results.append(
-                    RunResult(
-                        p_bias=p_bias,
-                        eta=eta,
-                        lam=0.0,
-                        seed=seed,
-                        final_model=final,
-                        warm_model=ctx.warm,
-                        trace=trace,
-                        report_final=_ranked_report(final, ctx, pool.labels, cfg),
-                        report_warm=warm_report,
-                        reports_evolution=[],
-                        baseline=ctx.baseline,
-                    )
-                )
-            if verbose:
-                print(f"[final_eval] seed={seed} p_bias={p_bias:g} done")
-    return results
+    cells = [(eta, 0.0) for eta in cfg.eta_grid]
+    return _run_grid(cfg, "final_eval", cells, warm_reports=True, verbose=verbose)
 
 
 def run_evolution(cfg: ExperimentConfig, verbose: bool = False) -> list[RunResult]:
@@ -302,37 +323,11 @@ def run_evolution(cfg: ExperimentConfig, verbose: bool = False) -> list[RunResul
     cfg.validate()
     if cfg.snapshot_interval < 1:
         raise ConfigError("evolution needs snapshot_interval >= 1")
-    results = []
-    for seed in cfg.seeds:
-        ctx = build_seed_context(cfg, seed, cfg.p_bias_grid)
-        for p_bias in cfg.p_bias_grid:
-            pool = ctx.labeled[p_bias]
-            for eta in cfg.eta_grid:
-                final, trace = run_online(
-                    ctx.warm, pool, cfg.online_rounds, eta, snapshot_interval=cfg.snapshot_interval
-                )
-                evolution = [
-                    (r, _ranked_report(snapshot, ctx, pool.labels, cfg, trace.shown_order[:r]))
-                    for r, snapshot in trace.snapshots
-                ]
-                results.append(
-                    RunResult(
-                        p_bias=p_bias,
-                        eta=eta,
-                        lam=0.0,
-                        seed=seed,
-                        final_model=final,
-                        warm_model=ctx.warm,
-                        trace=trace,
-                        report_final=_ranked_report(final, ctx, pool.labels, cfg),
-                        report_warm=None,
-                        reports_evolution=evolution,
-                        baseline=ctx.baseline,
-                    )
-                )
-            if verbose:
-                print(f"[evolution] seed={seed} p_bias={p_bias:g} done")
-    return results
+    cells = [(eta, 0.0) for eta in cfg.eta_grid]
+    return _run_grid(
+        cfg, "evolution", cells,
+        warm_reports=False, snapshot_interval=cfg.snapshot_interval, verbose=verbose,
+    )
 
 
 def run_reg_sweep(cfg: ExperimentConfig, verbose: bool = False) -> list[RunResult]:
@@ -341,36 +336,10 @@ def run_reg_sweep(cfg: ExperimentConfig, verbose: bool = False) -> list[RunResul
     and each cell evaluated like a final-eval cell. The lambda = 0 column
     reproduces the unregularized runs bit for bit."""
     cfg.validate()
-    results = []
-    for seed in cfg.seeds:
-        ctx = build_seed_context(cfg, seed, cfg.p_bias_grid, with_regularizer=True)
-        for p_bias in cfg.p_bias_grid:
-            pool = ctx.labeled[p_bias]
-            warm_report = _ranked_report(ctx.warm, ctx, pool.labels, cfg)
-            for lam in cfg.lambda_grid:
-                reg = ctx.regularizer.with_strength(lam)
-                final, trace = run_online(
-                    ctx.warm, pool, cfg.online_rounds, cfg.sweep_eta, regularizer=reg
-                )
-                results.append(
-                    RunResult(
-                        p_bias=p_bias,
-                        eta=cfg.sweep_eta,
-                        lam=lam,
-                        seed=seed,
-                        final_model=final,
-                        warm_model=ctx.warm,
-                        trace=trace,
-                        report_final=_ranked_report(final, ctx, pool.labels, cfg),
-                        report_warm=warm_report,
-                        reports_evolution=[],
-                        baseline=ctx.baseline,
-                        regularizer=reg,
-                    )
-                )
-            if verbose:
-                print(f"[reg_sweep] seed={seed} p_bias={p_bias:g} done")
-    return results
+    cells = [(cfg.sweep_eta, lam) for lam in cfg.lambda_grid]
+    return _run_grid(
+        cfg, "reg_sweep", cells, warm_reports=True, with_regularizer=True, verbose=verbose
+    )
 
 
 def _format_value(value) -> str:
@@ -384,8 +353,7 @@ def results_to_rows(results: list[RunResult], experiment: str) -> list[dict]:
     rows = []
     for res in results:
         common = dict(seed=res.seed, p_bias=res.p_bias, eta=res.eta, lam=res.lam)
-        if res.report_final is not None:
-            rows.extend(report_rows(res.report_final, config_id=f"{experiment}:online", **common))
+        rows.extend(report_rows(res.report_final, config_id=f"{experiment}:online", **common))
         if res.report_warm is not None:
             rows.extend(report_rows(res.report_warm, config_id=f"{experiment}:warm", **common))
         for round_index, report in res.reports_evolution:
@@ -428,8 +396,7 @@ def write_results(
         if res.seed not in seen_seeds:
             seen_seeds.add(res.seed)
             save_model(res.warm_model, models_dir / f"warm_seed{res.seed}.json", 0)
-            if res.baseline is not None:
-                save_baseline(res.baseline, exp_dir / f"baseline_seed{res.seed}.json")
+            save_baseline(res.baseline, exp_dir / f"baseline_seed{res.seed}.json")
             if res.regularizer is not None:
                 save_regularizer(
                     res.regularizer.with_strength(0.0),

@@ -20,7 +20,7 @@ import numpy as np
 
 from .datagen import feature_matrix
 from .errors import ConfigError, DimensionMismatch, NumericalError
-from .usermodel import LabeledPool
+from .usermodel import LabeledPool, linear_scores
 
 if TYPE_CHECKING:  # import cycle: fairreg builds on LinearModel
     from .fairreg import FairRegularizer
@@ -64,10 +64,7 @@ def score(model: LinearModel, x) -> float:
 
 def score_all(model: LinearModel, features: np.ndarray) -> np.ndarray:
     """Score every row of an (n, m) feature matrix."""
-    f = np.asarray(features, dtype=float)
-    if f.ndim != 2 or f.shape[1] != model.weights.size - 1:
-        raise DimensionMismatch(f"feature matrix of width {f.shape[-1]} does not match model")
-    return model.weights[0] + f @ model.weights[1:]
+    return linear_scores(features, model.weights)
 
 
 def predict(model: LinearModel, x) -> int:

@@ -1,4 +1,5 @@
 import json
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -215,15 +216,50 @@ def test_sweep_reruns_are_byte_identical(tmp_path):
     assert ma == mb
 
 
-def test_parallel_jobs_match_serial_output(tmp_path):
+@pytest.mark.parametrize("kind", ["eval", "evolve", "sweep"])
+def test_parallel_jobs_match_serial_output(tmp_path, kind):
     cfg_path = write_experiment_config(tmp_path)
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"
-    assert main(["sweep", "--config", str(cfg_path), "--out", str(serial)]) == 0
-    assert main(["sweep", "--config", str(cfg_path), "--out", str(parallel), "--jobs", "2"]) == 0
-    assert (serial / "reg_sweep" / "metrics.csv").read_bytes() == (
-        parallel / "reg_sweep" / "metrics.csv"
-    ).read_bytes()
+    assert main([kind, "--config", str(cfg_path), "--out", str(serial)]) == 0
+    assert main([kind, "--config", str(cfg_path), "--out", str(parallel), "--jobs", "2"]) == 0
+    files = sorted(p.relative_to(serial) for p in serial.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(parallel) for p in parallel.rglob("*") if p.is_file())
+    for rel in files:
+        if rel.name != "manifest.json":
+            assert (serial / rel).read_bytes() == (parallel / rel).read_bytes(), rel
+
+
+def test_jobs_are_capped_at_the_seed_count(tmp_path, monkeypatch, capsys):
+    workers = []
+
+    class InlineExecutor:
+        """Records max_workers and runs each submitted job at once, in this process."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr("fairsim.cli.ProcessPoolExecutor", InlineExecutor)
+    cfg_path = write_experiment_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["eval", "--config", str(cfg_path), "--out", str(out), "--jobs", "64"]) == 0
+    assert workers == [len(TINY_EXPERIMENT["seeds"])]
+    capsys.readouterr()
+    for jobs in ("0", "-3"):
+        assert main(["eval", "--config", str(cfg_path), "--out", str(out), "--jobs", jobs]) == 1
+        assert "--jobs" in capsys.readouterr().err
+    assert workers == [len(TINY_EXPERIMENT["seeds"])]
 
 
 def test_cli_error_exits(tmp_path, capsys):

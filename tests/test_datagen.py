@@ -92,6 +92,16 @@ def test_config_validation_errors():
     bad = GenConfig(p_group=0.5, harmless_dists=(), proxy_dists=(), n=10, seed=0)
     with pytest.raises(ConfigError):
         bad.validate()
+    with pytest.raises(ConfigError, match="'N'"):
+        gen_config_from_dict({"N": 10})
+    with pytest.raises(ConfigError, match="JSON object"):
+        gen_config_from_dict([1, 2])
+    uniform = {"kind": "uniform", "lo": 0.0, "hi": 1.0, "mean": 0.5}
+    with pytest.raises(ConfigError, match="'mean'"):
+        gen_config_from_dict({"harmless_dists": [uniform]})
+    normal = {"kind": "normal", "mean": 0.5, "std": 0.1}
+    with pytest.raises(ConfigError, match="'group2'"):
+        gen_config_from_dict({"proxy_dists": [{"group0": normal, "group2": normal}]})
 
 
 def test_categorical_config_is_rejected():

@@ -191,6 +191,12 @@ def test_config_dict_defaults_and_validation():
     assert cfg.eta_grid == (0.5,)
     with pytest.raises(ConfigError):
         experiment_config_from_dict({"p_bias_grid": [2.0]})
+    with pytest.raises(ConfigError, match="eta_gird"):
+        experiment_config_from_dict({"eta_gird": [0.5]})
+    with pytest.raises(ConfigError, match="JSON object"):
+        experiment_config_from_dict([1, 2])
+    with pytest.raises(ConfigError, match="'N'"):
+        experiment_config_from_dict({"gen": {"N": 10}})
 
 
 def test_config_validate_errors():
@@ -206,3 +212,14 @@ def test_config_validate_errors():
         tiny_config(user_weights=(0.1, 0.2)).validate()
     with pytest.raises(ConfigError):
         tiny_config(lambda_grid=(-1.0,)).validate()
+    nan = float("nan")
+    for name, value in (
+        ("eta_grid", (0.01, nan)),
+        ("lambda_grid", (nan,)),
+        ("lambda_grid", (float("inf"),)),
+        ("sweep_eta", nan),
+        ("warm_eta", nan),
+        ("alpha_a", nan),
+    ):
+        with pytest.raises(ConfigError, match=name):
+            tiny_config(**{name: value}).validate()

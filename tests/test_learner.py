@@ -49,6 +49,9 @@ def test_score_all_matches_score():
     feats = np.array([[0.0, 1.0], [2.0, -1.0], [0.5, 0.5]])
     want = [score(model, row) for row in feats]
     np.testing.assert_allclose(score_all(model, feats), want, rtol=0, atol=1e-15)
+    for bad in (feats[:, :1], feats[0], np.float64(1.0)):
+        with pytest.raises(DimensionMismatch):
+            score_all(model, bad)
 
 
 def test_perceptron_update_hand_case():
