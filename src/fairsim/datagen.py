@@ -13,8 +13,10 @@ bit-identical pools (see :func:`generate_pool` for the pinned draw order).
 """
 
 import csv
-from dataclasses import dataclass
+import json
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -77,13 +79,20 @@ class GenConfig:
     proxy_dists : per-group normal pair per proxy attribute.
     n : pool size.
     seed : 64-bit unsigned seed for the pool's generator.
+
+    The defaults are one harmless uniform attribute and two opposed proxies
+    whose means mirror across groups (0.35 vs 0.65 with std 0.12), so the
+    second attribute runs high for group 1 exactly where the third runs low.
     """
 
-    p_group: float
-    harmless_dists: tuple[Distribution, ...]
-    proxy_dists: tuple[ProxyDist, ...]
-    n: int
-    seed: int
+    p_group: float = 0.5
+    harmless_dists: tuple[Distribution, ...] = (Uniform(0.0, 1.0),)
+    proxy_dists: tuple[ProxyDist, ...] = (
+        ProxyDist(group0=Normal(0.35, 0.12), group1=Normal(0.65, 0.12)),
+        ProxyDist(group0=Normal(0.65, 0.12), group1=Normal(0.35, 0.12)),
+    )
+    n: int = 12000
+    seed: int = 0
 
     @property
     def m1(self) -> int:
@@ -141,22 +150,11 @@ class Pool:
         return self.protected.size
 
 
-def default_config(*, p_group: float = 0.5, n: int = 12000, seed: int = 0) -> GenConfig:
-    """Default pool recipe: one harmless uniform attribute and two opposed proxies.
-
-    The proxy means are mirrored across groups (0.35 vs 0.65 with std 0.12),
-    so the second proxy runs high for group 1 exactly where the third runs low.
-    """
-    return GenConfig(
-        p_group=p_group,
-        harmless_dists=(Uniform(0.0, 1.0),),
-        proxy_dists=(
-            ProxyDist(group0=Normal(0.35, 0.12), group1=Normal(0.65, 0.12)),
-            ProxyDist(group0=Normal(0.65, 0.12), group1=Normal(0.35, 0.12)),
-        ),
-        n=n,
-        seed=seed,
-    )
+def default_config(
+    *, p_group: float = GenConfig.p_group, n: int = GenConfig.n, seed: int = GenConfig.seed
+) -> GenConfig:
+    """The default pool recipe (the :class:`GenConfig` defaults) with the given overrides."""
+    return GenConfig(p_group=p_group, n=n, seed=seed)
 
 
 def generate_pool(cfg: GenConfig) -> Pool:
@@ -261,75 +259,112 @@ def load_pool(path: str | Path) -> Pool:
     return Pool(features=features, protected=ints[:, 0])
 
 
-def check_config_keys(obj, allowed, what: str) -> None:
-    """Raise ConfigError unless ``obj`` is a dict whose keys all lie in ``allowed``."""
+def write_json(path: str | Path, payload: dict) -> None:
+    """Write ``payload`` as one line of JSON plus a newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+        fh.write("\n")
+
+
+def float_array(value) -> np.ndarray:
+    """``value`` as a float array; raises ValueError or TypeError if it is not numeric."""
+    return np.asarray(value, dtype=float)
+
+
+def read_json_keys(path: str | Path, casts: dict) -> list:
+    """Read a JSON object and return the value of each key in ``casts``, converted.
+
+    ``int`` and ``float`` follow the rules of :func:`config_from_dict`; other
+    casts are called. ConfigError names the file and a missing or bad key.
+    """
+    with open(path) as fh:
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    values = []
+    for key, cast in casts.items():
+        where = f"{path}: key {key!r}"
+        if key not in payload:
+            raise ConfigError(f"{where} is missing")
+        if cast in (int, float):
+            values.append(_decode(cast, payload[key], where))
+            continue
+        try:
+            values.append(cast(payload[key]))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{where} is not numeric: {exc}") from None
+    return values
+
+
+DIST_KINDS = {"uniform": Uniform, "normal": Normal}
+
+
+def config_to_dict(value):
+    """JSON-ready form of a config dataclass: its fields in order, tuples as lists.
+
+    A distribution also carries its ``"kind"`` from :data:`DIST_KINDS`.
+    """
+    if isinstance(value, (tuple, list)):
+        return [config_to_dict(v) for v in value]
+    if not is_dataclass(value):
+        return value
+    kind = {"kind": k for k, cls in DIST_KINDS.items() if type(value) is cls}
+    return kind | {f.name: config_to_dict(getattr(value, f.name)) for f in fields(value)}
+
+
+def config_from_dict(cls, obj, path: str):
+    """Inverse of :func:`config_to_dict`, decoding each field by its annotation.
+
+    Missing fields take their dataclass defaults. A ConfigError names the dotted
+    ``path`` of an unknown key, of a missing field without a default, and of a
+    wrongly typed value: a bool or string for a number, a float for an integer,
+    a scalar for a list, or a distribution kind the annotation does not allow.
+    """
     if not isinstance(obj, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {type(obj).__name__}")
-    unknown = sorted(set(obj) - set(allowed))
+        raise ConfigError(f"{path} must be a JSON object, got {type(obj).__name__}")
+    names = sorted(f.name for f in fields(cls))
+    unknown = sorted(set(obj) - set(names))
     if unknown:
-        raise ConfigError(f"unknown {what} keys {unknown}; expected a subset of {sorted(allowed)}")
+        raise ConfigError(f"{path}: unknown keys {unknown}; expected a subset of {names}")
+    values = {}
+    for f in fields(cls):
+        if f.name in obj:
+            values[f.name] = _decode(f.type, obj[f.name], f"{path}.{f.name}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{path}.{f.name} is missing")
+    return cls(**values)
 
 
-def _dist_to_dict(dist: Distribution) -> dict:
-    if isinstance(dist, Uniform):
-        return {"kind": "uniform", "lo": dist.lo, "hi": dist.hi}
-    if isinstance(dist, Normal):
-        return {"kind": "normal", "mean": dist.mean, "std": dist.std}
-    raise ConfigError(f"unknown distribution type {type(dist).__name__}")
-
-
-def _dist_from_dict(obj: dict) -> Distribution:
-    kind = obj.get("kind") if isinstance(obj, dict) else None
-    if kind == "uniform":
-        check_config_keys(obj, ("kind", "lo", "hi"), "uniform distribution")
-        return Uniform(lo=float(obj["lo"]), hi=float(obj["hi"]))
-    if kind == "normal":
-        check_config_keys(obj, ("kind", "mean", "std"), "normal distribution")
-        return Normal(mean=float(obj["mean"]), std=float(obj["std"]))
-    raise ConfigError(f"unknown distribution kind {kind!r} in {obj!r}")
+def _decode(annotation, value, path: str):
+    if annotation in (int, float):
+        allowed = (int, float) if annotation is float else int
+        typed = isinstance(value, allowed) and not isinstance(value, bool)
+        if not (typed and abs(value) <= float(np.finfo(float).max)):
+            what = "a finite number" if annotation is float else "an integer"
+            raise ConfigError(f"{path} must be {what}, got {value!r}")
+        return annotation(value)
+    if get_origin(annotation) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be a list, got {value!r}")
+        item = get_args(annotation)[0]
+        return tuple(_decode(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    allowed = get_args(annotation) or (annotation,)
+    if not set(allowed) <= set(DIST_KINDS.values()):
+        return config_from_dict(annotation, value, path)
+    kind = value.get("kind") if isinstance(value, dict) else None
+    if DIST_KINDS.get(kind) not in allowed:
+        names = sorted(k for k, c in DIST_KINDS.items() if c in allowed)
+        raise ConfigError(f"{path}: distribution kind {kind!r} is not one of {names}")
+    return config_from_dict(DIST_KINDS[kind], {k: v for k, v in value.items() if k != "kind"}, path)
 
 
 def gen_config_to_dict(cfg: GenConfig) -> dict:
     """JSON-ready dict for a :class:`GenConfig`."""
-    return {
-        "p_group": cfg.p_group,
-        "harmless_dists": [_dist_to_dict(d) for d in cfg.harmless_dists],
-        "proxy_dists": [
-            {"group0": _dist_to_dict(p.group0), "group1": _dist_to_dict(p.group1)}
-            for p in cfg.proxy_dists
-        ],
-        "n": cfg.n,
-        "seed": cfg.seed,
-    }
+    return config_to_dict(cfg)
 
 
-def gen_config_from_dict(obj: dict) -> GenConfig:
-    """Inverse of :func:`gen_config_to_dict`; missing fields take defaults.
-
-    Raises ConfigError for anything but a JSON object and for unknown keys.
-    """
-    check_config_keys(obj, ("p_group", "harmless_dists", "proxy_dists", "n", "seed"), "pool config")
-    base = default_config()
-    harmless = base.harmless_dists
-    if "harmless_dists" in obj:
-        harmless = tuple(_dist_from_dict(d) for d in obj["harmless_dists"])
-    proxies = base.proxy_dists
-    if "proxy_dists" in obj:
-        parsed = []
-        for p in obj["proxy_dists"]:
-            check_config_keys(p, ("group0", "group1"), "proxy distribution")
-            g0 = _dist_from_dict(p["group0"])
-            g1 = _dist_from_dict(p["group1"])
-            if not isinstance(g0, Normal) or not isinstance(g1, Normal):
-                raise ConfigError("proxy attributes must use normal distributions")
-            parsed.append(ProxyDist(group0=g0, group1=g1))
-        proxies = tuple(parsed)
-    cfg = GenConfig(
-        p_group=float(obj.get("p_group", base.p_group)),
-        harmless_dists=harmless,
-        proxy_dists=proxies,
-        n=int(obj.get("n", base.n)),
-        seed=int(obj.get("seed", base.seed)),
-    )
+def gen_config_from_dict(obj) -> GenConfig:
+    """Validated inverse of :func:`gen_config_to_dict`; see :func:`config_from_dict`."""
+    cfg = config_from_dict(GenConfig, obj, "pool config")
     cfg.validate()
     return cfg

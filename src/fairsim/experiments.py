@@ -10,7 +10,7 @@ bit-identical and the warm model is shared across every cell of a seed.
 
 import csv
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -20,11 +20,9 @@ from . import __version__
 from .datagen import (
     GenConfig,
     Pool,
-    check_config_keys,
-    default_config,
+    config_from_dict,
+    config_to_dict,
     feature_matrix,
-    gen_config_from_dict,
-    gen_config_to_dict,
     generate_pool,
 )
 from .errors import ConfigError
@@ -58,7 +56,7 @@ def derive_seed(root: int, stream: int) -> int:
 class ExperimentConfig:
     """Grids, defaults, and shared settings for every experiment."""
 
-    gen: GenConfig = field(default_factory=default_config)
+    gen: GenConfig = GenConfig()
     user_weights: tuple[float, ...] = DEFAULT_USER_WEIGHTS
     p_bias_grid: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
     eta_grid: tuple[float, ...] = (1e-4, 1e-3, 0.01, 0.05, 0.1)
@@ -118,55 +116,12 @@ class ExperimentConfig:
                 raise ConfigError(f"k={k} out of range for pools of {self.gen.n}")
 
     def to_dict(self) -> dict:
-        return {
-            "gen": gen_config_to_dict(self.gen),
-            "user_weights": list(self.user_weights),
-            "p_bias_grid": list(self.p_bias_grid),
-            "eta_grid": list(self.eta_grid),
-            "lambda_grid": list(self.lambda_grid),
-            "warm_sample_size": self.warm_sample_size,
-            "warm_rounds": self.warm_rounds,
-            "warm_eta": self.warm_eta,
-            "online_rounds": self.online_rounds,
-            "snapshot_interval": self.snapshot_interval,
-            "seeds": list(self.seeds),
-            "k_list": list(self.k_list),
-            "sweep_eta": self.sweep_eta,
-            "alpha_a": self.alpha_a,
-        }
+        return config_to_dict(self)
 
 
-def experiment_config_from_dict(obj: dict) -> ExperimentConfig:
-    """Build a config from a JSON object; missing fields take the defaults.
-
-    Raises ConfigError for anything but a JSON object and for unknown keys.
-    """
-    check_config_keys(obj, [f.name for f in fields(ExperimentConfig)], "experiment config")
-    cfg = ExperimentConfig()
-    if "gen" in obj:
-        cfg.gen = gen_config_from_dict(obj["gen"])
-    if "user_weights" in obj:
-        cfg.user_weights = tuple(float(w) for w in obj["user_weights"])
-    for grid_name, cast in (
-        ("p_bias_grid", float),
-        ("eta_grid", float),
-        ("lambda_grid", float),
-        ("seeds", int),
-        ("k_list", int),
-    ):
-        if grid_name in obj:
-            setattr(cfg, grid_name, tuple(cast(v) for v in obj[grid_name]))
-    for scalar, cast in (
-        ("warm_sample_size", int),
-        ("warm_rounds", int),
-        ("warm_eta", float),
-        ("online_rounds", int),
-        ("snapshot_interval", int),
-        ("sweep_eta", float),
-        ("alpha_a", float),
-    ):
-        if scalar in obj:
-            setattr(cfg, scalar, cast(obj[scalar]))
+def experiment_config_from_dict(obj) -> ExperimentConfig:
+    """Validated config from a JSON object; see :func:`fairsim.datagen.config_from_dict`."""
+    cfg = config_from_dict(ExperimentConfig, obj, "experiment config")
     cfg.validate()
     return cfg
 

@@ -25,15 +25,14 @@ applies every round, including rounds without a mistake. The batch analogue
 solves ``(X X^T + lambda * w_reg~ w_reg~^T) w = X Y^T`` exactly.
 """
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .datagen import Pool, feature_matrix, protected_values
+from .datagen import Pool, feature_matrix, float_array, protected_values, read_json_keys, write_json
 from .errors import ConfigError, DimensionMismatch, SingularSystemError
-from .learner import LinearModel, augment
+from .learner import LinearModel, _perceptron_step
 
 # Relative residual above which a direct solve is reported as unreliable.
 RESIDUAL_TOLERANCE = 1e-8
@@ -165,49 +164,33 @@ def regularized_update(
     call; the perceptron term only on a mistake. With ``lambda = 0`` this
     reproduces the plain perceptron step bit for bit.
     """
-    xa = augment(x)
-    if xa.size != model.weights.size:
-        raise DimensionMismatch(f"feature vector of size {xa.size - 1} does not match model")
-    if reg.m != model.weights.size - 1:
-        raise DimensionMismatch("regularizer direction does not match model width")
     w = model.weights
-    yhat = 1.0 if float(w @ xa) >= 0.0 else 0.0
-    err = float(y) - yhat
-    new = w
-    if err != 0.0:
-        new = new + (eta * err) * xa
+    new = _perceptron_step(w, x, y, eta)
+    if reg.m != w.size - 1:
+        raise DimensionMismatch("regularizer direction does not match model width")
     if reg.lam != 0.0:
         padded = reg.padded_direction()
         aligned = float(w @ padded)
         if aligned != 0.0:
             new = new - (reg.lam * aligned) * padded
-    if new is w:
-        return model
-    return LinearModel(new)
+    return model if new is w else LinearModel(new)
 
 
 def save_regularizer(reg: FairRegularizer, path: str | Path) -> None:
     """Write a regularizer as JSON with keys w_a, sigma_x, w_reg, lambda, alpha_a."""
-    payload = {
+    write_json(path, {
         "w_a": [float(v) for v in reg.w_a],
         "sigma_x": [[float(v) for v in row] for row in reg.sigma_x],
         "w_reg": [float(v) for v in reg.w_reg],
         "lambda": float(reg.lam),
         "alpha_a": float(reg.alpha_a),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    })
 
 
 def load_regularizer(path: str | Path) -> FairRegularizer:
     """Read a regularizer written by :func:`save_regularizer`."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    return FairRegularizer(
-        w_a=np.asarray(payload["w_a"], dtype=float),
-        sigma_x=np.asarray(payload["sigma_x"], dtype=float),
-        w_reg=np.asarray(payload["w_reg"], dtype=float),
-        lam=float(payload["lambda"]),
-        alpha_a=float(payload["alpha_a"]),
-    )
+    w_a, sigma_x, w_reg, lam, alpha_a = read_json_keys(path, {
+        "w_a": float_array, "sigma_x": float_array, "w_reg": float_array,
+        "lambda": float, "alpha_a": float,
+    })
+    return FairRegularizer(w_a=w_a, sigma_x=sigma_x, w_reg=w_reg, lam=lam, alpha_a=alpha_a)

@@ -11,14 +11,13 @@ index), receives that candidate's stored label, and updates.
 """
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .datagen import feature_matrix
+from .datagen import feature_matrix, float_array, read_json_keys, write_json
 from .errors import ConfigError, DimensionMismatch, NumericalError
 from .usermodel import LabeledPool, linear_scores
 
@@ -78,20 +77,23 @@ def rank_by_model(model: LinearModel, features: np.ndarray) -> np.ndarray:
     return np.argsort(-scores, kind="stable")
 
 
+def _perceptron_step(w: np.ndarray, x, y: int, eta: float) -> np.ndarray:
+    """Raw weights after one perceptron step; ``w`` itself when the prediction is right."""
+    xa = augment(x)
+    if xa.size != w.size:
+        raise DimensionMismatch(f"feature vector of size {xa.size - 1} does not match model")
+    err = float(y) - (1.0 if float(w @ xa) >= 0.0 else 0.0)
+    return w if err == 0.0 else w + (eta * err) * xa
+
+
 def perceptron_update(model: LinearModel, x, y: int, eta: float) -> LinearModel:
     """One perceptron step: ``w + eta * (y - yhat) * (1, x)``.
 
     Returns the input model unchanged (same object) when the prediction is
     already correct.
     """
-    xa = augment(x)
-    if xa.size != model.weights.size:
-        raise DimensionMismatch(f"feature vector of size {xa.size - 1} does not match model")
-    yhat = 1.0 if float(model.weights @ xa) >= 0.0 else 0.0
-    err = float(y) - yhat
-    if err == 0.0:
-        return model
-    return LinearModel(model.weights + (eta * err) * xa)
+    new = _perceptron_step(model.weights, x, y, eta)
+    return model if new is model.weights else LinearModel(new)
 
 
 def warm_start(
@@ -200,17 +202,13 @@ def run_online(
 
 def save_model(model: LinearModel, path: str | Path, round_index: int = 0) -> None:
     """Write a model as JSON: ``{"weights": [...], "round": n}``."""
-    payload = {"weights": [float(w) for w in model.weights], "round": int(round_index)}
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    write_json(path, {"weights": [float(w) for w in model.weights], "round": int(round_index)})
 
 
 def load_model(path: str | Path) -> tuple[LinearModel, int]:
     """Read a model written by :func:`save_model`; returns (model, round)."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    return LinearModel(np.asarray(payload["weights"], dtype=float)), int(payload["round"])
+    weights, round_index = read_json_keys(path, {"weights": float_array, "round": int})
+    return LinearModel(weights), round_index
 
 
 def save_trace(trace: OnlineTrace, pool: LabeledPool, path: str | Path) -> None:

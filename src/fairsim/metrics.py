@@ -20,7 +20,6 @@ materialized labels. Every metric reads arrays in rank order: the protected
 values of the ranked candidates and, for precision, their labels.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datagen import Pool, feature_matrix, protected_values
+from .datagen import Pool, feature_matrix, protected_values, read_json_keys, write_json
 from .errors import ConfigError, EmptyQualifiedPool
 from .usermodel import UserConfig, linear_scores
 
@@ -174,20 +173,16 @@ def report_rows(
 
 def save_baseline(baseline: Baseline, path: str | Path) -> None:
     """Write a baseline as JSON: ``{"p_qualified": {...}, "qualified_count": n}``."""
-    payload = {
+    write_json(path, {
         "p_qualified": {str(v): float(p) for v, p in sorted(baseline.p_qualified.items())},
         "qualified_count": int(baseline.qualified_count),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    })
 
 
 def load_baseline(path: str | Path) -> Baseline:
     """Read a baseline written by :func:`save_baseline`."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    return Baseline(
-        p_qualified={int(v): float(p) for v, p in payload["p_qualified"].items()},
-        qualified_count=int(payload["qualified_count"]),
-    )
+    shares, count = read_json_keys(path, {
+        "p_qualified": lambda d: {int(v): float(p) for v, p in d.items()},
+        "qualified_count": int,
+    })
+    return Baseline(p_qualified=shares, qualified_count=count)

@@ -283,3 +283,19 @@ def test_cli_error_exits(tmp_path, capsys):
         ["metrics", "--ranking", str(pool_csv), "--baseline", str(baseline_json), "--k", "99"]
     ) == 1
     assert "error:" in capsys.readouterr().err
+    no_count = tmp_path / "no_count.json"
+    no_count.write_text(json.dumps({"p_qualified": {"0": 0.5, "1": 0.5}}))
+    model_json = tmp_path / "model.json"
+    model_json.write_text(json.dumps({"round": 0}))
+    sweep_json = tmp_path / "sweep.json"
+    sweep_json.write_text(json.dumps({"seeds": 5}))
+    for argv, named in (
+        (["metrics", "--ranking", str(pool_csv), "--baseline", str(no_count), "--k", "5"],
+         "no_count.json: key 'qualified_count' is missing"),
+        (["online", "--model", str(model_json), "--pool", str(pool_csv),
+          "--out", str(tmp_path / "m.json")], "model.json: key 'weights' is missing"),
+        (["sweep", "--config", str(sweep_json), "--out", str(tmp_path / "out")], "seeds"),
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err and "Traceback" not in err

@@ -102,6 +102,12 @@ def test_config_validation_errors():
     normal = {"kind": "normal", "mean": 0.5, "std": 0.1}
     with pytest.raises(ConfigError, match="'group2'"):
         gen_config_from_dict({"proxy_dists": [{"group0": normal, "group2": normal}]})
+    no_std = {"kind": "normal", "mean": 0.5}
+    with pytest.raises(ConfigError, match=r"proxy_dists\[0\]\.group1\.std is missing"):
+        gen_config_from_dict({"proxy_dists": [{"group0": normal, "group1": no_std}]})
+    uniform = {"kind": "uniform", "lo": 0.0, "hi": 1.0}
+    with pytest.raises(ConfigError, match=r"proxy_dists\[0\]\.group0: distribution kind 'uniform'"):
+        gen_config_from_dict({"proxy_dists": [{"group0": uniform, "group1": normal}]})
 
 
 def test_categorical_config_is_rejected():

@@ -197,6 +197,16 @@ def test_config_dict_defaults_and_validation():
         experiment_config_from_dict([1, 2])
     with pytest.raises(ConfigError, match="'N'"):
         experiment_config_from_dict({"gen": {"N": 10}})
+    for bad, name in (
+        ({"seeds": 5}, r"\.seeds must be a list"),
+        ({"online_rounds": "abc"}, r"\.online_rounds must be an integer"),
+        ({"gen": {"n": 1.5}}, r"\.gen\.n must be an integer"),
+        ({"eta_grid": [True]}, r"\.eta_grid\[0\] must be a finite number"),
+        ({"warm_eta": "0.3"}, r"\.warm_eta must be a finite number"),
+        ({"sweep_eta": 10**400}, r"\.sweep_eta must be a finite number"),
+    ):
+        with pytest.raises(ConfigError, match=name):
+            experiment_config_from_dict(bad)
 
 
 def test_config_validate_errors():

@@ -1,20 +1,29 @@
-"""The README's Python API example runs as written, on a smaller pool."""
+"""The README's Python API example runs as written, on a smaller pool, and its
+configuration block is the default config."""
 
+import json
 import re
 from pathlib import Path
+
+from fairsim import ExperimentConfig, experiment_config_from_dict
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 FULL_SWEEP = "results = run_reg_sweep(ExperimentConfig())"
 
 
-def _api_example() -> str:
+def _first_block(heading: str, language: str) -> str:
     text = README.read_text()
-    section = text[text.index("## Python API"):]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    section = text[text.index(heading):]
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_config_block_is_the_default_config():
+    block = json.loads(_first_block("## Configuration", "json"))
+    assert experiment_config_from_dict(block).to_dict() == ExperimentConfig().to_dict()
 
 
 def test_readme_api_example_runs(capsys):
-    code = _api_example()
+    code = _first_block("## Python API", "python")
     assert "n=12000" in code and FULL_SWEEP in code
     code = code.replace("n=12000", "n=1500").replace(FULL_SWEEP, "")
     namespace = {}
