@@ -138,21 +138,14 @@ def _load_experiment_config(args) -> ExperimentConfig:
             cfg = experiment_config_from_dict(json.load(fh))
     else:
         cfg = ExperimentConfig()
-    if args.seed:
-        cfg.seeds = tuple(args.seed)
-    if args.p_bias:
-        cfg.p_bias_grid = tuple(args.p_bias)
-    if args.eta:
-        cfg.eta_grid = tuple(args.eta)
-    if args.lam:
-        cfg.lambda_grid = tuple(args.lam)
-    cfg.validate()
-    return cfg
+    grids = {"seeds": args.seed, "p_bias_grid": args.p_bias, "eta_grid": args.eta,
+             "lambda_grid": args.lam}
+    return replace(cfg, **{name: tuple(values) for name, values in grids.items() if values})
 
 
-def _run_one_seed(kind: str, cfg: ExperimentConfig, seed: int):
+def _run_one_seed(kind: str, cfg: ExperimentConfig, seed: int, verbose: bool):
     _, runner = _EXPERIMENTS[kind]
-    return runner(replace(cfg, seeds=(seed,)))
+    return runner(replace(cfg, seeds=(seed,)), verbose=verbose)
 
 
 def _cmd_experiment(args) -> int:
@@ -167,7 +160,9 @@ def _cmd_experiment(args) -> int:
     if args.jobs > 1 and len(cfg.seeds) > 1:
         results = []
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(cfg.seeds))) as pool:
-            futures = [pool.submit(_run_one_seed, kind, cfg, seed) for seed in cfg.seeds]
+            futures = [
+                pool.submit(_run_one_seed, kind, cfg, seed, args.verbose) for seed in cfg.seeds
+            ]
             for future in futures:
                 results.extend(future.result())
     else:

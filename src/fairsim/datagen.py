@@ -20,7 +20,7 @@ from typing import get_args, get_origin
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch
+from .errors import ConfigError, DimensionMismatch, FairsimError
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class Uniform:
     lo: float = 0.0
     hi: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not (np.isfinite(self.lo) and np.isfinite(self.hi)) or self.hi < self.lo:
             raise ConfigError(f"uniform bounds must satisfy lo <= hi, got [{self.lo}, {self.hi}]")
 
@@ -45,7 +45,7 @@ class Normal:
     mean: float
     std: float
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not (np.isfinite(self.mean) and np.isfinite(self.std)) or self.std <= 0.0:
             raise ConfigError(f"normal spec needs std > 0, got mean={self.mean}, std={self.std}")
 
@@ -62,10 +62,6 @@ class ProxyDist:
 
     group0: Normal
     group1: Normal
-
-    def validate(self) -> None:
-        self.group0.validate()
-        self.group1.validate()
 
 
 @dataclass(frozen=True)
@@ -106,7 +102,7 @@ class GenConfig:
     def m(self) -> int:
         return self.m1 + self.m2
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 0.0 <= self.p_group <= 1.0:
             raise ConfigError(f"p_group must lie in [0, 1], got {self.p_group}")
         if self.n < 1:
@@ -115,10 +111,6 @@ class GenConfig:
             raise ConfigError("at least one attribute is required")
         if not 0 <= int(self.seed) < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        for dist in self.harmless_dists:
-            dist.validate()
-        for proxy in self.proxy_dists:
-            proxy.validate()
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,7 +162,6 @@ def generate_pool(cfg: GenConfig) -> Pool:
 
     Values are not clipped; proxy draws may fall outside [0, 1].
     """
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     protected = (rng.random(cfg.n) < cfg.p_group).astype(np.int64)
     columns = []
@@ -271,11 +262,14 @@ def float_array(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
-def read_json_keys(path: str | Path, casts: dict) -> list:
-    """Read a JSON object and return the value of each key in ``casts``, converted.
+def read_json_keys(path: str | Path, casts: dict, build):
+    """Read a JSON object, convert the value of each key in ``casts``, and
+    return ``build(*values)``.
 
     ``int`` and ``float`` follow the rules of :func:`config_from_dict`; other
-    casts are called. ConfigError names the file and a missing or bad key.
+    casts are called. ConfigError names the file and a missing or bad key; a
+    FairsimError raised by ``build`` is re-raised as the same type with the
+    file name in front.
     """
     with open(path) as fh:
         payload = json.load(fh)
@@ -293,7 +287,10 @@ def read_json_keys(path: str | Path, casts: dict) -> list:
             values.append(cast(payload[key]))
         except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"{where} is not numeric: {exc}") from None
-    return values
+    try:
+        return build(*values)
+    except FairsimError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 DIST_KINDS = {"uniform": Uniform, "normal": Normal}
@@ -364,7 +361,5 @@ def gen_config_to_dict(cfg: GenConfig) -> dict:
 
 
 def gen_config_from_dict(obj) -> GenConfig:
-    """Validated inverse of :func:`gen_config_to_dict`; see :func:`config_from_dict`."""
-    cfg = config_from_dict(GenConfig, obj, "pool config")
-    cfg.validate()
-    return cfg
+    """Inverse of :func:`gen_config_to_dict`; see :func:`config_from_dict`."""
+    return config_from_dict(GenConfig, obj, "pool config")

@@ -52,7 +52,7 @@ def derive_seed(root: int, stream: int) -> int:
     return int(np.random.SeedSequence((int(root), int(stream))).generate_state(1, np.uint64)[0])
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Grids, defaults, and shared settings for every experiment."""
 
@@ -71,9 +71,9 @@ class ExperimentConfig:
     sweep_eta: float = 0.01
     alpha_a: float = 1e-3
 
-    def validate(self) -> None:
-        self.gen.validate()
-        UserConfig(p_bias=0.0, weights=tuple(self.user_weights), seed=0).validate()
+    def __post_init__(self):
+        # A UserConfig checks the weights when it is built.
+        UserConfig(p_bias=0.0, weights=tuple(self.user_weights), seed=0)
         if len(self.user_weights) != self.gen.m + 1:
             raise ConfigError(
                 f"user_weights of length {len(self.user_weights)} do not fit {self.gen.m} attributes"
@@ -120,10 +120,8 @@ class ExperimentConfig:
 
 
 def experiment_config_from_dict(obj) -> ExperimentConfig:
-    """Validated config from a JSON object; see :func:`fairsim.datagen.config_from_dict`."""
-    cfg = config_from_dict(ExperimentConfig, obj, "experiment config")
-    cfg.validate()
-    return cfg
+    """Config from a JSON object; see :func:`fairsim.datagen.config_from_dict`."""
+    return config_from_dict(ExperimentConfig, obj, "experiment config")
 
 
 @dataclass(eq=False)
@@ -265,7 +263,6 @@ def run_final_eval(cfg: ExperimentConfig, verbose: bool = False) -> list[RunResu
     then re-rank the full online pool with the final model and report metrics.
     The untouched warm model is evaluated on the same pool as a comparison
     series."""
-    cfg.validate()
     cells = [(eta, 0.0) for eta in cfg.eta_grid]
     return _run_grid(cfg, "final_eval", cells, warm_reports=True, verbose=verbose)
 
@@ -275,7 +272,6 @@ def run_evolution(cfg: ExperimentConfig, verbose: bool = False) -> list[RunResul
     ``snapshot_interval`` rounds, re-rank the candidates shown so far with the
     current model snapshot and report metrics against the shared baseline.
     NDCS at a snapshot sums over every prefix of the shown list."""
-    cfg.validate()
     if cfg.snapshot_interval < 1:
         raise ConfigError("evolution needs snapshot_interval >= 1")
     cells = [(eta, 0.0) for eta in cfg.eta_grid]
@@ -290,7 +286,6 @@ def run_reg_sweep(cfg: ExperimentConfig, verbose: bool = False) -> list[RunResul
     regularizer is fitted once per seed on the fair pool, its strength swept,
     and each cell evaluated like a final-eval cell. The lambda = 0 column
     reproduces the unregularized runs bit for bit."""
-    cfg.validate()
     cells = [(cfg.sweep_eta, lam) for lam in cfg.lambda_grid]
     return _run_grid(
         cfg, "reg_sweep", cells, warm_reports=True, with_regularizer=True, verbose=verbose

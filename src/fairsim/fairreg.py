@@ -189,8 +189,7 @@ def save_regularizer(reg: FairRegularizer, path: str | Path) -> None:
 
 def load_regularizer(path: str | Path) -> FairRegularizer:
     """Read a regularizer written by :func:`save_regularizer`."""
-    w_a, sigma_x, w_reg, lam, alpha_a = read_json_keys(path, {
+    return read_json_keys(path, {
         "w_a": float_array, "sigma_x": float_array, "w_reg": float_array,
         "lambda": float, "alpha_a": float,
-    })
-    return FairRegularizer(w_a=w_a, sigma_x=sigma_x, w_reg=w_reg, lam=lam, alpha_a=alpha_a)
+    }, FairRegularizer)

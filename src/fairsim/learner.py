@@ -207,8 +207,9 @@ def save_model(model: LinearModel, path: str | Path, round_index: int = 0) -> No
 
 def load_model(path: str | Path) -> tuple[LinearModel, int]:
     """Read a model written by :func:`save_model`; returns (model, round)."""
-    weights, round_index = read_json_keys(path, {"weights": float_array, "round": int})
-    return LinearModel(weights), round_index
+    return read_json_keys(
+        path, {"weights": float_array, "round": int}, lambda w, r: (LinearModel(w), r)
+    )
 
 
 def save_trace(trace: OnlineTrace, pool: LabeledPool, path: str | Path) -> None:

@@ -38,12 +38,22 @@ EPSILON_FLOOR = 1e-6
 class Baseline:
     """Qualified-population composition a ranking is judged against.
 
-    ``p_qualified[v]`` is the share of protected value ``v`` among candidates
-    that pass the fair acceptance rule; ``qualified_count`` is how many do.
+    ``p_qualified[v]`` is the share, in [0, 1], of protected value ``v`` (0 or
+    1, both required) among candidates that pass the fair acceptance rule;
+    ``qualified_count``, at least 1, is how many do.
     """
 
     p_qualified: dict[int, float]
     qualified_count: int
+
+    def __post_init__(self):
+        if set(self.p_qualified) != {0, 1}:
+            raise ConfigError(f"baseline groups must be [0, 1], got {sorted(self.p_qualified)}")
+        for v, p in self.p_qualified.items():
+            if not 0.0 <= p <= 1.0:
+                raise ConfigError(f"baseline share of group {v} must lie in [0, 1], got {p}")
+        if self.qualified_count < 1:
+            raise ConfigError(f"qualified_count must be at least 1, got {self.qualified_count}")
 
 
 @dataclass(frozen=True)
@@ -80,13 +90,19 @@ def compute_baseline(pool: Pool, fair_user: UserConfig) -> Baseline:
     )
 
 
+def _qualified_share(baseline: Baseline, group: int) -> float:
+    """The baseline share of ``group``, floored at ``EPSILON_FLOOR``."""
+    if group not in baseline.p_qualified:
+        raise ConfigError(f"group {group} has no share in the baseline")
+    return max(baseline.p_qualified[group], EPSILON_FLOOR)
+
+
 def skew_at_k(protected: np.ndarray, k: int, baseline: Baseline, group: int = 1) -> float:
     """Log-ratio of a group's share in the top k to its qualified share."""
     if not 1 <= k <= len(protected):
         raise ConfigError(f"k={k} out of range for a ranking of {len(protected)}")
     p_top = int(np.count_nonzero(np.equal(protected[:k], group))) / k
-    p_base = baseline.p_qualified.get(group, 0.0)
-    return math.log(max(p_top, EPSILON_FLOOR) / max(p_base, EPSILON_FLOOR))
+    return math.log(max(p_top, EPSILON_FLOOR) / _qualified_share(baseline, group))
 
 
 def ndcs(protected: np.ndarray, k_max: int, baseline: Baseline, group: int = 1) -> float:
@@ -95,8 +111,7 @@ def ndcs(protected: np.ndarray, k_max: int, baseline: Baseline, group: int = 1) 
         raise ConfigError(f"k_max={k_max} out of range for a ranking of {len(protected)}")
     prefix = np.arange(1, k_max + 1, dtype=float)
     p_top = np.cumsum(np.equal(protected[:k_max], group)) / prefix
-    p_base = max(baseline.p_qualified.get(group, 0.0), EPSILON_FLOOR)
-    skews = np.log(np.maximum(p_top, EPSILON_FLOOR) / p_base)
+    skews = np.log(np.maximum(p_top, EPSILON_FLOOR) / _qualified_share(baseline, group))
     discounts = 1.0 / np.log2(prefix + 1.0)
     return float((skews @ discounts) / discounts.sum())
 
@@ -181,8 +196,7 @@ def save_baseline(baseline: Baseline, path: str | Path) -> None:
 
 def load_baseline(path: str | Path) -> Baseline:
     """Read a baseline written by :func:`save_baseline`."""
-    shares, count = read_json_keys(path, {
+    return read_json_keys(path, {
         "p_qualified": lambda d: {int(v): float(p) for v, p in d.items()},
         "qualified_count": int,
-    })
-    return Baseline(p_qualified=shares, qualified_count=count)
+    }, Baseline)

@@ -31,7 +31,7 @@ class UserConfig:
     weights: tuple[float, ...]
     seed: int
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 0.0 <= self.p_bias <= 1.0:
             raise ConfigError(f"p_bias must lie in [0, 1], got {self.p_bias}")
         if len(self.weights) < 2:
@@ -44,9 +44,7 @@ class UserConfig:
 
 def default_user(p_bias: float, seed: int = 0) -> UserConfig:
     """User with the default acceptance weights and the given bias level."""
-    user = UserConfig(p_bias=p_bias, weights=DEFAULT_USER_WEIGHTS, seed=seed)
-    user.validate()
-    return user
+    return UserConfig(p_bias=p_bias, weights=DEFAULT_USER_WEIGHTS, seed=seed)
 
 
 def linear_scores(features: np.ndarray, weights) -> np.ndarray:
@@ -88,7 +86,6 @@ def label_pool(pool: Pool, user: UserConfig) -> LabeledPool:
     into the label; coin 0 applies the acceptance rule ``w0 + w . x >= 0``
     (non-strict, so a score of exactly zero is accepted).
     """
-    user.validate()
     features = feature_matrix(pool)
     fair = linear_scores(features, user.weights) >= 0.0
     rng = np.random.default_rng(user.seed)

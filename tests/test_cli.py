@@ -253,9 +253,15 @@ def test_jobs_are_capped_at_the_seed_count(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("fairsim.cli.ProcessPoolExecutor", InlineExecutor)
     cfg_path = write_experiment_config(tmp_path)
     out = tmp_path / "out"
-    assert main(["eval", "--config", str(cfg_path), "--out", str(out), "--jobs", "64"]) == 0
+    assert main(
+        ["eval", "--config", str(cfg_path), "--out", str(out), "--jobs", "64", "--verbose"]
+    ) == 0
     assert workers == [len(TINY_EXPERIMENT["seeds"])]
-    capsys.readouterr()
+    progress = [line for line in capsys.readouterr().out.splitlines() if line.endswith(" done")]
+    assert progress == [
+        f"[final_eval] seed={seed} p_bias={p_bias:g} done"
+        for seed in TINY_EXPERIMENT["seeds"] for p_bias in TINY_EXPERIMENT["p_bias_grid"]
+    ]
     for jobs in ("0", "-3"):
         assert main(["eval", "--config", str(cfg_path), "--out", str(out), "--jobs", jobs]) == 1
         assert "--jobs" in capsys.readouterr().err
@@ -289,12 +295,22 @@ def test_cli_error_exits(tmp_path, capsys):
     model_json.write_text(json.dumps({"round": 0}))
     sweep_json = tmp_path / "sweep.json"
     sweep_json.write_text(json.dumps({"seeds": 5}))
+    nan_model = tmp_path / "nan_model.json"
+    nan_model.write_text(json.dumps({"weights": [1.0, float("nan"), 0, 0], "round": 0}))
+    bad_shares = tmp_path / "bad_shares.json"
+    bad_shares.write_text(json.dumps({"p_qualified": {"0": 0.5, "1": 7.0}, "qualified_count": -3}))
     for argv, named in (
         (["metrics", "--ranking", str(pool_csv), "--baseline", str(no_count), "--k", "5"],
          "no_count.json: key 'qualified_count' is missing"),
         (["online", "--model", str(model_json), "--pool", str(pool_csv),
           "--out", str(tmp_path / "m.json")], "model.json: key 'weights' is missing"),
         (["sweep", "--config", str(sweep_json), "--out", str(tmp_path / "out")], "seeds"),
+        (["online", "--model", str(nan_model), "--pool", str(pool_csv),
+          "--out", str(tmp_path / "m.json")], "nan_model.json: model weights must be finite"),
+        (["metrics", "--ranking", str(pool_csv), "--baseline", str(bad_shares), "--k", "5"],
+         "bad_shares.json: baseline share of group 1"),
+        (["metrics", "--ranking", str(pool_csv), "--baseline", str(baseline_json), "--k", "5",
+          "--group", "5"], "group 5"),
     ):
         assert main(argv) == 1
         err = capsys.readouterr().err

@@ -82,16 +82,15 @@ def test_pool_columns_are_read_only():
 
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
-        default_config(p_group=1.5).validate()
+        default_config(p_group=1.5)
     with pytest.raises(ConfigError):
-        default_config(n=0).validate()
+        default_config(n=0)
     with pytest.raises(ConfigError):
-        Uniform(1.0, 0.0).validate()
+        Uniform(1.0, 0.0)
     with pytest.raises(ConfigError):
-        Normal(0.5, -0.1).validate()
-    bad = GenConfig(p_group=0.5, harmless_dists=(), proxy_dists=(), n=10, seed=0)
+        Normal(0.5, -0.1)
     with pytest.raises(ConfigError):
-        bad.validate()
+        GenConfig(p_group=0.5, harmless_dists=(), proxy_dists=(), n=10, seed=0)
     with pytest.raises(ConfigError, match="'N'"):
         gen_config_from_dict({"N": 10})
     with pytest.raises(ConfigError, match="JSON object"):

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -210,18 +210,20 @@ def test_config_dict_defaults_and_validation():
 
 
 def test_config_validate_errors():
+    with pytest.raises(FrozenInstanceError):
+        tiny_config().seeds = (1,)
     with pytest.raises(ConfigError):
-        tiny_config(seeds=()).validate()
+        tiny_config(seeds=())
     with pytest.raises(ConfigError):
-        tiny_config(k_list=(70,)).validate()
+        tiny_config(k_list=(70,))
     with pytest.raises(ConfigError):
-        tiny_config(online_rounds=61).validate()
+        tiny_config(online_rounds=61)
     with pytest.raises(ConfigError):
-        tiny_config(warm_sample_size=0).validate()
+        tiny_config(warm_sample_size=0)
     with pytest.raises(ConfigError):
-        tiny_config(user_weights=(0.1, 0.2)).validate()
+        tiny_config(user_weights=(0.1, 0.2))
     with pytest.raises(ConfigError):
-        tiny_config(lambda_grid=(-1.0,)).validate()
+        tiny_config(lambda_grid=(-1.0,))
     nan = float("nan")
     for name, value in (
         ("eta_grid", (0.01, nan)),
@@ -232,4 +234,4 @@ def test_config_validate_errors():
         ("alpha_a", nan),
     ):
         with pytest.raises(ConfigError, match=name):
-            tiny_config(**{name: value}).validate()
+            tiny_config(**{name: value})

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -78,6 +79,10 @@ def test_k_range_errors():
             ndcs(ranking, bad_k, baseline)
         with pytest.raises(ConfigError):
             precision_at_k([1, 0], bad_k)
+    with pytest.raises(ConfigError, match="group 2"):
+        skew_at_k(ranking, 1, baseline, group=2)
+    with pytest.raises(ConfigError, match="group 2"):
+        ndcs(ranking, 1, baseline, group=2)
 
 
 def test_precision_hand_values():
@@ -150,3 +155,16 @@ def test_baseline_roundtrip(tmp_path, tiny_pool, fair_user):
     loaded = load_baseline(path)
     assert loaded == baseline
     assert set(loaded.p_qualified) == {0, 1}
+    for shares, count, problem in (
+        ({0: 0.5, 1: 7.0}, 10, "share of group 1"),
+        ({0: 0.5, 1: 0.5}, -3, "qualified_count"),
+        ({0: 0.5, 1: 0.5}, 0, "qualified_count"),
+        ({0: 1.0}, 10, "baseline groups"),
+        ({0: 0.5, 1: 0.5, 2: 0.0}, 10, "baseline groups"),
+    ):
+        with pytest.raises(ConfigError, match=problem):
+            Baseline(p_qualified=shares, qualified_count=count)
+        payload = {"p_qualified": {str(v): p for v, p in shares.items()}, "qualified_count": count}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match=f"baseline.json: .*{problem}"):
+            load_baseline(path)

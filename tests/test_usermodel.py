@@ -79,11 +79,11 @@ def test_bias_coins_nest_as_p_bias_grows(tiny_pool):
 
 def test_user_config_validation():
     with pytest.raises(ConfigError):
-        default_user(-0.1).validate()
+        default_user(-0.1)
     with pytest.raises(ConfigError):
-        default_user(1.1).validate()
+        default_user(1.1)
     with pytest.raises(ConfigError):
-        UserConfig(p_bias=0.5, weights=(), seed=0).validate()
+        UserConfig(p_bias=0.5, weights=(), seed=0)
 
 
 def test_labeled_pool_length_mismatch(tiny_pool):
