@@ -20,7 +20,7 @@ from typing import get_args, get_origin
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, FairsimError
+from .errors import ConfigError, DimensionMismatch, FairsimError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ class GenConfig:
 
 @dataclass(frozen=True, eq=False)
 class Pool:
-    """Candidates in columns: ``features`` is (n, m) float, ``protected`` is (n,) int.
+    """Candidates in columns: ``features`` is (n, m) finite float, ``protected`` is (n,) int.
 
     Both arrays are private read-only copies, so a pool never changes after
     construction and can hand them out without copying again.
@@ -133,6 +133,8 @@ class Pool:
             )
         if protected.size == 0:
             raise ConfigError("pool is empty")
+        if not np.all(np.isfinite(features)):
+            raise NumericalError("pool features must be finite")
         features.setflags(write=False)
         protected.setflags(write=False)
         object.__setattr__(self, "features", features)

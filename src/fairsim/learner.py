@@ -72,9 +72,18 @@ def predict(model: LinearModel, x) -> int:
 
 
 def rank_by_model(model: LinearModel, features: np.ndarray) -> np.ndarray:
-    """Indices of all rows sorted by decreasing score; ties keep the lower index first."""
-    scores = score_all(model, features)
-    return np.argsort(-scores, kind="stable")
+    """Indices of all rows sorted by decreasing score; ties keep the lower index first.
+
+    Sorts with numpy's default (unstable, SIMD-dispatched) sort first. When the
+    sorted scores strictly decrease the order is unique, so it is the stable
+    order; any tie, signed zero or NaN falls back to the stable sort.
+    """
+    keys = -score_all(model, features)
+    order = np.argsort(keys)
+    ranked = keys[order]
+    if not np.all(ranked[:-1] < ranked[1:]):
+        order = np.argsort(keys, kind="stable")
+    return order
 
 
 def _perceptron_step(w: np.ndarray, x, y: int, eta: float) -> np.ndarray:
@@ -182,22 +191,20 @@ def run_online(
                 f"lambda={regularizer.lam!r} exceeds the online stability limit "
                 f"2 / |w_reg|^2 = {2.0 / norm2:.6g}"
             )
-    available = np.ones(n, dtype=bool)
-    shown: list[int] = []
+    shown = np.empty(rounds, dtype=np.intp)
     snapshots: list[tuple[int, LinearModel]] = []
     for r in range(1, rounds + 1):
         scores = score_all(model, features)
-        scores[~available] = -np.inf
+        scores[shown[: r - 1]] = -np.inf
         i = int(np.argmax(scores))
-        shown.append(i)
-        available[i] = False
+        shown[r - 1] = i
         if regularizer is None:
             model = perceptron_update(model, features[i], int(pool.labels[i]), eta)
         else:
             model = regularized_update(model, features[i], int(pool.labels[i]), eta, regularizer)
         if snapshot_interval and r % snapshot_interval == 0:
             snapshots.append((r, model))
-    return model, OnlineTrace(shown_order=shown, snapshots=snapshots)
+    return model, OnlineTrace(shown_order=shown.tolist(), snapshots=snapshots)
 
 
 def save_model(model: LinearModel, path: str | Path, round_index: int = 0) -> None:

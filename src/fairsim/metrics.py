@@ -39,8 +39,9 @@ class Baseline:
     """Qualified-population composition a ranking is judged against.
 
     ``p_qualified[v]`` is the share, in [0, 1], of protected value ``v`` (0 or
-    1, both required) among candidates that pass the fair acceptance rule;
-    ``qualified_count``, at least 1, is how many do.
+    1, both required) among candidates that pass the fair acceptance rule, so
+    the two shares sum to 1 (within 1e-9); ``qualified_count``, an integer of
+    at least 1, is how many do.
     """
 
     p_qualified: dict[int, float]
@@ -52,8 +53,14 @@ class Baseline:
         for v, p in self.p_qualified.items():
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"baseline share of group {v} must lie in [0, 1], got {p}")
-        if self.qualified_count < 1:
-            raise ConfigError(f"qualified_count must be at least 1, got {self.qualified_count}")
+        total = sum(self.p_qualified.values())
+        if abs(total - 1.0) > 1e-9:
+            raise ConfigError(f"baseline shares must sum to 1, got {total}")
+        count = self.qualified_count
+        if not isinstance(count, (int, np.integer)) or isinstance(count, bool):
+            raise ConfigError(f"qualified_count must be an integer, got {count!r}")
+        if count < 1:
+            raise ConfigError(f"qualified_count must be at least 1, got {count}")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ sharing no code with the package so that a bug cannot hide in both places.
 
 import math
 
+import numpy as np
+
 FLOOR = 1e-6
 
 
@@ -69,3 +71,22 @@ def auc_oracle(scores, flags):
             elif sp == sn:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def greedy_online_oracle(model, features, labels, rounds, score, step):
+    """The greedy online loop with a boolean mask of shown rows, rebuilt every round.
+
+    ``score(model, features)`` and ``step(model, x, y)`` come from the caller,
+    so this pins only the selection: which row each round shows. Returns the
+    final model and the shown row indices in order.
+    """
+    available = np.ones(len(labels), dtype=bool)
+    shown = []
+    for _ in range(rounds):
+        scores = score(model, features)
+        scores[~available] = -np.inf
+        i = int(np.argmax(scores))
+        shown.append(i)
+        available[i] = False
+        model = step(model, features[i], int(labels[i]))
+    return model, shown

@@ -299,6 +299,15 @@ def test_cli_error_exits(tmp_path, capsys):
     nan_model.write_text(json.dumps({"weights": [1.0, float("nan"), 0, 0], "round": 0}))
     bad_shares = tmp_path / "bad_shares.json"
     bad_shares.write_text(json.dumps({"p_qualified": {"0": 0.5, "1": 7.0}, "qualified_count": -3}))
+    short_shares = tmp_path / "short_shares.json"
+    short_shares.write_text(json.dumps({"p_qualified": {"0": 0.2, "1": 0.2}, "qualified_count": 5}))
+    half_count = tmp_path / "half_count.json"
+    half_count.write_text(json.dumps({"p_qualified": {"0": 0.5, "1": 0.5}, "qualified_count": 2.5}))
+    # A finite recipe whose draws overflow to inf for this seed.
+    overflow_json = tmp_path / "overflow.json"
+    overflow_json.write_text(json.dumps(
+        {"harmless_dists": [{"kind": "normal", "mean": 1.7e308, "std": 1e308}]}
+    ))
     for argv, named in (
         (["metrics", "--ranking", str(pool_csv), "--baseline", str(no_count), "--k", "5"],
          "no_count.json: key 'qualified_count' is missing"),
@@ -309,6 +318,12 @@ def test_cli_error_exits(tmp_path, capsys):
           "--out", str(tmp_path / "m.json")], "nan_model.json: model weights must be finite"),
         (["metrics", "--ranking", str(pool_csv), "--baseline", str(bad_shares), "--k", "5"],
          "bad_shares.json: baseline share of group 1"),
+        (["metrics", "--ranking", str(pool_csv), "--baseline", str(short_shares), "--k", "5"],
+         "short_shares.json: baseline shares must sum to 1"),
+        (["metrics", "--ranking", str(pool_csv), "--baseline", str(half_count), "--k", "5"],
+         "half_count.json: key 'qualified_count' must be an integer"),
+        (["generate", "--config", str(overflow_json), "--n", "10", "--seed", "1",
+          "--out", str(tmp_path / "inf.csv")], "pool features must be finite"),
         (["metrics", "--ranking", str(pool_csv), "--baseline", str(baseline_json), "--k", "5",
           "--group", "5"], "group 5"),
     ):

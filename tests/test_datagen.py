@@ -5,6 +5,7 @@ from fairsim import (
     ConfigError,
     GenConfig,
     Normal,
+    NumericalError,
     Pool,
     ProxyDist,
     Uniform,
@@ -139,6 +140,20 @@ def test_config_dict_roundtrip():
 def test_empty_pool_helpers_raise():
     with pytest.raises(ConfigError):
         Pool(features=np.empty((0, 3)), protected=np.empty(0, dtype=np.int64))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_pool_rejects_non_finite_features(value):
+    with pytest.raises(NumericalError, match="pool features must be finite"):
+        Pool(features=[[0.5], [value]], protected=[0, 1])
+
+
+def test_generated_overflow_is_rejected():
+    # Every bound is finite, but mean + std * z overflows to inf for z > 0.1.
+    huge = Normal(1.7e308, 1e308)
+    cfg = GenConfig(harmless_dists=(huge,), n=10, seed=1)
+    with pytest.raises(NumericalError, match="pool features must be finite"):
+        generate_pool(cfg)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -1,20 +1,26 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from fairsim import (
     ConfigError,
     DimensionMismatch,
+    LabeledPool,
     LinearModel,
+    Pool,
     NumericalError,
     default_config,
     default_user,
     feature_matrix,
+    fit_auxiliary,
     generate_pool,
     label_pool,
     load_model,
     perceptron_update,
     predict,
     rank_by_model,
+    regularized_update,
     run_online,
     save_model,
     save_trace,
@@ -23,6 +29,8 @@ from fairsim import (
     warm_start,
     zero_model,
 )
+
+from _oracles import greedy_online_oracle
 
 
 def test_model_validation():
@@ -168,6 +176,34 @@ def test_run_online_is_pure(tiny_labeled):
     b, tb = run_online(model, tiny_labeled, 40, eta=0.05)
     np.testing.assert_array_equal(a.weights, b.weights)
     assert ta.shown_order == tb.shown_order
+
+
+@pytest.mark.parametrize("lam", [None, 0.0, 5.0])
+@pytest.mark.parametrize("start", ["zero", "warm"])
+def test_run_online_matches_boolean_mask_loop(tiny_labeled, lam, start):
+    # Every row appears twice (rows 60..119 repeat 0..59), so scores tie all along.
+    twice = LabeledPool(
+        pool=Pool(
+            features=np.concatenate([tiny_labeled.pool.features] * 2),
+            protected=np.concatenate([tiny_labeled.pool.protected] * 2),
+        ),
+        labels=np.concatenate([tiny_labeled.labels] * 2),
+        bias_coin=np.concatenate([tiny_labeled.bias_coin] * 2),
+    )
+    model = zero_model(3) if start == "zero" else warm_start(tiny_labeled, 40, 200, 0.3, seed=1)
+    eta = 0.05
+    if lam is None:
+        reg, step = None, partial(perceptron_update, eta=eta)
+    else:
+        reg = fit_auxiliary(twice.pool).with_strength(lam)
+        step = partial(regularized_update, eta=eta, reg=reg)
+    final, trace = run_online(model, twice, len(twice), eta, regularizer=reg)
+    want_model, want_shown = greedy_online_oracle(
+        model, twice.pool.features, twice.labels, len(twice), score_all, step
+    )
+    assert trace.shown_order == want_shown
+    assert all(type(i) is int for i in trace.shown_order)
+    assert final.weights.tobytes() == want_model.weights.tobytes()
 
 
 def test_run_online_argument_errors(tiny_labeled):

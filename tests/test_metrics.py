@@ -155,12 +155,16 @@ def test_baseline_roundtrip(tmp_path, tiny_pool, fair_user):
     loaded = load_baseline(path)
     assert loaded == baseline
     assert set(loaded.p_qualified) == {0, 1}
+    assert Baseline(p_qualified={0: 0.7, 1: 0.3}, qualified_count=np.int64(3)).qualified_count == 3
     for shares, count, problem in (
         ({0: 0.5, 1: 7.0}, 10, "share of group 1"),
         ({0: 0.5, 1: 0.5}, -3, "qualified_count"),
         ({0: 0.5, 1: 0.5}, 0, "qualified_count"),
         ({0: 1.0}, 10, "baseline groups"),
         ({0: 0.5, 1: 0.5, 2: 0.0}, 10, "baseline groups"),
+        ({0: 0.2, 1: 0.2}, 5, "sum to 1"),
+        ({0: 0.5, 1: 0.5}, 2.5, "qualified_count"),
+        ({0: 0.5, 1: 0.5}, True, "qualified_count"),
     ):
         with pytest.raises(ConfigError, match=problem):
             Baseline(p_qualified=shares, qualified_count=count)

@@ -1,5 +1,8 @@
 """Property tests: CSV and config round trips, the zero-copy column accessors,
-and the algebraic invariants of the online steps and of Skew@k."""
+the exact ranking order, and the algebraic invariants of the online steps and
+of Skew@k."""
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -21,9 +24,11 @@ from fairsim import (
     load_pool,
     perceptron_update,
     protected_values,
+    rank_by_model,
     regularized_update,
     save_labeled,
     save_pool,
+    score_all,
     skew_at_k,
 )
 from fairsim.datagen import gen_config_from_dict, gen_config_to_dict
@@ -99,6 +104,51 @@ def gen_configs(draw):
 @given(cfg=gen_configs())
 def test_gen_config_dict_roundtrip(cfg):
     assert gen_config_from_dict(gen_config_to_dict(cfg)) == cfg
+
+
+@st.composite
+def ranking_inputs(draw):
+    """A model and features whose scores often tie: repeated rows, coarse values,
+    the zero model. Above 1 000 rows the rows are random normals, so a pool
+    without repeats has distinct scores and takes the unstable-sort path."""
+    n = draw(st.one_of(st.integers(1, 30), st.integers(1001, 3000)))
+    m = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = draw(st.integers(1, n))
+    rows = rng.normal(size=(distinct, m))
+    if draw(st.booleans()):
+        rows = rows.round(1)
+    features = rows if distinct == n else rows[rng.integers(0, distinct, n)]
+    weights = draw(st.one_of(
+        st.just(np.zeros(m + 1)),
+        arrays(np.float64, m + 1, elements=st.floats(-2.0, 2.0)),
+        arrays(np.float64, m + 1, elements=st.floats(-1e300, 1e300)),
+    ))
+    return LinearModel(weights), features
+
+
+@settings(deadline=None, max_examples=80)
+@given(inputs=ranking_inputs())
+def test_rank_by_model_is_the_stable_order(inputs):
+    model, features = inputs
+    want = np.argsort(-score_all(model, features), kind="stable")
+    assert _same_bits(rank_by_model(model, features), want)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    values=st.lists(st.sampled_from([0.0, -0.0, 1.0, np.nan, np.inf, -np.inf]) | FINITE,
+                    min_size=1, max_size=8),
+    n=st.integers(1, 2000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_by_model_orders_signed_zeros_and_nan_stably(values, n, seed):
+    # Scores are drawn directly: whether a matrix product can return -0.0
+    # depends on the BLAS, so score_all cannot be relied on to produce it.
+    scores = np.array(values)[np.random.default_rng(seed).integers(0, len(values), n)]
+    with mock.patch("fairsim.learner.score_all", lambda model, features: scores.copy()):
+        got = rank_by_model(LinearModel(np.zeros(2)), np.zeros((n, 1)))
+    assert _same_bits(got, np.argsort(-scores, kind="stable"))
 
 
 def _regularizer(w_a: np.ndarray, lam: float) -> FairRegularizer:
