@@ -11,7 +11,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from .datagen import default_config, gen_config_from_dict, generate_pool, load_pool, save_pool
@@ -158,6 +157,9 @@ def _cmd_experiment(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     if args.jobs > 1 and len(cfg.seeds) > 1:
+        # Imported here: the process pool costs about 50 ms of start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         results = []
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(cfg.seeds))) as pool:
             futures = [

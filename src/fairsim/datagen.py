@@ -31,8 +31,13 @@ class Uniform:
     hi: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)) or self.hi < self.lo:
-            raise ConfigError(f"uniform bounds must satisfy lo <= hi, got [{self.lo}, {self.hi}]")
+        # numpy draws lo + (hi - lo) * u, so the span itself must be a finite float.
+        span = float(self.hi) - float(self.lo)
+        if not 0.0 <= span < np.inf:
+            raise ConfigError(
+                f"uniform bounds must satisfy lo <= hi with a finite span hi - lo, "
+                f"got [{self.lo}, {self.hi}]"
+            )
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size)

@@ -25,7 +25,7 @@ applies every round, including rounds without a mistake. The batch analogue
 solves ``(X X^T + lambda * w_reg~ w_reg~^T) w = X Y^T`` exactly.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +50,7 @@ class FairRegularizer:
     w_reg: np.ndarray
     lam: float
     alpha_a: float
+    _padded: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         w_a = np.array(self.w_a, dtype=float)
@@ -68,7 +69,9 @@ class FairRegularizer:
             raise ConfigError(f"lambda must be non-negative, got {self.lam}")
         if self.alpha_a < 0.0:
             raise ConfigError(f"alpha_a must be non-negative, got {self.alpha_a}")
-        for name, value in (("w_a", w_a), ("sigma_x", sigma), ("w_reg", w_reg)):
+        padded = np.concatenate(([0.0], w_reg))
+        arrays = (("w_a", w_a), ("sigma_x", sigma), ("w_reg", w_reg), ("_padded", padded))
+        for name, value in arrays:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -81,8 +84,11 @@ class FairRegularizer:
         return replace(self, lam=lam)
 
     def padded_direction(self) -> np.ndarray:
-        """``w_reg`` with a zero prepended so the intercept is never penalized."""
-        return np.concatenate(([0.0], self.w_reg))
+        """``w_reg`` with a zero prepended so the intercept is never penalized.
+
+        Built once per regularizer; every call returns the same read-only array.
+        """
+        return self._padded
 
 
 def _solve_reported(A: np.ndarray, b: np.ndarray, context: str) -> np.ndarray:
@@ -170,7 +176,7 @@ def regularized_update(
         raise DimensionMismatch("regularizer direction does not match model width")
     if reg.lam != 0.0:
         padded = reg.padded_direction()
-        aligned = float(w @ padded)
+        aligned = float(w.dot(padded))
         if aligned != 0.0:
             new = new - (reg.lam * aligned) * padded
     return model if new is w else LinearModel(new)

@@ -35,7 +35,7 @@ class LinearModel:
         w = np.array(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 2:
             raise DimensionMismatch("weights must be a vector with an intercept and coefficients")
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise NumericalError("model weights must be finite")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -50,7 +50,13 @@ def zero_model(m: int) -> LinearModel:
 
 def augment(x) -> np.ndarray:
     """Prepend the intercept coordinate: x -> (1, x)."""
-    return np.concatenate(([1.0], np.asarray(x, dtype=float)))
+    xv = np.asarray(x, dtype=float)
+    if xv.ndim != 1:
+        raise DimensionMismatch(f"feature vector must be 1-D, got shape {xv.shape}")
+    xa = np.empty(xv.size + 1)
+    xa[0] = 1.0
+    xa[1:] = xv
+    return xa
 
 
 def score(model: LinearModel, x) -> float:
@@ -78,7 +84,8 @@ def rank_by_model(model: LinearModel, features: np.ndarray) -> np.ndarray:
     sorted scores strictly decrease the order is unique, so it is the stable
     order; any tie, signed zero or NaN falls back to the stable sort.
     """
-    keys = -score_all(model, features)
+    keys = score_all(model, features)
+    np.negative(keys, out=keys)
     order = np.argsort(keys)
     ranked = keys[order]
     if not np.all(ranked[:-1] < ranked[1:]):
@@ -91,7 +98,7 @@ def _perceptron_step(w: np.ndarray, x, y: int, eta: float) -> np.ndarray:
     xa = augment(x)
     if xa.size != w.size:
         raise DimensionMismatch(f"feature vector of size {xa.size - 1} does not match model")
-    err = float(y) - (1.0 if float(w @ xa) >= 0.0 else 0.0)
+    err = float(y) - (1.0 if w.dot(xa) >= 0.0 else 0.0)
     return w if err == 0.0 else w + (eta * err) * xa
 
 
@@ -191,17 +198,18 @@ def run_online(
                 f"lambda={regularizer.lam!r} exceeds the online stability limit "
                 f"2 / |w_reg|^2 = {2.0 / norm2:.6g}"
             )
+    labels = pool.labels.tolist()
     shown = np.empty(rounds, dtype=np.intp)
     snapshots: list[tuple[int, LinearModel]] = []
     for r in range(1, rounds + 1):
         scores = score_all(model, features)
         scores[shown[: r - 1]] = -np.inf
-        i = int(np.argmax(scores))
+        i = int(scores.argmax())
         shown[r - 1] = i
         if regularizer is None:
-            model = perceptron_update(model, features[i], int(pool.labels[i]), eta)
+            model = perceptron_update(model, features[i], labels[i], eta)
         else:
-            model = regularized_update(model, features[i], int(pool.labels[i]), eta, regularizer)
+            model = regularized_update(model, features[i], labels[i], eta, regularizer)
         if snapshot_interval and r % snapshot_interval == 0:
             snapshots.append((r, model))
     return model, OnlineTrace(shown_order=shown.tolist(), snapshots=snapshots)

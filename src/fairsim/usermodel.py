@@ -56,7 +56,9 @@ def linear_scores(features: np.ndarray, weights) -> np.ndarray:
             f"features of width {f.shape[-1] if f.ndim == 2 else '?'} do not match "
             f"{w.size - 1} coefficients"
         )
-    return w[0] + f @ w[1:]
+    s = f @ w[1:]
+    s += w[0]
+    return s
 
 
 @dataclass(eq=False)

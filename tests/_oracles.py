@@ -2,6 +2,9 @@
 
 Everything here favors clarity over speed: explicit loops and scalar math,
 sharing no code with the package so that a bug cannot hide in both places.
+The ``*_expression`` oracles keep the plain numpy forms of the online step
+that the package computes with fewer temporaries; tests pin the two to the
+same bits.
 """
 
 import math
@@ -90,3 +93,39 @@ def greedy_online_oracle(model, features, labels, rounds, score, step):
         available[i] = False
         model = step(model, features[i], int(labels[i]))
     return model, shown
+
+
+def scores_expression(features, weights):
+    """``w0 + f @ w[1:]``, building the intercept sum as a second array."""
+    return weights[0] + features @ weights[1:]
+
+
+def perceptron_step_expression(w, x, y, eta):
+    """Perceptron step on ``(1, x)`` built by concatenation, predicting with ``w @ xa``.
+
+    Returns ``w`` itself when the prediction is right.
+    """
+    xa = np.concatenate(([1.0], np.asarray(x, dtype=float)))
+    err = float(y) - (1.0 if float(w @ xa) >= 0.0 else 0.0)
+    return w if err == 0.0 else w + (eta * err) * xa
+
+
+def regularized_step_expression(w, x, y, eta, w_reg, lam):
+    """Penalised step with the padded direction ``(0, w_reg)`` rebuilt on every call."""
+    new = perceptron_step_expression(w, x, y, eta)
+    if lam != 0.0:
+        padded = np.concatenate(([0.0], w_reg))
+        aligned = float(w @ padded)
+        if aligned != 0.0:
+            new = new - (lam * aligned) * padded
+    return new
+
+
+def rank_expression(scores):
+    """Order of ``-scores``: the fast sort if its keys strictly increase, else the stable sort."""
+    keys = -scores
+    order = np.argsort(keys)
+    ranked = keys[order]
+    if not np.all(ranked[:-1] < ranked[1:]):
+        order = np.argsort(keys, kind="stable")
+    return order

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fairsim
 from fairsim import (
     Pool,
     compute_baseline,
@@ -250,7 +255,7 @@ def test_jobs_are_capped_at_the_seed_count(tmp_path, monkeypatch, capsys):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr("fairsim.cli.ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlineExecutor)
     cfg_path = write_experiment_config(tmp_path)
     out = tmp_path / "out"
     assert main(
@@ -266,6 +271,19 @@ def test_jobs_are_capped_at_the_seed_count(tmp_path, monkeypatch, capsys):
         assert main(["eval", "--config", str(cfg_path), "--out", str(out), "--jobs", jobs]) == 1
         assert "--jobs" in capsys.readouterr().err
     assert workers == [len(TINY_EXPERIMENT["seeds"])]
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # --jobs imports the pool when it runs; a plain start-up should not pay for it.
+    src = str(Path(fairsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys, fairsim.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_cli_error_exits(tmp_path, capsys):
@@ -308,6 +326,11 @@ def test_cli_error_exits(tmp_path, capsys):
     overflow_json.write_text(json.dumps(
         {"harmless_dists": [{"kind": "normal", "mean": 1.7e308, "std": 1e308}]}
     ))
+    # Finite bounds whose span hi - lo overflows, which numpy's draw cannot take.
+    wide_json = tmp_path / "wide.json"
+    wide_json.write_text(json.dumps(
+        {"harmless_dists": [{"kind": "uniform", "lo": -1e308, "hi": 1e308}]}
+    ))
     for argv, named in (
         (["metrics", "--ranking", str(pool_csv), "--baseline", str(no_count), "--k", "5"],
          "no_count.json: key 'qualified_count' is missing"),
@@ -324,9 +347,12 @@ def test_cli_error_exits(tmp_path, capsys):
          "half_count.json: key 'qualified_count' must be an integer"),
         (["generate", "--config", str(overflow_json), "--n", "10", "--seed", "1",
           "--out", str(tmp_path / "inf.csv")], "pool features must be finite"),
+        (["generate", "--config", str(wide_json), "--n", "10", "--seed", "1",
+          "--out", str(tmp_path / "wide.csv")], "finite span hi - lo, got [-1e+308, 1e+308]"),
         (["metrics", "--ranking", str(pool_csv), "--baseline", str(baseline_json), "--k", "5",
           "--group", "5"], "group 5"),
     ):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1, err

@@ -88,6 +88,9 @@ def test_config_validation_errors():
         default_config(n=0)
     with pytest.raises(ConfigError):
         Uniform(1.0, 0.0)
+    for lo, hi in ((-np.inf, 0.0), (0.0, np.nan), (np.inf, np.inf)):
+        with pytest.raises(ConfigError):
+            Uniform(lo, hi)
     with pytest.raises(ConfigError):
         Normal(0.5, -0.1)
     with pytest.raises(ConfigError):
@@ -180,3 +183,13 @@ def test_load_pool_rejects_protected_outside_zero_one(tmp_path, tiny_pool, rewri
     rewrite_cell(path, 7, -1, "7")
     with pytest.raises(ConfigError, match=r"pool\.csv: data row 7: protected = 7 is not 0 or 1"):
         load_pool(path)
+
+
+def test_uniform_rejects_a_span_that_overflows():
+    # Both bounds are finite, but hi - lo is not, and numpy's draw needs it.
+    with pytest.raises(ConfigError, match=r"finite span hi - lo, got \[-1e\+308, 1e\+308\]"):
+        Uniform(-1e308, 1e308)
+    with pytest.raises(ConfigError, match="finite span"):
+        gen_config_from_dict({"harmless_dists": [{"kind": "uniform", "lo": -1e308, "hi": 1e308}]})
+    widest = GenConfig(harmless_dists=(Uniform(-1e308, 7e307),), proxy_dists=(), n=5)
+    assert np.isfinite(generate_pool(widest).features).all()

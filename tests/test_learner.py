@@ -41,6 +41,13 @@ def test_model_validation():
     model = LinearModel(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         model.weights[0] = 5.0
+    # A step takes one 1-D feature vector, never a batch or a scalar.
+    reg = fit_auxiliary(generate_pool(default_config(n=20, seed=1))).with_strength(1.0)
+    for x in (np.zeros((1, 3)), np.zeros(()), np.zeros(2)):
+        with pytest.raises(DimensionMismatch):
+            perceptron_update(zero_model(3), x, 1, 0.1)
+        with pytest.raises(DimensionMismatch):
+            regularized_update(zero_model(3), x, 1, 0.1, reg)
 
 
 def test_score_and_predict():

@@ -1,6 +1,6 @@
 """Property tests: CSV and config round trips, the zero-copy column accessors,
-the exact ranking order, and the algebraic invariants of the online steps and
-of Skew@k."""
+the exact ranking order, the online step's expressions pinned bit for bit, and
+the algebraic invariants of the online steps and of Skew@k."""
 
 from unittest import mock
 
@@ -32,6 +32,15 @@ from fairsim import (
     skew_at_k,
 )
 from fairsim.datagen import gen_config_from_dict, gen_config_to_dict
+from fairsim.learner import _perceptron_step
+from fairsim.usermodel import linear_scores
+
+from _oracles import (
+    perceptron_step_expression,
+    rank_expression,
+    regularized_step_expression,
+    scores_expression,
+)
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -149,6 +158,88 @@ def test_rank_by_model_orders_signed_zeros_and_nan_stably(values, n, seed):
     with mock.patch("fairsim.learner.score_all", lambda model, features: scores.copy()):
         got = rank_by_model(LinearModel(np.zeros(2)), np.zeros((n, 1)))
     assert _same_bits(got, np.argsort(-scores, kind="stable"))
+
+
+# Bounded so that no product or sum overflows; signed zeros are drawn often.
+SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+BOUNDED = st.floats(-1e100, 1e100, allow_nan=False) | SIGNED_ZERO
+
+
+@st.composite
+def step_inputs(draw):
+    """Weights (m + 1,), features (n, m) with some rows all ±0.0, and a 0/1 label per row.
+
+    Half the draws are standard normals: on values of one scale, a product
+    summed in another order rounds differently, which drawn extremes rarely show.
+    """
+    n = draw(st.integers(1, 64))
+    m = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        w, features = rng.normal(size=m + 1), rng.normal(size=(n, m))
+    else:
+        w = draw(arrays(np.float64, m + 1, elements=BOUNDED))
+        features = draw(arrays(np.float64, (n, m), elements=BOUNDED))
+    zero_rows = draw(arrays(np.bool_, n))
+    features[zero_rows] = draw(arrays(np.float64, (int(zero_rows.sum()), m), elements=SIGNED_ZERO))
+    labels = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    return w, features, labels
+
+
+@settings(deadline=None, max_examples=150)
+@given(inputs=step_inputs())
+def test_scores_are_the_intercept_sum_expression_bit_for_bit(inputs):
+    w, features, _ = inputs
+    want = scores_expression(features, w)
+    assert _same_bits(linear_scores(features, w), want)
+    assert _same_bits(score_all(LinearModel(w), features), want)
+
+
+@settings(deadline=None, max_examples=150)
+@given(inputs=step_inputs(), eta=st.floats(0.0, 1e100) | SIGNED_ZERO)
+def test_perceptron_step_is_the_concatenate_expression_bit_for_bit(inputs, eta):
+    w, features, labels = inputs
+    w.setflags(write=False)
+    for x, y in zip(features, labels.tolist()):
+        want = perceptron_step_expression(w, x, y, eta)
+        got = _perceptron_step(w, x, y, eta)
+        assert (got is w) == (want is w)
+        assert _same_bits(got, want)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    inputs=step_inputs(),
+    eta=st.floats(0.0, 1e100) | SIGNED_ZERO,
+    lam=st.floats(0.0, 10.0) | SIGNED_ZERO | st.integers(0, 2**32 - 1).map(
+        lambda seed: float(np.random.default_rng(seed).uniform(0.0, 10.0))),
+    data=st.data(),
+)
+def test_regularized_update_is_the_fresh_padding_expression_bit_for_bit(inputs, eta, lam, data):
+    w, features, labels = inputs
+    m = w.size - 1
+    w_a = data.draw(arrays(np.float64, m, elements=st.floats(-10.0, 10.0) | SIGNED_ZERO)
+                    | st.integers(0, 2**32 - 1).map(
+                        lambda seed: np.random.default_rng(seed).uniform(-10.0, 10.0, m)))
+    reg = _regularizer(w_a, lam)
+    padded = reg.padded_direction()
+    assert not padded.flags.writeable
+    assert _same_bits(padded, np.concatenate(([0.0], reg.w_reg)))
+    assert reg.padded_direction() is padded
+    model = LinearModel(w)
+    for x, y in zip(features, labels.tolist()):
+        want = regularized_step_expression(model.weights, x, y, eta, reg.w_reg, lam)
+        got = regularized_update(model, x, y, eta, reg)
+        assert (got is model) == (want is model.weights)
+        assert _same_bits(got.weights, want)
+
+
+@settings(deadline=None, max_examples=150)
+@given(inputs=step_inputs())
+def test_rank_by_model_is_the_negated_scores_expression_bit_for_bit(inputs):
+    w, features, _ = inputs
+    model = LinearModel(w)
+    assert _same_bits(rank_by_model(model, features), rank_expression(score_all(model, features)))
 
 
 def _regularizer(w_a: np.ndarray, lam: float) -> FairRegularizer:
