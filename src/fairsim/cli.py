@@ -54,15 +54,8 @@ def _cmd_generate(args) -> int:
             cfg = gen_config_from_dict(json.load(fh))
     else:
         cfg = default_config()
-    overrides = {}
-    if args.n is not None:
-        overrides["n"] = args.n
-    if args.p_group is not None:
-        overrides["p_group"] = args.p_group
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        cfg = replace(cfg, **overrides)
+    overrides = {"n": args.n, "p_group": args.p_group, "seed": args.seed}
+    cfg = replace(cfg, **{name: v for name, v in overrides.items() if v is not None})
     save_pool(generate_pool(cfg), args.out)
     print(f"wrote {args.out}")
     return 0
@@ -139,7 +132,7 @@ def _load_experiment_config(args) -> ExperimentConfig:
         cfg = ExperimentConfig()
     grids = {"seeds": args.seed, "p_bias_grid": args.p_bias, "eta_grid": args.eta,
              "lambda_grid": args.lam}
-    return replace(cfg, **{name: tuple(values) for name, values in grids.items() if values})
+    return replace(cfg, **{name: values for name, values in grids.items() if values})
 
 
 def _run_one_seed(kind: str, cfg: ExperimentConfig, seed: int, verbose: bool):
@@ -249,10 +242,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FairsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (FairsimError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

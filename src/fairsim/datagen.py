@@ -14,6 +14,8 @@ bit-identical pools (see :func:`generate_pool` for the pinned draw order).
 
 import csv
 import json
+import numbers
+import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_origin
@@ -21,6 +23,41 @@ from typing import get_args, get_origin
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, FairsimError, NumericalError
+
+
+def check_fields(record) -> None:
+    """Parse each field of a config record by its annotation, in canonical form.
+
+    ``float`` takes a finite real number, ``int`` a Python or numpy integer (a
+    bool is neither), ``tuple[X, ...]`` a tuple or list of ``X``, ``dict[K, V]`` a
+    dict, and a class or union an instance. A ConfigError names the field.
+    """
+    for f in fields(record):
+        object.__setattr__(record, f.name, _parse(f.type, getattr(record, f.name), f.name))
+
+
+def _parse(annotation, value, path: str):
+    if annotation in (int, float):
+        allowed = numbers.Real if annotation is float else numbers.Integral
+        typed = isinstance(value, allowed) and not isinstance(value, bool)
+        if not (typed and -sys.float_info.max <= value <= sys.float_info.max):
+            what = "a finite number" if annotation is float else "an integer"
+            raise ConfigError(f"{path} must be {what}, got {value!r}")
+        return annotation(value)
+    origin, args = get_origin(annotation), get_args(annotation)
+    if origin is tuple:
+        if not isinstance(value, (tuple, list)):
+            raise ConfigError(f"{path} must be a list, got {value!r}")
+        return tuple(_parse(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path} must be a dict, got {value!r}")
+        return {_parse(args[0], k, f"{path} key"): _parse(args[1], v, f"{path}[{k!r}]")
+                for k, v in value.items()}
+    if not isinstance(value, annotation):
+        names = " or ".join(c.__name__ for c in args or (annotation,))
+        raise ConfigError(f"{path} must be a {names}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -31,8 +68,9 @@ class Uniform:
     hi: float = 1.0
 
     def __post_init__(self):
+        check_fields(self)
         # numpy draws lo + (hi - lo) * u, so the span itself must be a finite float.
-        span = float(self.hi) - float(self.lo)
+        span = self.hi - self.lo
         if not 0.0 <= span < np.inf:
             raise ConfigError(
                 f"uniform bounds must satisfy lo <= hi with a finite span hi - lo, "
@@ -51,7 +89,8 @@ class Normal:
     std: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.mean) and np.isfinite(self.std)) or self.std <= 0.0:
+        check_fields(self)
+        if self.std <= 0.0:
             raise ConfigError(f"normal spec needs std > 0, got mean={self.mean}, std={self.std}")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -67,6 +106,9 @@ class ProxyDist:
 
     group0: Normal
     group1: Normal
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -96,25 +138,18 @@ class GenConfig:
     seed: int = 0
 
     @property
-    def m1(self) -> int:
-        return len(self.harmless_dists)
-
-    @property
-    def m2(self) -> int:
-        return len(self.proxy_dists)
-
-    @property
     def m(self) -> int:
-        return self.m1 + self.m2
+        return len(self.harmless_dists) + len(self.proxy_dists)
 
     def __post_init__(self):
+        check_fields(self)
         if not 0.0 <= self.p_group <= 1.0:
             raise ConfigError(f"p_group must lie in [0, 1], got {self.p_group}")
         if self.n < 1:
             raise ConfigError(f"pool size must be positive, got {self.n}")
         if self.m < 1:
             raise ConfigError("at least one attribute is required")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
@@ -273,7 +308,7 @@ def read_json_keys(path: str | Path, casts: dict, build):
     """Read a JSON object, convert the value of each key in ``casts``, and
     return ``build(*values)``.
 
-    ``int`` and ``float`` follow the rules of :func:`config_from_dict`; other
+    ``int`` and ``float`` follow the rules of :func:`check_fields`; other
     casts are called. ConfigError names the file and a missing or bad key; a
     FairsimError raised by ``build`` is re-raised as the same type with the
     file name in front.
@@ -288,7 +323,7 @@ def read_json_keys(path: str | Path, casts: dict, build):
         if key not in payload:
             raise ConfigError(f"{where} is missing")
         if cast in (int, float):
-            values.append(_decode(cast, payload[key], where))
+            values.append(_parse(cast, payload[key], where))
             continue
         try:
             values.append(cast(payload[key]))
@@ -317,12 +352,12 @@ def config_to_dict(value):
 
 
 def config_from_dict(cls, obj, path: str):
-    """Inverse of :func:`config_to_dict`, decoding each field by its annotation.
+    """Inverse of :func:`config_to_dict`: route a JSON object into ``cls``.
 
-    Missing fields take their dataclass defaults. A ConfigError names the dotted
-    ``path`` of an unknown key, of a missing field without a default, and of a
-    wrongly typed value: a bool or string for a number, a float for an integer,
-    a scalar for a list, or a distribution kind the annotation does not allow.
+    Nested records are decoded in turn, a distribution chosen by its ``"kind"``;
+    every other value goes to ``cls`` raw, to be parsed by :func:`check_fields`.
+    Missing fields take their defaults. A ConfigError names the dotted ``path``
+    of an unknown key, a missing field, a disallowed kind, or a failed record.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{path} must be a JSON object, got {type(obj).__name__}")
@@ -334,25 +369,22 @@ def config_from_dict(cls, obj, path: str):
     for f in fields(cls):
         if f.name in obj:
             values[f.name] = _decode(f.type, obj[f.name], f"{path}.{f.name}")
-        elif f.default is MISSING and f.default_factory is MISSING:
+        elif f.default is MISSING:
             raise ConfigError(f"{path}.{f.name} is missing")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        # "n must be ..." reads as "<path>.n must be ..."; other messages follow a colon.
+        sep = "." if str(exc).split(" ")[0].split("[")[0] in names else ": "
+        raise ConfigError(f"{path}{sep}{exc}") from None
 
 
 def _decode(annotation, value, path: str):
-    if annotation in (int, float):
-        allowed = (int, float) if annotation is float else int
-        typed = isinstance(value, allowed) and not isinstance(value, bool)
-        if not (typed and abs(value) <= float(np.finfo(float).max)):
-            what = "a finite number" if annotation is float else "an integer"
-            raise ConfigError(f"{path} must be {what}, got {value!r}")
-        return annotation(value)
-    if get_origin(annotation) is tuple:
-        if not isinstance(value, list):
-            raise ConfigError(f"{path} must be a list, got {value!r}")
-        item = get_args(annotation)[0]
-        return tuple(_decode(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    if get_origin(annotation) is tuple and isinstance(value, list):
+        return [_decode(get_args(annotation)[0], v, f"{path}[{i}]") for i, v in enumerate(value)]
     allowed = get_args(annotation) or (annotation,)
+    if not is_dataclass(allowed[0]):
+        return value
     if not set(allowed) <= set(DIST_KINDS.values()):
         return config_from_dict(annotation, value, path)
     kind = value.get("kind") if isinstance(value, dict) else None
@@ -362,11 +394,6 @@ def _decode(annotation, value, path: str):
     return config_from_dict(DIST_KINDS[kind], {k: v for k, v in value.items() if k != "kind"}, path)
 
 
-def gen_config_to_dict(cfg: GenConfig) -> dict:
-    """JSON-ready dict for a :class:`GenConfig`."""
-    return config_to_dict(cfg)
-
-
 def gen_config_from_dict(obj) -> GenConfig:
-    """Inverse of :func:`gen_config_to_dict`; see :func:`config_from_dict`."""
+    """A :class:`GenConfig` from a JSON object; see :func:`config_from_dict`."""
     return config_from_dict(GenConfig, obj, "pool config")

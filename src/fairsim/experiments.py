@@ -20,6 +20,7 @@ from . import __version__
 from .datagen import (
     GenConfig,
     Pool,
+    check_fields,
     config_from_dict,
     config_to_dict,
     feature_matrix,
@@ -72,36 +73,23 @@ class ExperimentConfig:
     alpha_a: float = 1e-3
 
     def __post_init__(self):
-        # A UserConfig checks the weights when it is built.
-        UserConfig(p_bias=0.0, weights=tuple(self.user_weights), seed=0)
+        check_fields(self)
         if len(self.user_weights) != self.gen.m + 1:
             raise ConfigError(
                 f"user_weights of length {len(self.user_weights)} do not fit {self.gen.m} attributes"
             )
-        for name, grid in (
-            ("p_bias_grid", self.p_bias_grid),
-            ("eta_grid", self.eta_grid),
-            ("lambda_grid", self.lambda_grid),
-            ("seeds", self.seeds),
-            ("k_list", self.k_list),
-        ):
-            if len(grid) == 0:
+        for name in ("p_bias_grid", "eta_grid", "lambda_grid", "seeds", "k_list"):
+            if len(getattr(self, name)) == 0:
                 raise ConfigError(f"{name} must not be empty")
         for p in self.p_bias_grid:
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"p_bias value {p} not in [0, 1]")
-        for name, values in (
-            ("eta_grid", self.eta_grid),
-            ("lambda_grid", self.lambda_grid),
-            ("warm_eta", (self.warm_eta,)),
-            ("sweep_eta", (self.sweep_eta,)),
-            ("alpha_a", (self.alpha_a,)),
-        ):
-            for value in values:
-                if not (np.isfinite(value) and value >= 0.0):
-                    raise ConfigError(f"{name} value {value} must be finite and non-negative")
+        for name in ("eta_grid", "lambda_grid", "warm_eta", "sweep_eta", "alpha_a"):
+            value = getattr(self, name)
+            if min(value if isinstance(value, tuple) else (value,)) < 0.0:
+                raise ConfigError(f"{name} must be non-negative, got {value}")
         for seed in self.seeds:
-            if not 0 <= int(seed) < 2**64:
+            if not 0 <= seed < 2**64:
                 raise ConfigError(f"seed {seed} is not a 64-bit unsigned integer")
         if not 1 <= self.warm_sample_size <= self.gen.n:
             raise ConfigError("warm_sample_size must lie in [1, pool size]")
@@ -114,9 +102,6 @@ class ExperimentConfig:
         for k in self.k_list:
             if not 1 <= k <= self.gen.n:
                 raise ConfigError(f"k={k} out of range for pools of {self.gen.n}")
-
-    def to_dict(self) -> dict:
-        return config_to_dict(self)
 
 
 def experiment_config_from_dict(obj) -> ExperimentConfig:
@@ -171,7 +156,7 @@ def build_seed_context(
     fair_pool = generate_pool(replace(cfg.gen, seed=derive_seed(seed, STREAM_FAIR_POOL)))
     online_pool = generate_pool(replace(cfg.gen, seed=derive_seed(seed, STREAM_ONLINE_POOL)))
     fair_user = UserConfig(
-        p_bias=0.0, weights=tuple(cfg.user_weights), seed=derive_seed(seed, STREAM_FAIR_USER)
+        p_bias=0.0, weights=cfg.user_weights, seed=derive_seed(seed, STREAM_FAIR_USER)
     )
     fair_labeled = label_pool(fair_pool, fair_user)
     warm = warm_start(
@@ -186,7 +171,7 @@ def build_seed_context(
     labeled = {
         p_bias: label_pool(
             online_pool,
-            UserConfig(p_bias=p_bias, weights=tuple(cfg.user_weights), seed=user_seed),
+            UserConfig(p_bias=p_bias, weights=cfg.user_weights, seed=user_seed),
         )
         for p_bias in p_bias_values
     }
@@ -292,12 +277,6 @@ def run_reg_sweep(cfg: ExperimentConfig, verbose: bool = False) -> list[RunResul
     )
 
 
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def results_to_rows(results: list[RunResult], experiment: str) -> list[dict]:
     """Flatten results into metric rows with a deterministic global order."""
     rows = []
@@ -338,7 +317,7 @@ def write_results(
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_FIELDS)
         for row in rows:
-            writer.writerow([_format_value(row[name]) for name in CSV_FIELDS])
+            writer.writerow([row[name] for name in CSV_FIELDS])
 
     seen_seeds = set()
     for res in results:
@@ -355,7 +334,7 @@ def write_results(
 
     manifest = {
         "experiment": experiment,
-        "config": cfg.to_dict(),
+        "config": config_to_dict(cfg),
         "version": __version__,
         "rng": "numpy default_rng (PCG64)",
         "generated_at": datetime.now(timezone.utc).isoformat(),

@@ -65,10 +65,10 @@ class FairRegularizer:
             raise ConfigError("sigma_x must be symmetric")
         if not np.allclose(w_reg, sigma @ w_a, rtol=1e-9, atol=1e-12):
             raise ConfigError("w_reg must equal sigma_x @ w_a")
-        if self.lam < 0.0:
-            raise ConfigError(f"lambda must be non-negative, got {self.lam}")
-        if self.alpha_a < 0.0:
-            raise ConfigError(f"alpha_a must be non-negative, got {self.alpha_a}")
+        if not 0.0 <= self.lam < np.inf:
+            raise ConfigError(f"lambda must be finite and non-negative, got {self.lam}")
+        if not 0.0 <= self.alpha_a < np.inf:
+            raise ConfigError(f"alpha_a must be finite and non-negative, got {self.alpha_a}")
         padded = np.concatenate(([0.0], w_reg))
         arrays = (("w_a", w_a), ("sigma_x", sigma), ("w_reg", w_reg), ("_padded", padded))
         for name, value in arrays:

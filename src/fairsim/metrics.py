@@ -27,7 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .datagen import Pool, feature_matrix, protected_values, read_json_keys, write_json
+from .datagen import (
+    Pool, check_fields, feature_matrix, protected_values, read_json_keys, write_json
+)
 from .errors import ConfigError, EmptyQualifiedPool
 from .usermodel import UserConfig, linear_scores
 
@@ -48,6 +50,7 @@ class Baseline:
     qualified_count: int
 
     def __post_init__(self):
+        check_fields(self)
         if set(self.p_qualified) != {0, 1}:
             raise ConfigError(f"baseline groups must be [0, 1], got {sorted(self.p_qualified)}")
         for v, p in self.p_qualified.items():
@@ -56,11 +59,8 @@ class Baseline:
         total = sum(self.p_qualified.values())
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"baseline shares must sum to 1, got {total}")
-        count = self.qualified_count
-        if not isinstance(count, (int, np.integer)) or isinstance(count, bool):
-            raise ConfigError(f"qualified_count must be an integer, got {count!r}")
-        if count < 1:
-            raise ConfigError(f"qualified_count must be at least 1, got {count}")
+        if self.qualified_count < 1:
+            raise ConfigError(f"qualified_count must be at least 1, got {self.qualified_count}")
 
 
 @dataclass(frozen=True)
@@ -196,14 +196,14 @@ def report_rows(
 def save_baseline(baseline: Baseline, path: str | Path) -> None:
     """Write a baseline as JSON: ``{"p_qualified": {...}, "qualified_count": n}``."""
     write_json(path, {
-        "p_qualified": {str(v): float(p) for v, p in sorted(baseline.p_qualified.items())},
-        "qualified_count": int(baseline.qualified_count),
+        "p_qualified": {str(v): p for v, p in sorted(baseline.p_qualified.items())},
+        "qualified_count": baseline.qualified_count,
     })
 
 
 def load_baseline(path: str | Path) -> Baseline:
     """Read a baseline written by :func:`save_baseline`."""
     return read_json_keys(path, {
-        "p_qualified": lambda d: {int(v): float(p) for v, p in d.items()},
+        "p_qualified": lambda d: {int(v): p for v, p in d.items()},
         "qualified_count": int,
     }, Baseline)

@@ -12,7 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import Pool, feature_matrix, protected_values, read_columns, write_columns
+from .datagen import (
+    Pool, check_fields, feature_matrix, protected_values, read_columns, write_columns
+)
 from .errors import ConfigError, DimensionMismatch
 
 DEFAULT_USER_WEIGHTS = (-0.48, 0.35, 0.28, 0.28)
@@ -32,13 +34,12 @@ class UserConfig:
     seed: int
 
     def __post_init__(self):
+        check_fields(self)
         if not 0.0 <= self.p_bias <= 1.0:
             raise ConfigError(f"p_bias must lie in [0, 1], got {self.p_bias}")
         if len(self.weights) < 2:
             raise ConfigError("weights must hold an intercept plus at least one coefficient")
-        if not all(np.isfinite(w) for w in self.weights):
-            raise ConfigError("weights must be finite")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 

@@ -315,6 +315,10 @@ def test_cli_error_exits(tmp_path, capsys):
     sweep_json.write_text(json.dumps({"seeds": 5}))
     nan_model = tmp_path / "nan_model.json"
     nan_model.write_text(json.dumps({"weights": [1.0, float("nan"), 0, 0], "round": 0}))
+    good_model = tmp_path / "good_model.json"
+    good_model.write_text(json.dumps({"weights": [0.0, 0.1, 0.2, 0.3], "round": 0}))
+    labeled_csv = tmp_path / "labeled.csv"
+    main(["label", "--pool", str(pool_csv), "--p-bias", "0.0", "--out", str(labeled_csv)])
     bad_shares = tmp_path / "bad_shares.json"
     bad_shares.write_text(json.dumps({"p_qualified": {"0": 0.5, "1": 7.0}, "qualified_count": -3}))
     short_shares = tmp_path / "short_shares.json"
@@ -339,6 +343,8 @@ def test_cli_error_exits(tmp_path, capsys):
         (["sweep", "--config", str(sweep_json), "--out", str(tmp_path / "out")], "seeds"),
         (["online", "--model", str(nan_model), "--pool", str(pool_csv),
           "--out", str(tmp_path / "m.json")], "nan_model.json: model weights must be finite"),
+        (["online", "--model", str(good_model), "--pool", str(labeled_csv), "--lambda", "nan",
+          "--out", str(tmp_path / "m.json")], "lambda must be finite and non-negative, got nan"),
         (["metrics", "--ranking", str(pool_csv), "--baseline", str(bad_shares), "--k", "5"],
          "bad_shares.json: baseline share of group 1"),
         (["metrics", "--ranking", str(pool_csv), "--baseline", str(short_shares), "--k", "5"],

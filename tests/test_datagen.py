@@ -16,7 +16,7 @@ from fairsim import (
     protected_values,
     save_pool,
 )
-from fairsim.datagen import gen_config_from_dict, gen_config_to_dict
+from fairsim.datagen import config_to_dict, gen_config_from_dict
 
 # Frozen draw for seed 2024, n=6: pins the generator stream order for good.
 GOLDEN_PROTECTED = [0, 1, 1, 0, 0, 1]
@@ -93,6 +93,17 @@ def test_config_validation_errors():
             Uniform(lo, hi)
     with pytest.raises(ConfigError):
         Normal(0.5, -0.1)
+    for build, problem in (
+        (lambda: GenConfig(n=12.5), "n must be an integer, got 12.5"),
+        (lambda: GenConfig(seed=True), "seed must be an integer"),
+        (lambda: ProxyDist(group0=Uniform(), group1=Normal(0.5, 0.1)), "group0 must be a Normal"),
+        (lambda: GenConfig(proxy_dists=(Normal(0, 1),)), r"proxy_dists\[0\] must be a ProxyDist"),
+        (lambda: GenConfig(harmless_dists=5), "harmless_dists must be a list"),
+        (lambda: Normal(True, 1.0), "mean must be a finite number, got True"),
+        (lambda: Uniform("0", 1.0), "lo must be a finite number"),
+    ):
+        with pytest.raises(ConfigError, match=problem):
+            build()
     with pytest.raises(ConfigError):
         GenConfig(p_group=0.5, harmless_dists=(), proxy_dists=(), n=10, seed=0)
     with pytest.raises(ConfigError, match="'N'"):
@@ -111,6 +122,11 @@ def test_config_validation_errors():
     uniform = {"kind": "uniform", "lo": 0.0, "hi": 1.0}
     with pytest.raises(ConfigError, match=r"proxy_dists\[0\]\.group0: distribution kind 'uniform'"):
         gen_config_from_dict({"proxy_dists": [{"group0": uniform, "group1": normal}]})
+    backwards = {"kind": "uniform", "lo": 1.0, "hi": 0.0}
+    with pytest.raises(ConfigError, match=r"pool config\.harmless_dists\[0\]: uniform bounds"):
+        gen_config_from_dict({"harmless_dists": [backwards]})
+    with pytest.raises(ConfigError, match=r"pool config\.n must be an integer"):
+        gen_config_from_dict({"n": 12.5})
 
 
 def test_categorical_config_is_rejected():
@@ -136,7 +152,7 @@ def test_load_pool_rejects_foreign_header(tmp_path):
 
 def test_config_dict_roundtrip():
     cfg = default_config(p_group=0.25, n=77, seed=5)
-    again = gen_config_from_dict(gen_config_to_dict(cfg))
+    again = gen_config_from_dict(config_to_dict(cfg))
     assert again == cfg
 
 

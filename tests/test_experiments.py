@@ -18,6 +18,7 @@ from fairsim import (
     run_reg_sweep,
     write_results,
 )
+from fairsim.datagen import config_to_dict
 from fairsim.experiments import (
     STREAM_FAIR_POOL,
     STREAM_FAIR_USER,
@@ -180,7 +181,18 @@ def test_write_results_layout_and_stability(tmp_path):
     assert csv_path.read_bytes() == first_bytes
     manifest = json.loads((out / "manifest.json").read_text())
     again = experiment_config_from_dict(manifest["config"])
-    assert again.to_dict() == cfg.to_dict()
+    assert config_to_dict(again) == config_to_dict(cfg)
+
+
+def test_numpy_seeds_write_the_same_manifest(tmp_path):
+    manifests = []
+    for name, seeds in (("plain", (1,)), ("numpy", (np.int64(1),))):
+        cfg = tiny_config(seeds=seeds, p_bias_grid=(0.0,), eta_grid=(0.05,))
+        out = write_results(run_final_eval(cfg), tmp_path / name, "final_eval", cfg)
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest["generated_at"]
+        manifests.append(manifest)
+    assert manifests[0] == manifests[1]
 
 
 def test_config_dict_defaults_and_validation():
@@ -204,6 +216,13 @@ def test_config_dict_defaults_and_validation():
         ({"eta_grid": [True]}, r"\.eta_grid\[0\] must be a finite number"),
         ({"warm_eta": "0.3"}, r"\.warm_eta must be a finite number"),
         ({"sweep_eta": 10**400}, r"\.sweep_eta must be a finite number"),
+        ({"seeds": [1.7]}, r"\.seeds\[0\] must be an integer"),
+        ({"k_list": [25.0]}, r"\.k_list\[0\] must be an integer"),
+        ({"online_rounds": True}, r"\.online_rounds must be an integer"),
+        ({"gen": {"n": 12.5}}, r"\.gen\.n must be an integer"),
+        ({"gen": {"n": 0}}, r"experiment config\.gen: pool size must be positive"),
+        ({"gen": {"harmless_dists": [{"kind": "uniform", "lo": 1.0, "hi": 0.0}]}},
+         r"experiment config\.gen\.harmless_dists\[0\]: uniform bounds"),
     ):
         with pytest.raises(ConfigError, match=name):
             experiment_config_from_dict(bad)
@@ -224,6 +243,7 @@ def test_config_validate_errors():
         tiny_config(user_weights=(0.1, 0.2))
     with pytest.raises(ConfigError):
         tiny_config(lambda_grid=(-1.0,))
+    assert tiny_config(seeds=[1, np.int64(2)]).seeds == (1, 2)
     nan = float("nan")
     for name, value in (
         ("eta_grid", (0.01, nan)),
@@ -232,6 +252,12 @@ def test_config_validate_errors():
         ("sweep_eta", nan),
         ("warm_eta", nan),
         ("alpha_a", nan),
+        ("seeds", (1.7,)),
+        ("seeds", (np.float64(2.0),)),
+        ("k_list", (25.0,)),
+        ("online_rounds", True),
+        ("user_weights", (-0.48, 0.35, nan, 0.28)),
+        ("gen", {"n": 60}),
     ):
         with pytest.raises(ConfigError, match=name):
             tiny_config(**{name: value})

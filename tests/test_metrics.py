@@ -165,6 +165,9 @@ def test_baseline_roundtrip(tmp_path, tiny_pool, fair_user):
         ({0: 0.2, 1: 0.2}, 5, "sum to 1"),
         ({0: 0.5, 1: 0.5}, 2.5, "qualified_count"),
         ({0: 0.5, 1: 0.5}, True, "qualified_count"),
+        ({0: 0.5, 1: 0.5}, np.float64(3.0), "qualified_count"),
+        ({0: "0.5", 1: 0.5}, 10, r"p_qualified\[0\] must be a finite number"),
+        ({0: 0.5, 1: float("nan")}, 10, r"p_qualified\[1\] must be a finite number"),
     ):
         with pytest.raises(ConfigError, match=problem):
             Baseline(p_qualified=shares, qualified_count=count)

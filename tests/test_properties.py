@@ -2,6 +2,7 @@
 the exact ranking order, the online step's expressions pinned bit for bit, and
 the algebraic invariants of the online steps and of Skew@k."""
 
+import json
 from unittest import mock
 
 import numpy as np
@@ -31,7 +32,7 @@ from fairsim import (
     score_all,
     skew_at_k,
 )
-from fairsim.datagen import gen_config_from_dict, gen_config_to_dict
+from fairsim.datagen import config_to_dict, gen_config_from_dict
 from fairsim.learner import _perceptron_step
 from fairsim.usermodel import linear_scores
 
@@ -100,19 +101,23 @@ def gen_configs(draw):
     proxy = st.builds(ProxyDist, normal, normal)
     harmless = draw(st.lists(st.one_of(uniform, normal), max_size=3))
     proxies = draw(st.lists(proxy, min_size=0 if harmless else 1, max_size=3))
+    # Records take numpy integers and lists too, and store them as int and tuple.
+    sequence = st.sampled_from([tuple, list])
+    n = draw(st.integers(1, 10**6))
+    seed = draw(st.integers(0, 2**64 - 1))
     return GenConfig(
         p_group=draw(st.floats(0.0, 1.0)),
-        harmless_dists=tuple(harmless),
-        proxy_dists=tuple(proxies),
-        n=draw(st.integers(1, 10**6)),
-        seed=draw(st.integers(0, 2**64 - 1)),
+        harmless_dists=draw(sequence)(harmless),
+        proxy_dists=draw(sequence)(proxies),
+        n=draw(st.sampled_from([int, np.int64]))(n),
+        seed=draw(st.sampled_from([int, np.uint64]))(seed),
     )
 
 
 @settings(deadline=None, max_examples=60)
 @given(cfg=gen_configs())
 def test_gen_config_dict_roundtrip(cfg):
-    assert gen_config_from_dict(gen_config_to_dict(cfg)) == cfg
+    assert gen_config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
 
 @st.composite

@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 from fairsim import ExperimentConfig, experiment_config_from_dict
+from fairsim.datagen import config_to_dict
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 FULL_SWEEP = "results = run_reg_sweep(ExperimentConfig())"
@@ -19,7 +20,7 @@ def _first_block(heading: str, language: str) -> str:
 
 def test_readme_config_block_is_the_default_config():
     block = json.loads(_first_block("## Configuration", "json"))
-    assert experiment_config_from_dict(block).to_dict() == ExperimentConfig().to_dict()
+    assert config_to_dict(experiment_config_from_dict(block)) == config_to_dict(ExperimentConfig())
 
 
 def test_readme_api_example_runs(capsys):

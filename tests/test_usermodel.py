@@ -84,6 +84,16 @@ def test_user_config_validation():
         default_user(1.1)
     with pytest.raises(ConfigError):
         UserConfig(p_bias=0.5, weights=(), seed=0)
+    for overrides, problem in (
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"weights": (0.1, float("nan"))}, r"weights\[1\] must be a finite number"),
+        ({"p_bias": "0.5"}, "p_bias must be a finite number"),
+    ):
+        with pytest.raises(ConfigError, match=problem):
+            UserConfig(**{"p_bias": 0.5, "weights": (0.1, 0.2), "seed": 0, **overrides})
+    user = UserConfig(p_bias=0.5, weights=[0.1, 0.2], seed=np.uint64(3))
+    assert user == UserConfig(p_bias=0.5, weights=(0.1, 0.2), seed=3)
 
 
 def test_labeled_pool_length_mismatch(tiny_pool):
