@@ -8,12 +8,13 @@ ever seeded from the clock; every seed is a config value or flag.
 
 import argparse
 import csv
-import json
 import os
 import sys
 from dataclasses import replace
 
-from .datagen import default_config, gen_config_from_dict, generate_pool, load_pool, save_pool
+from .datagen import (
+    default_config, gen_config_from_dict, generate_pool, load_pool, read_json, save_pool
+)
 from .errors import ConfigError, FairsimError
 from .experiments import (
     ExperimentConfig,
@@ -49,11 +50,7 @@ def _parse_weights(text: str) -> tuple[float, ...]:
 
 
 def _cmd_generate(args) -> int:
-    if args.config:
-        with open(args.config) as fh:
-            cfg = gen_config_from_dict(json.load(fh))
-    else:
-        cfg = default_config()
+    cfg = gen_config_from_dict(read_json(args.config)) if args.config else default_config()
     overrides = {"n": args.n, "p_group": args.p_group, "seed": args.seed}
     cfg = replace(cfg, **{name: v for name, v in overrides.items() if v is not None})
     save_pool(generate_pool(cfg), args.out)
@@ -125,11 +122,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _load_experiment_config(args) -> ExperimentConfig:
-    if args.config:
-        with open(args.config) as fh:
-            cfg = experiment_config_from_dict(json.load(fh))
-    else:
-        cfg = ExperimentConfig()
+    cfg = experiment_config_from_dict(read_json(args.config)) if args.config else ExperimentConfig()
     grids = {"seeds": args.seed, "p_bias_grid": args.p_bias, "eta_grid": args.eta,
              "lambda_grid": args.lam}
     return replace(cfg, **{name: values for name, values in grids.items() if values})
@@ -242,7 +235,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FairsimError, OSError, json.JSONDecodeError) as exc:
+    except (FairsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

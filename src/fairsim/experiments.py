@@ -20,6 +20,7 @@ from . import __version__
 from .datagen import (
     GenConfig,
     Pool,
+    Seed,
     check_fields,
     config_from_dict,
     config_to_dict,
@@ -67,7 +68,7 @@ class ExperimentConfig:
     warm_eta: float = 0.3
     online_rounds: int = 1000
     snapshot_interval: int = 25
-    seeds: tuple[int, ...] = (3, 5, 7, 9, 11)
+    seeds: tuple[Seed, ...] = (3, 5, 7, 9, 11)
     k_list: tuple[int, ...] = (25, 100, 500, 1000)
     sweep_eta: float = 0.01
     alpha_a: float = 1e-3
@@ -88,9 +89,6 @@ class ExperimentConfig:
             value = getattr(self, name)
             if min(value if isinstance(value, tuple) else (value,)) < 0.0:
                 raise ConfigError(f"{name} must be non-negative, got {value}")
-        for seed in self.seeds:
-            if not 0 <= seed < 2**64:
-                raise ConfigError(f"seed {seed} is not a 64-bit unsigned integer")
         if not 1 <= self.warm_sample_size <= self.gen.n:
             raise ConfigError("warm_sample_size must lie in [1, pool size]")
         if self.warm_rounds < 0 or self.online_rounds < 0:

@@ -30,7 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import Pool, feature_matrix, float_array, protected_values, read_json_keys, write_json
+from .datagen import (
+    FloatArray, Pool, check_fields, feature_matrix, protected_values, read_json_keys, write_json
+)
 from .errors import ConfigError, DimensionMismatch, SingularSystemError
 from .learner import LinearModel, _perceptron_step
 
@@ -45,35 +47,29 @@ class FairRegularizer:
     Immutable after construction; use :meth:`with_strength` to change lambda.
     """
 
-    w_a: np.ndarray
-    sigma_x: np.ndarray
-    w_reg: np.ndarray
+    w_a: FloatArray
+    sigma_x: FloatArray
+    w_reg: FloatArray
     lam: float
     alpha_a: float
     _padded: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        w_a = np.array(self.w_a, dtype=float)
-        sigma = np.array(self.sigma_x, dtype=float)
-        w_reg = np.array(self.w_reg, dtype=float)
-        m = w_a.size
-        if w_a.ndim != 1 or sigma.shape != (m, m) or w_reg.shape != (m,):
+        check_fields(self)
+        m = self.w_a.size
+        if self.w_a.ndim != 1 or self.sigma_x.shape != (m, m) or self.w_reg.shape != (m,):
             raise DimensionMismatch("w_a, sigma_x, and w_reg must be m, (m, m), and m shaped")
-        if not (np.all(np.isfinite(w_a)) and np.all(np.isfinite(sigma)) and np.all(np.isfinite(w_reg))):
-            raise ConfigError("regularizer entries must be finite")
-        if not np.allclose(sigma, sigma.T, rtol=1e-9, atol=1e-12):
+        if not np.allclose(self.sigma_x, self.sigma_x.T, rtol=1e-9, atol=1e-12):
             raise ConfigError("sigma_x must be symmetric")
-        if not np.allclose(w_reg, sigma @ w_a, rtol=1e-9, atol=1e-12):
+        if not np.allclose(self.w_reg, self.sigma_x @ self.w_a, rtol=1e-9, atol=1e-12):
             raise ConfigError("w_reg must equal sigma_x @ w_a")
         if not 0.0 <= self.lam < np.inf:
             raise ConfigError(f"lambda must be finite and non-negative, got {self.lam}")
         if not 0.0 <= self.alpha_a < np.inf:
             raise ConfigError(f"alpha_a must be finite and non-negative, got {self.alpha_a}")
-        padded = np.concatenate(([0.0], w_reg))
-        arrays = (("w_a", w_a), ("sigma_x", sigma), ("w_reg", w_reg), ("_padded", padded))
-        for name, value in arrays:
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        padded = np.concatenate(([0.0], self.w_reg))
+        padded.setflags(write=False)
+        object.__setattr__(self, "_padded", padded)
 
     @property
     def m(self) -> int:
@@ -110,18 +106,18 @@ def _solve_reported(A: np.ndarray, b: np.ndarray, context: str) -> np.ndarray:
     return w
 
 
-def fit_auxiliary(pool: Pool, alpha_a: float = 1e-3, lam: float = 0.0) -> FairRegularizer:
+def fit_auxiliary(pool: Pool, alpha_a: float = 1e-3) -> FairRegularizer:
     """Fit the auxiliary predictor of the protected attribute and its projection.
 
     Solves ``(Xh Xh^T + alpha_a * N * I) w_a = Xh Ah^T`` on centered data and
-    returns the regularizer with ``sigma_x = Xh Xh^T / N`` and
+    returns the regularizer at strength 0 with ``sigma_x = Xh Xh^T / N`` and
     ``w_reg = sigma_x @ w_a``. With ``alpha_a = 0`` this is the plain
     least-squares normal system, which can be singular for degenerate data.
     """
     if len(pool) < 2:
         raise ConfigError(f"need at least 2 points to fit, got {len(pool)}")
-    if alpha_a < 0.0:
-        raise ConfigError(f"alpha_a must be non-negative, got {alpha_a}")
+    if not 0.0 <= alpha_a < np.inf:
+        raise ConfigError(f"alpha_a must be finite and non-negative, got {alpha_a}")
     features = feature_matrix(pool)
     attrs = protected_values(pool).astype(float)
     n, m = features.shape
@@ -132,7 +128,7 @@ def fit_auxiliary(pool: Pool, alpha_a: float = 1e-3, lam: float = 0.0) -> FairRe
                           "auxiliary fit")
     sigma_x = gram / n
     return FairRegularizer(w_a=w_a, sigma_x=sigma_x, w_reg=sigma_x @ w_a,
-                           lam=lam, alpha_a=alpha_a)
+                           lam=0.0, alpha_a=alpha_a)
 
 
 def solve_exact(design: np.ndarray, targets: np.ndarray, reg: FairRegularizer) -> LinearModel:
@@ -184,18 +180,10 @@ def regularized_update(
 
 def save_regularizer(reg: FairRegularizer, path: str | Path) -> None:
     """Write a regularizer as JSON with keys w_a, sigma_x, w_reg, lambda, alpha_a."""
-    write_json(path, {
-        "w_a": [float(v) for v in reg.w_a],
-        "sigma_x": [[float(v) for v in row] for row in reg.sigma_x],
-        "w_reg": [float(v) for v in reg.w_reg],
-        "lambda": float(reg.lam),
-        "alpha_a": float(reg.alpha_a),
-    })
+    write_json(path, {"w_a": reg.w_a.tolist(), "sigma_x": reg.sigma_x.tolist(),
+                      "w_reg": reg.w_reg.tolist(), "lambda": reg.lam, "alpha_a": reg.alpha_a})
 
 
 def load_regularizer(path: str | Path) -> FairRegularizer:
     """Read a regularizer written by :func:`save_regularizer`."""
-    return read_json_keys(path, {
-        "w_a": float_array, "sigma_x": float_array, "w_reg": float_array,
-        "lambda": float, "alpha_a": float,
-    }, FairRegularizer)
+    return read_json_keys(path, ["w_a", "sigma_x", "w_reg", "lambda", "alpha_a"], FairRegularizer)

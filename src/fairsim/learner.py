@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .datagen import feature_matrix, float_array, read_json_keys, write_json
+from .datagen import FloatArray, Seed, _parse, feature_matrix, read_json_keys, write_json
 from .errors import ConfigError, DimensionMismatch, NumericalError
 from .usermodel import LabeledPool, linear_scores
 
@@ -137,6 +137,9 @@ def warm_start(
         raise ConfigError(f"sample_size {sample_size} not in [1, {n}]")
     if rounds < 0:
         raise ConfigError(f"rounds must be non-negative, got {rounds}")
+    if not 0.0 <= eta < np.inf:
+        raise ConfigError(f"eta must be finite and non-negative, got {eta}")
+    _parse(Seed, seed, "seed")
     rng = np.random.default_rng(seed)
     subsample = rng.permutation(n)[:sample_size]
     picks = rng.integers(0, sample_size, size=rounds)
@@ -186,6 +189,8 @@ def run_online(
         raise ConfigError(f"rounds {rounds} not in [0, {n}]")
     if snapshot_interval < 0:
         raise ConfigError(f"snapshot_interval must be non-negative, got {snapshot_interval}")
+    if not 0.0 <= eta < np.inf:
+        raise ConfigError(f"eta must be finite and non-negative, got {eta}")
     features = feature_matrix(pool.pool)
     if features.shape[1] != model.weights.size - 1:
         raise DimensionMismatch("pool features do not match the model")
@@ -222,9 +227,9 @@ def save_model(model: LinearModel, path: str | Path, round_index: int = 0) -> No
 
 def load_model(path: str | Path) -> tuple[LinearModel, int]:
     """Read a model written by :func:`save_model`; returns (model, round)."""
-    return read_json_keys(
-        path, {"weights": float_array, "round": int}, lambda w, r: (LinearModel(w), r)
-    )
+    return read_json_keys(path, ["weights", "round"], lambda w, r: (
+        LinearModel(_parse(FloatArray, w, "model weights")), _parse(int, r, "round")
+    ))
 
 
 def save_trace(trace: OnlineTrace, pool: LabeledPool, path: str | Path) -> None:

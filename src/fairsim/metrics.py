@@ -203,7 +203,9 @@ def save_baseline(baseline: Baseline, path: str | Path) -> None:
 
 def load_baseline(path: str | Path) -> Baseline:
     """Read a baseline written by :func:`save_baseline`."""
-    return read_json_keys(path, {
-        "p_qualified": lambda d: {int(v): p for v, p in d.items()},
-        "qualified_count": int,
-    }, Baseline)
+    def build(shares, count):
+        if isinstance(shares, dict):  # JSON keys are strings; Baseline checks the rest
+            shares = {int(v) if v.isdecimal() else v: p for v, p in shares.items()}
+        return Baseline(p_qualified=shares, qualified_count=count)
+
+    return read_json_keys(path, ["p_qualified", "qualified_count"], build)

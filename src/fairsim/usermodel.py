@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from .datagen import (
-    Pool, check_fields, feature_matrix, protected_values, read_columns, write_columns
+    BinaryArray, Pool, Seed, check_fields, feature_matrix, protected_values, read_columns,
+    write_columns,
 )
 from .errors import ConfigError, DimensionMismatch
 
@@ -31,7 +32,7 @@ class UserConfig:
 
     p_bias: float
     weights: tuple[float, ...]
-    seed: int
+    seed: Seed
 
     def __post_init__(self):
         check_fields(self)
@@ -39,8 +40,6 @@ class UserConfig:
             raise ConfigError(f"p_bias must lie in [0, 1], got {self.p_bias}")
         if len(self.weights) < 2:
             raise ConfigError("weights must hold an intercept plus at least one coefficient")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
 def default_user(p_bias: float, seed: int = 0) -> UserConfig:
@@ -62,17 +61,16 @@ def linear_scores(features: np.ndarray, weights) -> np.ndarray:
     return s
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LabeledPool:
-    """A pool with materialized user labels and the bias coins behind them."""
+    """A pool with materialized 0/1 user labels and the bias coins behind them."""
 
     pool: Pool
-    labels: np.ndarray
-    bias_coin: np.ndarray
+    labels: BinaryArray
+    bias_coin: BinaryArray
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.bias_coin = np.asarray(self.bias_coin, dtype=np.int64)
+        check_fields(self)
         n = len(self.pool)
         if self.labels.shape != (n,) or self.bias_coin.shape != (n,):
             raise DimensionMismatch("labels and bias_coin must have one entry per candidate")

@@ -330,6 +330,10 @@ def test_cli_error_exits(tmp_path, capsys):
     overflow_json.write_text(json.dumps(
         {"harmless_dists": [{"kind": "normal", "mean": 1.7e308, "std": 1e308}]}
     ))
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"weights": [')
+    truncated_error = f"error: {truncated}: Expecting value: line 1 column 14 (char 13)\n"
+    bad_eta = "error: eta must be finite and non-negative, got "
     # Finite bounds whose span hi - lo overflows, which numpy's draw cannot take.
     wide_json = tmp_path / "wide.json"
     wide_json.write_text(json.dumps(
@@ -342,21 +346,40 @@ def test_cli_error_exits(tmp_path, capsys):
           "--out", str(tmp_path / "m.json")], "model.json: key 'weights' is missing"),
         (["sweep", "--config", str(sweep_json), "--out", str(tmp_path / "out")], "seeds"),
         (["online", "--model", str(nan_model), "--pool", str(pool_csv),
-          "--out", str(tmp_path / "m.json")], "nan_model.json: model weights must be finite"),
+          "--out", str(tmp_path / "m.json")],
+         "nan_model.json: model weights[1] must be finite, got nan\n"),
         (["online", "--model", str(good_model), "--pool", str(labeled_csv), "--lambda", "nan",
-          "--out", str(tmp_path / "m.json")], "lambda must be finite and non-negative, got nan"),
+          "--out", str(tmp_path / "m.json")], "error: lam must be a finite number, got nan\n"),
         (["metrics", "--ranking", str(pool_csv), "--baseline", str(bad_shares), "--k", "5"],
          "bad_shares.json: baseline share of group 1"),
         (["metrics", "--ranking", str(pool_csv), "--baseline", str(short_shares), "--k", "5"],
          "short_shares.json: baseline shares must sum to 1"),
         (["metrics", "--ranking", str(pool_csv), "--baseline", str(half_count), "--k", "5"],
-         "half_count.json: key 'qualified_count' must be an integer"),
+         "half_count.json: qualified_count must be an integer, got 2.5\n"),
         (["generate", "--config", str(overflow_json), "--n", "10", "--seed", "1",
-          "--out", str(tmp_path / "inf.csv")], "pool features must be finite"),
+          "--out", str(tmp_path / "inf.csv")], "error: features[1, 0] must be finite, got inf\n"),
         (["generate", "--config", str(wide_json), "--n", "10", "--seed", "1",
           "--out", str(tmp_path / "wide.csv")], "finite span hi - lo, got [-1e+308, 1e+308]"),
         (["metrics", "--ranking", str(pool_csv), "--baseline", str(baseline_json), "--k", "5",
           "--group", "5"], "group 5"),
+        (["warm", "--pool", str(labeled_csv), "--sample-size", "5", "--eta", "-1",
+          "--out", str(tmp_path / "w.json")], f"{bad_eta}-1.0\n"),
+        (["warm", "--pool", str(labeled_csv), "--sample-size", "5", "--seed", "-1",
+          "--out", str(tmp_path / "w.json")],
+         "error: seed must be a 64-bit unsigned integer, got -1\n"),
+        (["online", "--model", str(good_model), "--pool", str(labeled_csv), "--rounds", "5",
+          "--eta", "-0.5", "--out", str(tmp_path / "m.json")], f"{bad_eta}-0.5\n"),
+        (["online", "--model", str(good_model), "--pool", str(labeled_csv), "--rounds", "5",
+          "--eta", "nan", "--out", str(tmp_path / "m.json")], f"{bad_eta}nan\n"),
+        (["sweep", "--config", str(truncated), "--out", str(tmp_path / "out")], truncated_error),
+        (["generate", "--config", str(truncated), "--out", str(tmp_path / "t.csv")],
+         truncated_error),
+        (["online", "--model", str(truncated), "--pool", str(labeled_csv),
+          "--out", str(tmp_path / "m.json")], truncated_error),
+        (["online", "--model", str(good_model), "--pool", str(labeled_csv),
+          "--regularizer", str(truncated), "--out", str(tmp_path / "m.json")], truncated_error),
+        (["metrics", "--ranking", str(pool_csv), "--baseline", str(truncated), "--k", "5"],
+         truncated_error),
     ):
         assert main(argv) == 1
         err = capsys.readouterr().err

@@ -101,6 +101,18 @@ def test_config_validation_errors():
         (lambda: GenConfig(harmless_dists=5), "harmless_dists must be a list"),
         (lambda: Normal(True, 1.0), "mean must be a finite number, got True"),
         (lambda: Uniform("0", 1.0), "lo must be a finite number"),
+        (lambda: Pool(features=[[0.1], [0.2], [0.3]], protected=[0.7, 1.2, 7]),
+         "protected must hold bools or integers, got float64 entries"),
+        (lambda: Pool(features=[[0.1], [0.2], [0.3]], protected=[0, 1, 7]),
+         r"protected\[2\] must be 0 or 1, got 7"),
+        (lambda: Pool(features=[[0.1], [0.2]], protected=np.array([1, 2**63], dtype=np.uint64)),
+         r"protected\[1\] must be 0 or 1, got 9223372036854775808"),
+        (lambda: Pool(features=[["a"], ["b"]], protected=[0, 1]),
+         "features must hold real numbers, got <U1 entries"),
+        (lambda: Pool(features=[[True], [False]], protected=[0, 1]),
+         "features must hold real numbers, got bool entries"),
+        (lambda: Pool(features=[[0.1], [0.2, 0.3]], protected=[0, 1]),
+         "features is not an array"),
     ):
         with pytest.raises(ConfigError, match=problem):
             build()
@@ -163,7 +175,7 @@ def test_empty_pool_helpers_raise():
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_pool_rejects_non_finite_features(value):
-    with pytest.raises(NumericalError, match="pool features must be finite"):
+    with pytest.raises(NumericalError, match=rf"^features\[1, 0\] must be finite, got {value}$"):
         Pool(features=[[0.5], [value]], protected=[0, 1])
 
 
@@ -171,7 +183,7 @@ def test_generated_overflow_is_rejected():
     # Every bound is finite, but mean + std * z overflows to inf for z > 0.1.
     huge = Normal(1.7e308, 1e308)
     cfg = GenConfig(harmless_dists=(huge,), n=10, seed=1)
-    with pytest.raises(NumericalError, match="pool features must be finite"):
+    with pytest.raises(NumericalError, match=r"^features\[1, 0\] must be finite, got inf$"):
         generate_pool(cfg)
 
 

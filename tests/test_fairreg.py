@@ -8,6 +8,7 @@ from fairsim import (
     DimensionMismatch,
     FairRegularizer,
     LinearModel,
+    NumericalError,
     Pool,
     SingularSystemError,
     default_config,
@@ -65,8 +66,10 @@ def test_fit_auxiliary_direction_tracks_the_attribute(tiny_pool):
 def test_fit_auxiliary_argument_errors(tiny_pool):
     with pytest.raises(ConfigError):
         fit_auxiliary(Pool(tiny_pool.features[:1], tiny_pool.protected[:1]))
-    with pytest.raises(ConfigError):
-        fit_auxiliary(tiny_pool, alpha_a=-1.0)
+    for alpha_a in (-1.0, np.nan, np.inf):
+        problem = f"^alpha_a must be finite and non-negative, got {alpha_a}$"
+        with pytest.raises(ConfigError, match=problem):
+            fit_auxiliary(tiny_pool, alpha_a=alpha_a)
 
 
 def test_regularizer_consistency_checks():
@@ -92,12 +95,26 @@ def test_regularizer_consistency_checks():
         FairRegularizer(
             w_a=np.ones(3), sigma_x=np.eye(2), w_reg=np.ones(2), lam=0.0, alpha_a=0.0
         )
+    reg = _make_reg([1.0, 0.0], lam=0.0)
+    for build, error, problem in (
+        (lambda: reg.with_strength(True), ConfigError, "^lam must be a finite number, got True$"),
+        (lambda: reg.with_strength("1"), ConfigError, "^lam must be a finite number, got '1'$"),
+        (lambda: reg.with_strength(np.nan), ConfigError, "^lam must be a finite number, got nan$"),
+        (lambda: _make_reg([np.inf, 0.0], lam=0.0), NumericalError,
+         r"^w_a\[0\] must be finite, got inf$"),
+        (lambda: FairRegularizer(w_a=[1.0], sigma_x=[["1"]], w_reg=[1.0], lam=0.0, alpha_a=0.0),
+         ConfigError, "^sigma_x must hold real numbers, got <U1 entries$"),
+        (lambda: FairRegularizer(w_a=[1.0], sigma_x=[[1.0]], w_reg=[1.0], lam=0.0, alpha_a=-1e-3),
+         ConfigError, "^alpha_a must be finite and non-negative, got -0.001$"),
+    ):
+        with pytest.raises(error, match=problem):
+            build()
 
 
 def test_with_strength_keeps_fit(tiny_pool):
     reg = fit_auxiliary(tiny_pool)
-    strong = reg.with_strength(10.0)
-    assert strong.lam == 10.0
+    strong = reg.with_strength(10)
+    assert strong.lam == 10.0 and type(strong.lam) is float
     assert reg.lam == 0.0
     np.testing.assert_array_equal(strong.w_reg, reg.w_reg)
 

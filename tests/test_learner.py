@@ -1,3 +1,5 @@
+import json
+import re
 from functools import partial
 
 import numpy as np
@@ -33,11 +35,46 @@ from fairsim import (
 from _oracles import greedy_online_oracle
 
 
-def test_model_validation():
+def test_model_validation(tmp_path, tiny_labeled):
     with pytest.raises(DimensionMismatch):
         LinearModel(np.array([1.0]))
     with pytest.raises(NumericalError):
         LinearModel(np.array([0.0, np.nan]))
+    # Built in Python, a model is not parsed by the type rule (it is built every
+    # changed round); numpy's own conversion error is what a bad entry gives.
+    with pytest.raises(ValueError, match="could not convert string to float"):
+        LinearModel(["a", "b"])
+    path = tmp_path / "model.json"
+    for payload, error, problem in (
+        ({"weights": ["a", "b"], "round": 0}, ConfigError,
+         "model weights must hold real numbers, got <U1 entries"),
+        ({"weights": [0.5, None], "round": 0}, ConfigError,
+         "model weights must hold real numbers, got object entries"),
+        ({"weights": [0.5, 1e999], "round": 0}, NumericalError,
+         r"model weights\[1\] must be finite, got inf"),
+        ({"weights": [0.5, 1.0], "round": 2.5}, ConfigError, "round must be an integer, got 2.5"),
+    ):
+        path.write_text(json.dumps(payload))
+        with pytest.raises(error, match=rf"^{re.escape(str(path))}: {problem}$"):
+            load_model(path)
+    # eta = 0 stays legal: it freezes the model.
+    warm = partial(warm_start, tiny_labeled, 10, 5)
+    online = partial(run_online, zero_model(3), tiny_labeled, 5)
+    for build in (warm, online):
+        for eta in (-1.0, -0.5, np.nan, np.inf):
+            problem = f"^eta must be finite and non-negative, got {eta}$"
+            with pytest.raises(ConfigError, match=problem):
+                build(eta=eta)
+        build(eta=0.0)
+    for seed, problem in (
+        (-1, "seed must be a 64-bit unsigned integer, got -1"),
+        (2**64, "seed must be a 64-bit unsigned integer, got 18446744073709551616"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (True, "seed must be an integer, got True"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{problem}$"):
+            warm_start(tiny_labeled, 10, 5, seed=seed)
+    warm_start(tiny_labeled, 10, 5, seed=np.uint64(2**64 - 1))
     model = LinearModel(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         model.weights[0] = 5.0

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -174,4 +175,21 @@ def test_baseline_roundtrip(tmp_path, tiny_pool, fair_user):
         payload = {"p_qualified": {str(v): p for v, p in shares.items()}, "qualified_count": count}
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigError, match=f"baseline.json: .*{problem}"):
+            load_baseline(path)
+    # Inputs only a file can hold: keys that are not decimal, shares that are not
+    # an object, and text that is not JSON.
+    for text, problem in (
+        ('{"p_qualified": {"a": 0.5, "1": 0.5}, "qualified_count": 3}',
+         "p_qualified key must be an integer, got 'a'"),
+        ('{"p_qualified": {"-1": 0.5, "1": 0.5}, "qualified_count": 3}',
+         "p_qualified key must be an integer, got '-1'"),
+        ('{"p_qualified": [0.5, 0.5], "qualified_count": 3}',
+         r"p_qualified must be a dict, got \[0.5, 0.5\]"),
+        ('{"p_qualified": {"0": 0.5, "1": 0.5}, "qualified_count": 2.5}',
+         "qualified_count must be an integer, got 2.5"),
+        ('{"p_qualified": {"0": 0.5, ', r"Expecting property name .*\(char 27\)"),
+        ("[1, 2]", "must hold a JSON object"),
+    ):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:? {problem}$"):
             load_baseline(path)

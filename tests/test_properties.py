@@ -1,22 +1,27 @@
 """Property tests: CSV and config round trips, the zero-copy column accessors,
-the exact ranking order, the online step's expressions pinned bit for bit, and
-the algebraic invariants of the online steps and of Skew@k."""
+the array type rules, the exact ranking order, the online step's expressions
+pinned bit for bit, and the algebraic invariants of the online steps and of
+Skew@k."""
 
 import json
+from functools import partial
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from fairsim import (
     Baseline,
+    ConfigError,
     FairRegularizer,
     GenConfig,
     LabeledPool,
     LinearModel,
     Normal,
+    NumericalError,
     Pool,
     ProxyDist,
     Uniform,
@@ -32,7 +37,7 @@ from fairsim import (
     score_all,
     skew_at_k,
 )
-from fairsim.datagen import config_to_dict, gen_config_from_dict
+from fairsim.datagen import BinaryArray, FloatArray, _parse, config_to_dict, gen_config_from_dict
 from fairsim.learner import _perceptron_step
 from fairsim.usermodel import linear_scores
 
@@ -90,6 +95,40 @@ def test_column_accessors_share_memory_and_are_read_only(pool):
     assert np.shares_memory(features, pool.features)
     assert np.shares_memory(protected, pool.protected)
     assert not features.flags.writeable and not protected.flags.writeable
+
+
+@st.composite
+def raw_arrays(draw):
+    """Arrays of every dtype the array rules meet, 0-d to 2-d, empty ones included.
+    Integer arrays often hold only 0 and 1, or values next to them; float arrays
+    often hold NaN or inf."""
+    dtype = np.dtype(draw(st.sampled_from(
+        [np.float64, np.float32, np.int64, np.uint64, np.int8, np.bool_])))
+    shape = draw(array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5))
+    near = [st.integers(0, 1), st.integers(-(dtype.kind == "i"), 2)] if dtype.kind in "iu" else []
+    return draw(arrays(dtype, shape, elements=draw(st.sampled_from([None, *near]))))
+
+
+@settings(deadline=None, max_examples=300)
+@given(raw=raw_arrays(), binary=st.booleans())
+def test_array_rules_keep_read_only_copies_and_reject_bad_entries(raw, binary):
+    before = raw.copy()
+    parse = partial(_parse, BinaryArray if binary else FloatArray, raw, "column")
+    if binary and (raw.dtype.kind == "f" or not np.isin(raw, (0, 1)).all()):
+        with pytest.raises(ConfigError, match="^column"):
+            parse()
+    elif not binary and raw.dtype.kind == "b":
+        with pytest.raises(ConfigError, match="^column must hold real numbers"):
+            parse()
+    elif not binary and not np.isfinite(raw.astype(np.float64)).all():
+        with pytest.raises(NumericalError, match="^column.* must be finite"):
+            parse()
+    else:
+        got = parse()
+        assert got.dtype == (np.int64 if binary else np.float64) and got.shape == raw.shape
+        np.testing.assert_array_equal(got, raw)
+        assert not got.flags.writeable and not np.shares_memory(got, raw)
+    assert raw.flags.writeable and _same_bits(raw, before)
 
 
 @st.composite

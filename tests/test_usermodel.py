@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from fairsim import (
     ConfigError,
     DimensionMismatch,
     LabeledPool,
+    Pool,
     UserConfig,
     default_user,
     feature_matrix,
@@ -103,6 +106,21 @@ def test_labeled_pool_length_mismatch(tiny_pool):
             labels=np.zeros(3, dtype=np.int64),
             bias_coin=np.zeros(3, dtype=np.int64),
         )
+    two = Pool(features=[[0.1], [0.2]], protected=[0, 1])
+    for labels, bias_coin, problem in (
+        ([0.5, 2.7], [3, -1], "^labels must hold bools or integers, got float64 entries$"),
+        ([0, 1], [3, -1], r"^bias_coin\[0\] must be 0 or 1, got 3$"),
+        ([1, -1], [0, 0], r"^labels\[1\] must be 0 or 1, got -1$"),
+        ([0, 1], ["0", "1"], "^bias_coin must hold bools or integers, got <U1 entries$"),
+    ):
+        with pytest.raises(ConfigError, match=problem):
+            LabeledPool(pool=two, labels=labels, bias_coin=bias_coin)
+    labeled = LabeledPool(pool=two, labels=[True, False], bias_coin=np.array([0, 1], np.uint8))
+    assert labeled.labels.dtype == labeled.bias_coin.dtype == np.int64
+    with pytest.raises(ValueError):
+        labeled.labels[0] = 0
+    with pytest.raises(FrozenInstanceError):
+        labeled.labels = np.zeros(2, dtype=np.int64)
 
 
 def test_labeled_roundtrip_is_bitwise(tmp_path, tiny_labeled):
