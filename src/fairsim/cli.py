@@ -12,9 +12,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .datagen import (
-    default_config, gen_config_from_dict, generate_pool, load_pool, read_json, save_pool
-)
+from .datagen import GenConfig, gen_config_from_dict, generate_pool, load_pool, read_json, save_pool
 from .errors import ConfigError, FairsimError
 from .experiments import (
     ExperimentConfig,
@@ -50,7 +48,7 @@ def _parse_weights(text: str) -> tuple[float, ...]:
 
 
 def _cmd_generate(args) -> int:
-    cfg = gen_config_from_dict(read_json(args.config)) if args.config else default_config()
+    cfg = gen_config_from_dict(read_json(args.config)) if args.config else GenConfig()
     overrides = {"n": args.n, "p_group": args.p_group, "seed": args.seed}
     cfg = replace(cfg, **{name: v for name, v in overrides.items() if v is not None})
     save_pool(generate_pool(cfg), args.out)
@@ -86,14 +84,7 @@ def _cmd_online(args) -> int:
             regularizer = regularizer.with_strength(args.lam)
     elif args.lam is not None:
         regularizer = fit_auxiliary(pool.pool).with_strength(args.lam)
-    final, trace = run_online(
-        model,
-        pool,
-        rounds=args.rounds,
-        eta=args.eta,
-        regularizer=regularizer,
-        snapshot_interval=args.snapshot_interval,
-    )
+    final, trace = run_online(model, pool, args.rounds, args.eta, regularizer=regularizer)
     save_model(final, args.out, args.rounds)
     print(f"wrote {args.out}")
     if args.trace:
@@ -197,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regularizer", help="fitted regularizer JSON")
     p.add_argument("--lambda", type=float, dest="lam",
                    help="penalty strength; fits on the pool when no --regularizer is given")
-    p.add_argument("--snapshot-interval", type=int, default=0, dest="snapshot_interval")
     p.add_argument("--out", required=True)
     p.add_argument("--trace")
     p.set_defaults(func=_cmd_online)

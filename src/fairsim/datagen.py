@@ -26,9 +26,16 @@ from .errors import ConfigError, DimensionMismatch, FairsimError, NumericalError
 
 
 # check_fields annotations beyond the builtin types; arrays are stored as read-only copies.
-Seed = NewType("Seed", int)  # an integer in [0, 2**64), the seeds numpy takes
 FloatArray = NewType("FloatArray", np.ndarray)  # finite reals, as float64
 BinaryArray = NewType("BinaryArray", np.ndarray)  # bools or integers 0 and 1, as int64
+Seed = NewType("Seed", int)  # the seeds numpy takes
+Count = NewType("Count", int)
+Size = NewType("Size", int)
+Share = NewType("Share", float)
+Rate = NewType("Rate", float)
+# Each bounded annotation: its base type, then inclusive bounds (None: no upper bound).
+BOUNDS = {Seed: (int, 0, 2**64 - 1), Count: (int, 0, None), Size: (int, 1, None),
+          Share: (float, 0, 1), Rate: (float, 0, None)}
 
 
 def check_fields(record) -> None:
@@ -36,9 +43,10 @@ def check_fields(record) -> None:
 
     ``float`` takes a finite real number, ``int`` a Python or numpy integer (a
     bool is neither), ``tuple[X, ...]`` a tuple or list of ``X``, ``dict[K, V]`` a
-    dict, a class or union an instance, and ``Seed``, ``FloatArray`` and
-    ``BinaryArray`` what their definitions say. A ConfigError names the field (a
-    NumericalError, for a non-finite array entry). ``init=False`` fields are skipped.
+    dict, a class or union an instance, ``FloatArray`` and ``BinaryArray`` what
+    their definitions say, and each annotation in :data:`BOUNDS` its base type
+    within its bounds. A ConfigError names the field (a NumericalError, for a
+    non-finite array entry). ``init=False`` fields are skipped.
     """
     for f in fields(record):
         if f.init:
@@ -48,15 +56,18 @@ def check_fields(record) -> None:
 def _parse(annotation, value, path: str):
     if annotation in (FloatArray, BinaryArray):
         return _parse_array(annotation, value, path)
-    if annotation is Seed and not 0 <= _parse(int, value, path) < 2**64:
-        raise ConfigError(f"{path} must be a 64-bit unsigned integer, got {value}")
-    if annotation in (int, float, Seed):
-        allowed = numbers.Real if annotation is float else numbers.Integral
+    base, low, high = BOUNDS.get(annotation, (annotation, None, None))
+    if base in (int, float):
+        allowed = numbers.Real if base is float else numbers.Integral
         typed = isinstance(value, allowed) and not isinstance(value, bool)
         if not (typed and -sys.float_info.max <= value <= sys.float_info.max):
-            what = "a finite number" if annotation is float else "an integer"
+            what = "a finite number" if base is float else "an integer"
             raise ConfigError(f"{path} must be {what}, got {value!r}")
-        return float(value) if annotation is float else int(value)
+        value = float(value) if base is float else int(value)
+        if low is not None and not (low <= value and (high is None or value <= high)):
+            bound = f"be at least {low}" if high is None else f"lie in [{low}, {high}]"
+            raise ConfigError(f"{path} must {bound}, got {value}")
+        return value
     origin, args = get_origin(annotation), get_args(annotation)
     if origin is tuple:
         if not isinstance(value, (tuple, list)):
@@ -162,13 +173,13 @@ class GenConfig:
     second attribute runs high for group 1 exactly where the third runs low.
     """
 
-    p_group: float = 0.5
+    p_group: Share = 0.5
     harmless_dists: tuple[Distribution, ...] = (Uniform(0.0, 1.0),)
     proxy_dists: tuple[ProxyDist, ...] = (
         ProxyDist(group0=Normal(0.35, 0.12), group1=Normal(0.65, 0.12)),
         ProxyDist(group0=Normal(0.65, 0.12), group1=Normal(0.35, 0.12)),
     )
-    n: int = 12000
+    n: Size = 12000
     seed: Seed = 0
 
     @property
@@ -177,10 +188,6 @@ class GenConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if not 0.0 <= self.p_group <= 1.0:
-            raise ConfigError(f"p_group must lie in [0, 1], got {self.p_group}")
-        if self.n < 1:
-            raise ConfigError(f"pool size must be positive, got {self.n}")
         if self.m < 1:
             raise ConfigError("at least one attribute is required")
 
@@ -205,13 +212,6 @@ class Pool:
 
     def __len__(self) -> int:
         return self.protected.size
-
-
-def default_config(
-    *, p_group: float = GenConfig.p_group, n: int = GenConfig.n, seed: int = GenConfig.seed
-) -> GenConfig:
-    """The default pool recipe (the :class:`GenConfig` defaults) with the given overrides."""
-    return GenConfig(p_group=p_group, n=n, seed=seed)
 
 
 def generate_pool(cfg: GenConfig) -> Pool:

@@ -18,9 +18,14 @@ import numpy as np
 
 from . import __version__
 from .datagen import (
+    Count,
     GenConfig,
     Pool,
+    Rate,
     Seed,
+    Share,
+    Size,
+    _parse,
     check_fields,
     config_from_dict,
     config_to_dict,
@@ -51,7 +56,8 @@ STREAM_WARM = 4
 
 def derive_seed(root: int, stream: int) -> int:
     """Deterministic 64-bit sub-seed for one stream of an experiment seed."""
-    return int(np.random.SeedSequence((int(root), int(stream))).generate_state(1, np.uint64)[0])
+    entropy = (_parse(Seed, root, "root"), _parse(Count, stream, "stream"))
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
 @dataclass(frozen=True)
@@ -60,18 +66,18 @@ class ExperimentConfig:
 
     gen: GenConfig = GenConfig()
     user_weights: tuple[float, ...] = DEFAULT_USER_WEIGHTS
-    p_bias_grid: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
-    eta_grid: tuple[float, ...] = (1e-4, 1e-3, 0.01, 0.05, 0.1)
-    lambda_grid: tuple[float, ...] = (0.0, 0.1, 1.0, 10.0, 100.0)
-    warm_sample_size: int = 1000
-    warm_rounds: int = 1000
-    warm_eta: float = 0.3
-    online_rounds: int = 1000
-    snapshot_interval: int = 25
+    p_bias_grid: tuple[Share, ...] = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+    eta_grid: tuple[Rate, ...] = (1e-4, 1e-3, 0.01, 0.05, 0.1)
+    lambda_grid: tuple[Rate, ...] = (0.0, 0.1, 1.0, 10.0, 100.0)
+    warm_sample_size: Size = 1000
+    warm_rounds: Count = 1000
+    warm_eta: Rate = 0.3
+    online_rounds: Count = 1000
+    snapshot_interval: Count = 25
     seeds: tuple[Seed, ...] = (3, 5, 7, 9, 11)
-    k_list: tuple[int, ...] = (25, 100, 500, 1000)
-    sweep_eta: float = 0.01
-    alpha_a: float = 1e-3
+    k_list: tuple[Size, ...] = (25, 100, 500, 1000)
+    sweep_eta: Rate = 0.01
+    alpha_a: Rate = 1e-3
 
     def __post_init__(self):
         check_fields(self)
@@ -82,23 +88,12 @@ class ExperimentConfig:
         for name in ("p_bias_grid", "eta_grid", "lambda_grid", "seeds", "k_list"):
             if len(getattr(self, name)) == 0:
                 raise ConfigError(f"{name} must not be empty")
-        for p in self.p_bias_grid:
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"p_bias value {p} not in [0, 1]")
-        for name in ("eta_grid", "lambda_grid", "warm_eta", "sweep_eta", "alpha_a"):
-            value = getattr(self, name)
-            if min(value if isinstance(value, tuple) else (value,)) < 0.0:
-                raise ConfigError(f"{name} must be non-negative, got {value}")
-        if not 1 <= self.warm_sample_size <= self.gen.n:
+        if self.warm_sample_size > self.gen.n:
             raise ConfigError("warm_sample_size must lie in [1, pool size]")
-        if self.warm_rounds < 0 or self.online_rounds < 0:
-            raise ConfigError("round counts must be non-negative")
         if self.online_rounds > self.gen.n:
             raise ConfigError("online_rounds cannot exceed the pool size")
-        if self.snapshot_interval < 0:
-            raise ConfigError("snapshot_interval must be non-negative")
         for k in self.k_list:
-            if not 1 <= k <= self.gen.n:
+            if k > self.gen.n:
                 raise ConfigError(f"k={k} out of range for pools of {self.gen.n}")
 
 

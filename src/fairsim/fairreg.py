@@ -31,7 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .datagen import (
-    FloatArray, Pool, check_fields, feature_matrix, protected_values, read_json_keys, write_json
+    FloatArray, Pool, Rate, _parse, check_fields, feature_matrix, protected_values, read_json_keys,
+    write_json,
 )
 from .errors import ConfigError, DimensionMismatch, SingularSystemError
 from .learner import LinearModel, _perceptron_step
@@ -50,8 +51,8 @@ class FairRegularizer:
     w_a: FloatArray
     sigma_x: FloatArray
     w_reg: FloatArray
-    lam: float
-    alpha_a: float
+    lam: Rate
+    alpha_a: Rate
     _padded: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -63,10 +64,6 @@ class FairRegularizer:
             raise ConfigError("sigma_x must be symmetric")
         if not np.allclose(self.w_reg, self.sigma_x @ self.w_a, rtol=1e-9, atol=1e-12):
             raise ConfigError("w_reg must equal sigma_x @ w_a")
-        if not 0.0 <= self.lam < np.inf:
-            raise ConfigError(f"lambda must be finite and non-negative, got {self.lam}")
-        if not 0.0 <= self.alpha_a < np.inf:
-            raise ConfigError(f"alpha_a must be finite and non-negative, got {self.alpha_a}")
         padded = np.concatenate(([0.0], self.w_reg))
         padded.setflags(write=False)
         object.__setattr__(self, "_padded", padded)
@@ -116,8 +113,7 @@ def fit_auxiliary(pool: Pool, alpha_a: float = 1e-3) -> FairRegularizer:
     """
     if len(pool) < 2:
         raise ConfigError(f"need at least 2 points to fit, got {len(pool)}")
-    if not 0.0 <= alpha_a < np.inf:
-        raise ConfigError(f"alpha_a must be finite and non-negative, got {alpha_a}")
+    alpha_a = _parse(Rate, alpha_a, "alpha_a")
     features = feature_matrix(pool)
     attrs = protected_values(pool).astype(float)
     n, m = features.shape
@@ -142,8 +138,7 @@ def solve_exact(design: np.ndarray, targets: np.ndarray, reg: FairRegularizer) -
     by a direct method and reports failure if the relative residual exceeds
     ``RESIDUAL_TOLERANCE``.
     """
-    X = np.asarray(design, dtype=float)
-    y = np.asarray(targets, dtype=float)
+    X, y = _parse(FloatArray, design, "design"), _parse(FloatArray, targets, "targets")
     if X.ndim != 2 or y.ndim != 1 or X.shape[1] != y.size:
         raise DimensionMismatch(f"design {X.shape} does not match {y.size} targets")
     padded = reg.padded_direction()

@@ -17,7 +17,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .datagen import FloatArray, Seed, _parse, feature_matrix, read_json_keys, write_json
+from .datagen import (
+    Count, FloatArray, Rate, Seed, Size, _parse, feature_matrix, read_json_keys, write_json
+)
 from .errors import ConfigError, DimensionMismatch, NumericalError
 from .usermodel import LabeledPool, linear_scores
 
@@ -43,9 +45,7 @@ class LinearModel:
 
 def zero_model(m: int) -> LinearModel:
     """All-zero model for ``m`` features."""
-    if m < 1:
-        raise ConfigError(f"need at least one feature, got m={m}")
-    return LinearModel(np.zeros(m + 1))
+    return LinearModel(np.zeros(_parse(Size, m, "m") + 1))
 
 
 def augment(x) -> np.ndarray:
@@ -133,13 +133,10 @@ def warm_start(
     one perceptron step.
     """
     n = len(pool)
-    if sample_size < 1 or sample_size > n:
+    sample_size, rounds = _parse(Size, sample_size, "sample_size"), _parse(Count, rounds, "rounds")
+    eta, seed = _parse(Rate, eta, "eta"), _parse(Seed, seed, "seed")
+    if sample_size > n:
         raise ConfigError(f"sample_size {sample_size} not in [1, {n}]")
-    if rounds < 0:
-        raise ConfigError(f"rounds must be non-negative, got {rounds}")
-    if not 0.0 <= eta < np.inf:
-        raise ConfigError(f"eta must be finite and non-negative, got {eta}")
-    _parse(Seed, seed, "seed")
     rng = np.random.default_rng(seed)
     subsample = rng.permutation(n)[:sample_size]
     picks = rng.integers(0, sample_size, size=rounds)
@@ -185,12 +182,10 @@ def run_online(
     lambda exceeds ``2 / |w_reg|^2``.
     """
     n = len(pool)
-    if rounds < 0 or rounds > n:
+    rounds, eta = _parse(Count, rounds, "rounds"), _parse(Rate, eta, "eta")
+    snapshot_interval = _parse(Count, snapshot_interval, "snapshot_interval")
+    if rounds > n:
         raise ConfigError(f"rounds {rounds} not in [0, {n}]")
-    if snapshot_interval < 0:
-        raise ConfigError(f"snapshot_interval must be non-negative, got {snapshot_interval}")
-    if not 0.0 <= eta < np.inf:
-        raise ConfigError(f"eta must be finite and non-negative, got {eta}")
     features = feature_matrix(pool.pool)
     if features.shape[1] != model.weights.size - 1:
         raise DimensionMismatch("pool features do not match the model")
@@ -222,13 +217,14 @@ def run_online(
 
 def save_model(model: LinearModel, path: str | Path, round_index: int = 0) -> None:
     """Write a model as JSON: ``{"weights": [...], "round": n}``."""
-    write_json(path, {"weights": [float(w) for w in model.weights], "round": int(round_index)})
+    round_index = _parse(Count, round_index, "round_index")
+    write_json(path, {"weights": [float(w) for w in model.weights], "round": round_index})
 
 
 def load_model(path: str | Path) -> tuple[LinearModel, int]:
     """Read a model written by :func:`save_model`; returns (model, round)."""
     return read_json_keys(path, ["weights", "round"], lambda w, r: (
-        LinearModel(_parse(FloatArray, w, "model weights")), _parse(int, r, "round")
+        LinearModel(_parse(FloatArray, w, "model weights")), _parse(Count, r, "round")
     ))
 
 

@@ -28,7 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .datagen import (
-    Pool, check_fields, feature_matrix, protected_values, read_json_keys, write_json
+    Pool, Share, Size, _parse, check_fields, feature_matrix, protected_values, read_json_keys,
+    write_json,
 )
 from .errors import ConfigError, EmptyQualifiedPool
 from .usermodel import UserConfig, linear_scores
@@ -46,21 +47,16 @@ class Baseline:
     at least 1, is how many do.
     """
 
-    p_qualified: dict[int, float]
-    qualified_count: int
+    p_qualified: dict[int, Share]
+    qualified_count: Size
 
     def __post_init__(self):
         check_fields(self)
         if set(self.p_qualified) != {0, 1}:
             raise ConfigError(f"baseline groups must be [0, 1], got {sorted(self.p_qualified)}")
-        for v, p in self.p_qualified.items():
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"baseline share of group {v} must lie in [0, 1], got {p}")
         total = sum(self.p_qualified.values())
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"baseline shares must sum to 1, got {total}")
-        if self.qualified_count < 1:
-            raise ConfigError(f"qualified_count must be at least 1, got {self.qualified_count}")
 
 
 @dataclass(frozen=True)
@@ -106,7 +102,8 @@ def _qualified_share(baseline: Baseline, group: int) -> float:
 
 def skew_at_k(protected: np.ndarray, k: int, baseline: Baseline, group: int = 1) -> float:
     """Log-ratio of a group's share in the top k to its qualified share."""
-    if not 1 <= k <= len(protected):
+    k = _parse(Size, k, "k")
+    if k > len(protected):
         raise ConfigError(f"k={k} out of range for a ranking of {len(protected)}")
     p_top = int(np.count_nonzero(np.equal(protected[:k], group))) / k
     return math.log(max(p_top, EPSILON_FLOOR) / _qualified_share(baseline, group))
@@ -114,7 +111,8 @@ def skew_at_k(protected: np.ndarray, k: int, baseline: Baseline, group: int = 1)
 
 def ndcs(protected: np.ndarray, k_max: int, baseline: Baseline, group: int = 1) -> float:
     """Discount-weighted average of Skew@j over prefixes j = 1..k_max."""
-    if not 1 <= k_max <= len(protected):
+    k_max = _parse(Size, k_max, "k_max")
+    if k_max > len(protected):
         raise ConfigError(f"k_max={k_max} out of range for a ranking of {len(protected)}")
     prefix = np.arange(1, k_max + 1, dtype=float)
     p_top = np.cumsum(np.equal(protected[:k_max], group)) / prefix
@@ -125,7 +123,8 @@ def ndcs(protected: np.ndarray, k_max: int, baseline: Baseline, group: int = 1) 
 
 def precision_at_k(labels: np.ndarray, k: int) -> float:
     """Fraction of the top k the user accepts; ``labels`` follow ranking order."""
-    if not 1 <= k <= len(labels):
+    k = _parse(Size, k, "k")
+    if k > len(labels):
         raise ConfigError(f"k={k} out of range for a ranking of {len(labels)}")
     return int(np.sum(labels[:k])) / k
 

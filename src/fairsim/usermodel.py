@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .datagen import (
-    BinaryArray, Pool, Seed, check_fields, feature_matrix, protected_values, read_columns,
+    BinaryArray, Pool, Seed, Share, check_fields, feature_matrix, protected_values, read_columns,
     write_columns,
 )
 from .errors import ConfigError, DimensionMismatch
@@ -30,14 +30,12 @@ class UserConfig:
     independent of pool generation.
     """
 
-    p_bias: float
+    p_bias: Share
     weights: tuple[float, ...]
     seed: Seed
 
     def __post_init__(self):
         check_fields(self)
-        if not 0.0 <= self.p_bias <= 1.0:
-            raise ConfigError(f"p_bias must lie in [0, 1], got {self.p_bias}")
         if len(self.weights) < 2:
             raise ConfigError("weights must hold an intercept plus at least one coefficient")
 

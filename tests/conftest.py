@@ -3,7 +3,7 @@ import sys
 import pytest
 from hypothesis import settings
 
-from fairsim import default_config, default_user, generate_pool, label_pool
+from fairsim import GenConfig, default_user, generate_pool, label_pool
 
 # `pytest --hypothesis-profile=ci` (the CI tier-1 step) draws the same examples
 # on every run, so a tie-heavy case that fails once fails again.
@@ -38,7 +38,7 @@ def rewrite_cell():
 @pytest.fixture(scope="session")
 def tiny_pool():
     """Sixty candidates, enough for ranking and fitting without being slow."""
-    return generate_pool(default_config(n=60, seed=123))
+    return generate_pool(GenConfig(n=60, seed=123))
 
 
 @pytest.fixture(scope="session")

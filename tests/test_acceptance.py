@@ -22,9 +22,9 @@ from scipy import stats
 
 from fairsim import (
     ExperimentConfig,
+    GenConfig,
     Pool,
     compute_baseline,
-    default_config,
     default_user,
     derive_seed,
     feature_matrix,
@@ -92,7 +92,7 @@ def online_pools():
 
 def test_criterion_01_metric_oracle_equivalence():
     user = default_user(0.0)
-    base_pool = generate_pool(default_config(n=12, seed=2))
+    base_pool = generate_pool(GenConfig(n=12, seed=2))
     order = np.argsort(-linear_scores(feature_matrix(base_pool), user.weights), kind="stable")
     features = feature_matrix(base_pool)[order]
 
@@ -225,7 +225,7 @@ def test_criterion_08_fairness_precision_tradeoff(sweep_results):
 
 
 def test_criterion_09_solver_consistency():
-    pool = generate_pool(default_config(n=200, seed=31))
+    pool = generate_pool(GenConfig(n=200, seed=31))
     feats = feature_matrix(pool)
     design = np.vstack([np.ones(len(feats)), feats.T])
     targets = linear_scores(feats, default_user(0.0).weights) >= 0.0
@@ -277,7 +277,7 @@ def test_criterion_10_orthogonality(sweep_results, online_pools):
 
 
 def test_criterion_11_auxiliary_model_sanity():
-    held_out = generate_pool(default_config(n=2000, seed=999))
+    held_out = generate_pool(GenConfig(n=2000, seed=999))
     held_feats = feature_matrix(held_out)
     held_attrs = protected_values(held_out)
     worst = 1.0

@@ -288,7 +288,7 @@ def test_cli_import_leaves_the_process_pool_unloaded():
 
 def test_cli_error_exits(tmp_path, capsys):
     assert main(["generate", "--n", "0", "--out", str(tmp_path / "x.csv")]) == 1
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: n must be at least 1, got 0\n"
     assert main(
         ["label", "--pool", str(tmp_path / "missing.csv"), "--p-bias", "0.0",
          "--out", str(tmp_path / "y.csv")]
@@ -333,7 +333,7 @@ def test_cli_error_exits(tmp_path, capsys):
     truncated = tmp_path / "truncated.json"
     truncated.write_text('{"weights": [')
     truncated_error = f"error: {truncated}: Expecting value: line 1 column 14 (char 13)\n"
-    bad_eta = "error: eta must be finite and non-negative, got "
+    bad_eta = "error: eta must be at least 0, got "
     # Finite bounds whose span hi - lo overflows, which numpy's draw cannot take.
     wide_json = tmp_path / "wide.json"
     wide_json.write_text(json.dumps(
@@ -351,7 +351,7 @@ def test_cli_error_exits(tmp_path, capsys):
         (["online", "--model", str(good_model), "--pool", str(labeled_csv), "--lambda", "nan",
           "--out", str(tmp_path / "m.json")], "error: lam must be a finite number, got nan\n"),
         (["metrics", "--ranking", str(pool_csv), "--baseline", str(bad_shares), "--k", "5"],
-         "bad_shares.json: baseline share of group 1"),
+         "bad_shares.json: p_qualified[1] must lie in [0, 1], got 7.0\n"),
         (["metrics", "--ranking", str(pool_csv), "--baseline", str(short_shares), "--k", "5"],
          "short_shares.json: baseline shares must sum to 1"),
         (["metrics", "--ranking", str(pool_csv), "--baseline", str(half_count), "--k", "5"],
@@ -366,11 +366,24 @@ def test_cli_error_exits(tmp_path, capsys):
           "--out", str(tmp_path / "w.json")], f"{bad_eta}-1.0\n"),
         (["warm", "--pool", str(labeled_csv), "--sample-size", "5", "--seed", "-1",
           "--out", str(tmp_path / "w.json")],
-         "error: seed must be a 64-bit unsigned integer, got -1\n"),
+         "error: seed must lie in [0, 18446744073709551615], got -1\n"),
         (["online", "--model", str(good_model), "--pool", str(labeled_csv), "--rounds", "5",
           "--eta", "-0.5", "--out", str(tmp_path / "m.json")], f"{bad_eta}-0.5\n"),
         (["online", "--model", str(good_model), "--pool", str(labeled_csv), "--rounds", "5",
-          "--eta", "nan", "--out", str(tmp_path / "m.json")], f"{bad_eta}nan\n"),
+          "--eta", "nan", "--out", str(tmp_path / "m.json")],
+         "error: eta must be a finite number, got nan\n"),
+        (["online", "--model", str(good_model), "--pool", str(labeled_csv), "--rounds", "-1",
+          "--out", str(tmp_path / "m.json")], "error: rounds must be at least 0, got -1\n"),
+        (["generate", "--p-group", "1.5", "--out", str(tmp_path / "g.csv")],
+         "error: p_group must lie in [0, 1], got 1.5\n"),
+        (["label", "--pool", str(pool_csv), "--p-bias", "2", "--out", str(tmp_path / "l.csv")],
+         "error: p_bias must lie in [0, 1], got 2.0\n"),
+        (["metrics", "--ranking", str(pool_csv), "--baseline", str(baseline_json), "--k", "0"],
+         "error: k must be at least 1, got 0\n"),
+        (["metrics", "--ranking", str(pool_csv), "--baseline", str(baseline_json),
+          "--ndcs-k", "0"], "error: k_max must be at least 1, got 0\n"),
+        (["sweep", "--eta", "-1", "--out", str(tmp_path / "out")],
+         "error: eta_grid[0] must be at least 0, got -1.0\n"),
         (["sweep", "--config", str(truncated), "--out", str(tmp_path / "out")], truncated_error),
         (["generate", "--config", str(truncated), "--out", str(tmp_path / "t.csv")],
          truncated_error),
@@ -385,3 +398,13 @@ def test_cli_error_exits(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err and "Traceback" not in err
         assert len(err.splitlines()) == 1, err
+
+
+def test_online_has_no_snapshot_flag(tmp_path, capsys):
+    # Snapshots feed only the evolve experiment; the online command never wrote them.
+    argv = ["online", "--model", "m.json", "--pool", "p.csv", "--out", str(tmp_path / "o.json"),
+            "--snapshot-interval", "5"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "error: unrecognized arguments: --snapshot-interval 5\n" in capsys.readouterr().err

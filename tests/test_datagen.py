@@ -9,7 +9,6 @@ from fairsim import (
     Pool,
     ProxyDist,
     Uniform,
-    default_config,
     feature_matrix,
     generate_pool,
     load_pool,
@@ -31,26 +30,26 @@ GOLDEN_FEATURES = [
 
 
 def test_golden_draw_is_stable():
-    pool = generate_pool(default_config(n=6, seed=2024))
+    pool = generate_pool(GenConfig(n=6, seed=2024))
     assert list(protected_values(pool)) == GOLDEN_PROTECTED
     np.testing.assert_array_equal(feature_matrix(pool), np.array(GOLDEN_FEATURES))
 
 
 def test_same_seed_same_pool():
-    a = generate_pool(default_config(n=50, seed=9))
-    b = generate_pool(default_config(n=50, seed=9))
+    a = generate_pool(GenConfig(n=50, seed=9))
+    b = generate_pool(GenConfig(n=50, seed=9))
     np.testing.assert_array_equal(feature_matrix(a), feature_matrix(b))
     np.testing.assert_array_equal(protected_values(a), protected_values(b))
 
 
 def test_different_seeds_differ():
-    a = generate_pool(default_config(n=50, seed=9))
-    b = generate_pool(default_config(n=50, seed=10))
+    a = generate_pool(GenConfig(n=50, seed=9))
+    b = generate_pool(GenConfig(n=50, seed=10))
     assert not np.array_equal(feature_matrix(a), feature_matrix(b))
 
 
 def test_default_pool_statistics():
-    pool = generate_pool(default_config(seed=0))
+    pool = generate_pool(GenConfig(seed=0))
     feats = feature_matrix(pool)
     attrs = protected_values(pool)
     assert len(pool) == 12000
@@ -68,13 +67,13 @@ def test_default_pool_statistics():
 
 
 def test_proxies_are_not_clipped():
-    feats = feature_matrix(generate_pool(default_config(seed=0)))
+    feats = feature_matrix(generate_pool(GenConfig(seed=0)))
     assert feats[:, 1].min() < 0.0
     assert feats[:, 2].min() < 0.0
 
 
 def test_pool_columns_are_read_only():
-    pool = generate_pool(default_config(n=3, seed=1))
+    pool = generate_pool(GenConfig(n=3, seed=1))
     with pytest.raises(ValueError):
         pool.features[0, 0] = 99.0
     with pytest.raises(ValueError):
@@ -83,9 +82,9 @@ def test_pool_columns_are_read_only():
 
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
-        default_config(p_group=1.5)
+        GenConfig(p_group=1.5)
     with pytest.raises(ConfigError):
-        default_config(n=0)
+        GenConfig(n=0)
     with pytest.raises(ConfigError):
         Uniform(1.0, 0.0)
     for lo, hi in ((-np.inf, 0.0), (0.0, np.nan), (np.inf, np.inf)):
@@ -163,7 +162,7 @@ def test_load_pool_rejects_foreign_header(tmp_path):
 
 
 def test_config_dict_roundtrip():
-    cfg = default_config(p_group=0.25, n=77, seed=5)
+    cfg = GenConfig(p_group=0.25, n=77, seed=5)
     again = gen_config_from_dict(config_to_dict(cfg))
     assert again == cfg
 

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from fairsim import (
     ConfigError,
     ExperimentConfig,
+    GenConfig,
     build_seed_context,
-    default_config,
     derive_seed,
     evaluate_ranking,
     experiment_config_from_dict,
@@ -32,7 +33,7 @@ from fairsim.metrics import CSV_FIELDS
 
 def tiny_config(**overrides):
     base = dict(
-        gen=default_config(n=60),
+        gen=GenConfig(n=60),
         p_bias_grid=(0.0, 1.0),
         eta_grid=(0.0, 0.05),
         lambda_grid=(0.0, 1.0),
@@ -61,6 +62,15 @@ def test_derive_seed_matches_seed_sequence_and_separates_streams():
     derived = [derive_seed(8, s) for s in streams]
     assert len(set(derived)) == len(streams)
     assert derive_seed(9, STREAM_WARM) != derive_seed(8, STREAM_WARM)
+    assert derive_seed(np.uint64(8), np.int8(STREAM_WARM)) == want
+    for root, stream, problem in (
+        (3.9, 0, "root must be an integer, got 3.9"),
+        (-1, 0, "root must lie in [0, 18446744073709551615], got -1"),
+        (3, True, "stream must be an integer, got True"),
+        (3, -1, "stream must be at least 0, got -1"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{re.escape(problem)}$"):
+            derive_seed(root, stream)
 
 
 def test_build_seed_context_contents():
@@ -220,7 +230,21 @@ def test_config_dict_defaults_and_validation():
         ({"k_list": [25.0]}, r"\.k_list\[0\] must be an integer"),
         ({"online_rounds": True}, r"\.online_rounds must be an integer"),
         ({"gen": {"n": 12.5}}, r"\.gen\.n must be an integer"),
-        ({"gen": {"n": 0}}, r"experiment config\.gen: pool size must be positive"),
+        ({"gen": {"n": 0}}, r"^experiment config\.gen\.n must be at least 1, got 0$"),
+        ({"gen": {"p_group": 1.5}},
+         r"^experiment config\.gen\.p_group must lie in \[0, 1\], got 1\.5$"),
+        ({"p_bias_grid": [0.5, 2.0]},
+         r"^experiment config\.p_bias_grid\[1\] must lie in \[0, 1\], got 2\.0$"),
+        ({"eta_grid": [-0.5]}, r"^experiment config\.eta_grid\[0\] must be at least 0, got -0\.5$"),
+        ({"alpha_a": -1}, r"^experiment config\.alpha_a must be at least 0, got -1\.0$"),
+        ({"online_rounds": -1}, r"^experiment config\.online_rounds must be at least 0, got -1$"),
+        ({"snapshot_interval": -1},
+         r"^experiment config\.snapshot_interval must be at least 0, got -1$"),
+        ({"warm_sample_size": 0},
+         r"^experiment config\.warm_sample_size must be at least 1, got 0$"),
+        ({"k_list": [0]}, r"^experiment config\.k_list\[0\] must be at least 1, got 0$"),
+        ({"seeds": [-1]},
+         r"^experiment config\.seeds\[0\] must lie in \[0, 18446744073709551615\], got -1$"),
         ({"gen": {"harmless_dists": [{"kind": "uniform", "lo": 1.0, "hi": 0.0}]}},
          r"experiment config\.gen\.harmless_dists\[0\]: uniform bounds"),
     ):

@@ -1,4 +1,6 @@
 import json
+import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,11 +9,11 @@ from fairsim import (
     ConfigError,
     DimensionMismatch,
     FairRegularizer,
+    GenConfig,
     LinearModel,
     NumericalError,
     Pool,
     SingularSystemError,
-    default_config,
     derive_seed,
     feature_matrix,
     fit_auxiliary,
@@ -66,10 +68,28 @@ def test_fit_auxiliary_direction_tracks_the_attribute(tiny_pool):
 def test_fit_auxiliary_argument_errors(tiny_pool):
     with pytest.raises(ConfigError):
         fit_auxiliary(Pool(tiny_pool.features[:1], tiny_pool.protected[:1]))
-    for alpha_a in (-1.0, np.nan, np.inf):
-        problem = f"^alpha_a must be finite and non-negative, got {alpha_a}$"
-        with pytest.raises(ConfigError, match=problem):
-            fit_auxiliary(tiny_pool, alpha_a=alpha_a)
+    reg = fit_auxiliary(tiny_pool)
+    design = np.vstack([np.ones(len(tiny_pool)), tiny_pool.features.T])
+    nan_design = design.copy()
+    nan_design[1, 3] = np.nan
+    targets = np.ones(len(tiny_pool))
+    inf_targets = np.concatenate((targets[:-1], [np.inf]))
+    fit = partial(fit_auxiliary, tiny_pool)
+    for call, error, problem in (
+        (partial(fit, alpha_a=-1.0), ConfigError, "alpha_a must be at least 0, got -1.0"),
+        (partial(fit, alpha_a=np.nan), ConfigError, "alpha_a must be a finite number, got nan"),
+        (partial(fit, alpha_a=np.inf), ConfigError, "alpha_a must be a finite number, got inf"),
+        (partial(fit, alpha_a=True), ConfigError, "alpha_a must be a finite number, got True"),
+        # Parsed before the solve, whose error path would take a condition number of NaNs.
+        (partial(solve_exact, nan_design, targets, reg), NumericalError,
+         "design[1, 3] must be finite, got nan"),
+        (partial(solve_exact, design, inf_targets, reg), NumericalError,
+         "targets[59] must be finite, got inf"),
+        (partial(solve_exact, design > 0.5, targets, reg), ConfigError,
+         "design must hold real numbers, got bool entries"),
+    ):
+        with pytest.raises(error, match=f"^{re.escape(problem)}$"):
+            call()
 
 
 def test_regularizer_consistency_checks():
@@ -89,7 +109,7 @@ def test_regularizer_consistency_checks():
             lam=0.0,
             alpha_a=0.0,
         )
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^lam must be at least 0, got -0\.5$"):
         _make_reg([1.0, 0.0], lam=-0.5)
     with pytest.raises(DimensionMismatch):
         FairRegularizer(
@@ -105,7 +125,7 @@ def test_regularizer_consistency_checks():
         (lambda: FairRegularizer(w_a=[1.0], sigma_x=[["1"]], w_reg=[1.0], lam=0.0, alpha_a=0.0),
          ConfigError, "^sigma_x must hold real numbers, got <U1 entries$"),
         (lambda: FairRegularizer(w_a=[1.0], sigma_x=[[1.0]], w_reg=[1.0], lam=0.0, alpha_a=-1e-3),
-         ConfigError, "^alpha_a must be finite and non-negative, got -0.001$"),
+         ConfigError, "^alpha_a must be at least 0, got -0.001$"),
     ):
         with pytest.raises(error, match=problem):
             build()
@@ -218,7 +238,7 @@ def test_penalty_contracts_the_aligned_component_geometrically():
 
 def test_run_online_rejects_lambda_past_the_stability_limit(tiny_labeled):
     # Seed 3's fair pool gives |w_reg|^2 = 0.01106, so the online limit is about 180.8.
-    fair_pool = generate_pool(default_config(seed=derive_seed(3, STREAM_FAIR_POOL)))
+    fair_pool = generate_pool(GenConfig(seed=derive_seed(3, STREAM_FAIR_POOL)))
     reg = fit_auxiliary(fair_pool, alpha_a=1e-3)
     model = zero_model(3)
     run_online(model, tiny_labeled, 10, eta=0.01, regularizer=reg.with_strength(180.0))

@@ -8,11 +8,11 @@ import pytest
 from fairsim import (
     ConfigError,
     DimensionMismatch,
+    GenConfig,
     LabeledPool,
     LinearModel,
     Pool,
     NumericalError,
-    default_config,
     default_user,
     feature_matrix,
     fit_auxiliary,
@@ -53,6 +53,7 @@ def test_model_validation(tmp_path, tiny_labeled):
         ({"weights": [0.5, 1e999], "round": 0}, NumericalError,
          r"model weights\[1\] must be finite, got inf"),
         ({"weights": [0.5, 1.0], "round": 2.5}, ConfigError, "round must be an integer, got 2.5"),
+        ({"weights": [0.5, 1.0], "round": -1}, ConfigError, "round must be at least 0, got -1"),
     ):
         path.write_text(json.dumps(payload))
         with pytest.raises(error, match=rf"^{re.escape(str(path))}: {problem}$"):
@@ -61,25 +62,42 @@ def test_model_validation(tmp_path, tiny_labeled):
     warm = partial(warm_start, tiny_labeled, 10, 5)
     online = partial(run_online, zero_model(3), tiny_labeled, 5)
     for build in (warm, online):
-        for eta in (-1.0, -0.5, np.nan, np.inf):
-            problem = f"^eta must be finite and non-negative, got {eta}$"
-            with pytest.raises(ConfigError, match=problem):
+        for eta, problem in (
+            (-1.0, "eta must be at least 0, got -1.0"),
+            (-0.5, "eta must be at least 0, got -0.5"),
+            (np.nan, "eta must be a finite number, got nan"),
+            (np.inf, "eta must be a finite number, got inf"),
+            (True, "eta must be a finite number, got True"),
+        ):
+            with pytest.raises(ConfigError, match=f"^{problem}$"):
                 build(eta=eta)
         build(eta=0.0)
-    for seed, problem in (
-        (-1, "seed must be a 64-bit unsigned integer, got -1"),
-        (2**64, "seed must be a 64-bit unsigned integer, got 18446744073709551616"),
-        (1.5, "seed must be an integer, got 1.5"),
-        (True, "seed must be an integer, got True"),
+    seed_bound = "seed must lie in [0, 18446744073709551615]"
+    saved = tmp_path / "saved.json"
+    for call, problem in (
+        (partial(warm, seed=-1), f"{seed_bound}, got -1"),
+        (partial(warm, seed=2**64), f"{seed_bound}, got 18446744073709551616"),
+        (partial(warm, seed=1.5), "seed must be an integer, got 1.5"),
+        (partial(warm, seed=True), "seed must be an integer, got True"),
+        (partial(warm_start, tiny_labeled, 5.5), "sample_size must be an integer, got 5.5"),
+        (partial(online, eta=0.1, snapshot_interval=2.5),
+         "snapshot_interval must be an integer, got 2.5"),
+        (partial(run_online, zero_model(3), tiny_labeled, 2.5, 0.1),
+         "rounds must be an integer, got 2.5"),
+        (partial(zero_model, 2.5), "m must be an integer, got 2.5"),
+        (partial(zero_model, 0), "m must be at least 1, got 0"),
+        (partial(save_model, zero_model(3), saved, 2.5), "round_index must be an integer, got 2.5"),
+        (partial(save_model, zero_model(3), saved, -1), "round_index must be at least 0, got -1"),
     ):
-        with pytest.raises(ConfigError, match=f"^{problem}$"):
-            warm_start(tiny_labeled, 10, 5, seed=seed)
+        with pytest.raises(ConfigError, match=f"^{re.escape(problem)}$"):
+            call()
+    assert not saved.exists()
     warm_start(tiny_labeled, 10, 5, seed=np.uint64(2**64 - 1))
     model = LinearModel(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         model.weights[0] = 5.0
     # A step takes one 1-D feature vector, never a batch or a scalar.
-    reg = fit_auxiliary(generate_pool(default_config(n=20, seed=1))).with_strength(1.0)
+    reg = fit_auxiliary(generate_pool(GenConfig(n=20, seed=1))).with_strength(1.0)
     for x in (np.zeros((1, 3)), np.zeros(()), np.zeros(2)):
         with pytest.raises(DimensionMismatch):
             perceptron_update(zero_model(3), x, 1, 0.1)
@@ -160,7 +178,7 @@ def test_warm_start_scale_invariance(tiny_labeled):
 
 def test_warm_start_learns_the_fair_rule():
     # pinned full-scale case: high accuracy on the training subsample
-    pool = generate_pool(default_config(seed=10))
+    pool = generate_pool(GenConfig(seed=10))
     labeled = label_pool(pool, default_user(0.0, seed=110))
     model = warm_start(labeled, sample_size=1000, rounds=1000, seed=1)
     rng = np.random.default_rng(1)

@@ -84,6 +84,19 @@ def test_k_range_errors():
         skew_at_k(ranking, 1, baseline, group=2)
     with pytest.raises(ConfigError, match="group 2"):
         ndcs(ranking, 1, baseline, group=2)
+    # Cutoffs parse as integers of at least 1; a bool or a float is neither.
+    for call, problem in (
+        (lambda: skew_at_k(ranking, True, baseline), "k must be an integer, got True"),
+        (lambda: skew_at_k(ranking, 1.5, baseline), "k must be an integer, got 1.5"),
+        (lambda: skew_at_k(ranking, 0, baseline), "k must be at least 1, got 0"),
+        (lambda: precision_at_k([1, 0], True), "k must be an integer, got True"),
+        (lambda: ndcs(ranking, 2.5, baseline), "k_max must be an integer, got 2.5"),
+        (lambda: ndcs(ranking, 0, baseline), "k_max must be at least 1, got 0"),
+        (lambda: evaluate_ranking(ranking, [1, 0], baseline, k_list=[2.5], ndcs_k_max=2),
+         "k must be an integer, got 2.5"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{re.escape(problem)}$"):
+            call()
 
 
 def test_precision_hand_values():
@@ -158,9 +171,9 @@ def test_baseline_roundtrip(tmp_path, tiny_pool, fair_user):
     assert set(loaded.p_qualified) == {0, 1}
     assert Baseline(p_qualified={0: 0.7, 1: 0.3}, qualified_count=np.int64(3)).qualified_count == 3
     for shares, count, problem in (
-        ({0: 0.5, 1: 7.0}, 10, "share of group 1"),
-        ({0: 0.5, 1: 0.5}, -3, "qualified_count"),
-        ({0: 0.5, 1: 0.5}, 0, "qualified_count"),
+        ({0: 0.5, 1: 7.0}, 10, r"p_qualified\[1\] must lie in \[0, 1\], got 7\.0$"),
+        ({0: 0.5, 1: 0.5}, -3, "qualified_count must be at least 1, got -3$"),
+        ({0: 0.5, 1: 0.5}, 0, "qualified_count must be at least 1, got 0$"),
         ({0: 1.0}, 10, "baseline groups"),
         ({0: 0.5, 1: 0.5, 2: 0.0}, 10, "baseline groups"),
         ({0: 0.2, 1: 0.2}, 5, "sum to 1"),

@@ -1,9 +1,11 @@
 """Property tests: CSV and config round trips, the zero-copy column accessors,
-the array type rules, the exact ranking order, the online step's expressions
-pinned bit for bit, and the algebraic invariants of the online steps and of
-Skew@k."""
+the array type rules, the bounded scalar annotations, the exact ranking order,
+the online step's expressions pinned bit for bit, and the algebraic invariants
+of the online steps and of Skew@k."""
 
 import json
+import re
+import sys
 from functools import partial
 from unittest import mock
 
@@ -37,7 +39,10 @@ from fairsim import (
     score_all,
     skew_at_k,
 )
-from fairsim.datagen import BinaryArray, FloatArray, _parse, config_to_dict, gen_config_from_dict
+from fairsim.datagen import (
+    BOUNDS, BinaryArray, Count, FloatArray, Rate, Seed, Share, Size, _parse, config_to_dict,
+    gen_config_from_dict,
+)
 from fairsim.learner import _perceptron_step
 from fairsim.usermodel import linear_scores
 
@@ -129,6 +134,41 @@ def test_array_rules_keep_read_only_copies_and_reject_bad_entries(raw, binary):
         np.testing.assert_array_equal(got, raw)
         assert not got.flags.writeable and not np.shares_memory(got, raw)
     assert raw.flags.writeable and _same_bits(raw, before)
+
+
+# Per bounded annotation: base type, inclusive endpoints (None: unbounded) and how the bound reads.
+BOUND_RULES = {
+    Seed: (int, 0, 2**64 - 1, "lie in [0, 18446744073709551615]"),
+    Count: (int, 0, None, "be at least 0"),
+    Size: (int, 1, None, "be at least 1"),
+    Share: (float, 0.0, 1.0, "lie in [0, 1]"),
+    Rate: (float, 0.0, None, "be at least 0"),
+}
+
+
+@settings(deadline=None, max_examples=200)
+@given(annotation=st.sampled_from(list(BOUND_RULES)), path=st.sampled_from(["n", "gen.seeds[2]"]),
+       data=st.data())
+def test_bounded_annotations_parse_their_range_and_name_the_path(annotation, path, data):
+    assert set(BOUND_RULES) == set(BOUNDS)
+    base, low, high, bound = BOUND_RULES[annotation]
+    top = high if high is not None else 2**64 - 1 if base is int else sys.float_info.max
+    numbers = st.integers(low, top) if base is int else st.floats(low, top)
+    value = data.draw(st.sampled_from([low, top]) | numbers)
+    scalar = data.draw(st.sampled_from([int, np.uint64] if base is int else [float, np.float64]))
+    got = _parse(annotation, scalar(value), path)
+    assert type(got) is base and got == value
+    below = low - 1 if base is int else np.nextafter(low, -np.inf)
+    above = [] if high is None else [high + 1 if base is int else np.nextafter(high, np.inf)]
+    for bad in [below, *above]:
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path} must {bound}, got {bad}')}$"):
+            _parse(annotation, bad, path)
+    # A float for an integer kind, bools and non-finite values fail on the base type.
+    wrong = [True, False, np.nan, np.inf, -np.inf] + ([float(value)] if base is int else [])
+    base_error = f"^{re.escape(path)} must be (an integer|a finite number), got "
+    for bad in wrong:
+        with pytest.raises(ConfigError, match=base_error):
+            _parse(annotation, bad, path)
 
 
 @st.composite
