@@ -44,12 +44,10 @@ from .learner import (
     OnlineTrace,
     load_model,
     perceptron_update,
-    predict,
     rank_by_model,
     run_online,
     save_model,
     save_trace,
-    score,
     score_all,
     warm_start,
     zero_model,
@@ -87,69 +85,3 @@ from .experiments import (
     write_results,
 )
 
-__all__ = [
-    "__version__",
-    "FairsimError",
-    "ConfigError",
-    "DimensionMismatch",
-    "NumericalError",
-    "SingularSystemError",
-    "EmptyQualifiedPool",
-    "Uniform",
-    "Normal",
-    "ProxyDist",
-    "GenConfig",
-    "Pool",
-    "generate_pool",
-    "feature_matrix",
-    "protected_values",
-    "save_pool",
-    "load_pool",
-    "DEFAULT_USER_WEIGHTS",
-    "UserConfig",
-    "LabeledPool",
-    "default_user",
-    "label_pool",
-    "linear_scores",
-    "save_labeled",
-    "load_labeled",
-    "LinearModel",
-    "OnlineTrace",
-    "zero_model",
-    "score",
-    "score_all",
-    "predict",
-    "rank_by_model",
-    "perceptron_update",
-    "warm_start",
-    "run_online",
-    "save_model",
-    "load_model",
-    "save_trace",
-    "FairRegularizer",
-    "fit_auxiliary",
-    "solve_exact",
-    "regularized_update",
-    "save_regularizer",
-    "load_regularizer",
-    "EPSILON_FLOOR",
-    "Baseline",
-    "MetricsReport",
-    "compute_baseline",
-    "skew_at_k",
-    "ndcs",
-    "precision_at_k",
-    "evaluate_ranking",
-    "report_rows",
-    "save_baseline",
-    "load_baseline",
-    "ExperimentConfig",
-    "RunResult",
-    "derive_seed",
-    "experiment_config_from_dict",
-    "build_seed_context",
-    "run_final_eval",
-    "run_evolution",
-    "run_reg_sweep",
-    "write_results",
-]

@@ -33,9 +33,10 @@ Count = NewType("Count", int)
 Size = NewType("Size", int)
 Share = NewType("Share", float)
 Rate = NewType("Rate", float)
+Group = NewType("Group", int)  # a protected value
 # Each bounded annotation: its base type, then inclusive bounds (None: no upper bound).
 BOUNDS = {Seed: (int, 0, 2**64 - 1), Count: (int, 0, None), Size: (int, 1, None),
-          Share: (float, 0, 1), Rate: (float, 0, None)}
+          Share: (float, 0, 1), Rate: (float, 0, None), Group: (int, 0, 1)}
 
 
 def check_fields(record) -> None:

@@ -46,6 +46,8 @@ class FairRegularizer:
     """Fitted penalty: auxiliary direction, feature covariance, and strength.
 
     Immutable after construction; use :meth:`with_strength` to change lambda.
+    ``padded_direction`` is ``w_reg`` with a zero prepended so the intercept is
+    never penalized, built once as a read-only array.
     """
 
     w_a: FloatArray
@@ -53,7 +55,7 @@ class FairRegularizer:
     w_reg: FloatArray
     lam: Rate
     alpha_a: Rate
-    _padded: np.ndarray = field(init=False, repr=False)
+    padded_direction: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         check_fields(self)
@@ -66,22 +68,11 @@ class FairRegularizer:
             raise ConfigError("w_reg must equal sigma_x @ w_a")
         padded = np.concatenate(([0.0], self.w_reg))
         padded.setflags(write=False)
-        object.__setattr__(self, "_padded", padded)
-
-    @property
-    def m(self) -> int:
-        return self.w_a.size
+        object.__setattr__(self, "padded_direction", padded)
 
     def with_strength(self, lam: float) -> "FairRegularizer":
         """Same fitted directions with a different penalty strength."""
         return replace(self, lam=lam)
-
-    def padded_direction(self) -> np.ndarray:
-        """``w_reg`` with a zero prepended so the intercept is never penalized.
-
-        Built once per regularizer; every call returns the same read-only array.
-        """
-        return self._padded
 
 
 def _solve_reported(A: np.ndarray, b: np.ndarray, context: str) -> np.ndarray:
@@ -141,7 +132,7 @@ def solve_exact(design: np.ndarray, targets: np.ndarray, reg: FairRegularizer) -
     X, y = _parse(FloatArray, design, "design"), _parse(FloatArray, targets, "targets")
     if X.ndim != 2 or y.ndim != 1 or X.shape[1] != y.size:
         raise DimensionMismatch(f"design {X.shape} does not match {y.size} targets")
-    padded = reg.padded_direction()
+    padded = reg.padded_direction
     if padded.size != X.shape[0]:
         raise DimensionMismatch(
             f"design has {X.shape[0]} rows but the regularizer expects {padded.size}"
@@ -163,10 +154,10 @@ def regularized_update(
     """
     w = model.weights
     new = _perceptron_step(w, x, y, eta)
-    if reg.m != w.size - 1:
+    if reg.w_a.size != w.size - 1:
         raise DimensionMismatch("regularizer direction does not match model width")
     if reg.lam != 0.0:
-        padded = reg.padded_direction()
+        padded = reg.padded_direction
         aligned = float(w.dot(padded))
         if aligned != 0.0:
             new = new - (reg.lam * aligned) * padded

@@ -59,22 +59,9 @@ def augment(x) -> np.ndarray:
     return xa
 
 
-def score(model: LinearModel, x) -> float:
-    """Score one candidate: ``w0 + w . x``."""
-    xv = np.asarray(x, dtype=float)
-    if xv.ndim != 1 or xv.size != model.weights.size - 1:
-        raise DimensionMismatch(f"feature vector of size {xv.size} does not match model")
-    return float(model.weights[0] + model.weights[1:] @ xv)
-
-
 def score_all(model: LinearModel, features: np.ndarray) -> np.ndarray:
     """Score every row of an (n, m) feature matrix."""
     return linear_scores(features, model.weights)
-
-
-def predict(model: LinearModel, x) -> int:
-    """Step-function prediction: 1 if the score is non-negative, else 0."""
-    return 1 if score(model, x) >= 0.0 else 0
 
 
 def rank_by_model(model: LinearModel, features: np.ndarray) -> np.ndarray:

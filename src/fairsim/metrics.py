@@ -28,8 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .datagen import (
-    Pool, Share, Size, _parse, check_fields, feature_matrix, protected_values, read_json_keys,
-    write_json,
+    Group, Pool, Share, Size, _parse, check_fields, feature_matrix, protected_values,
+    read_json_keys, write_json,
 )
 from .errors import ConfigError, EmptyQualifiedPool
 from .usermodel import UserConfig, linear_scores
@@ -95,14 +95,12 @@ def compute_baseline(pool: Pool, fair_user: UserConfig) -> Baseline:
 
 def _qualified_share(baseline: Baseline, group: int) -> float:
     """The baseline share of ``group``, floored at ``EPSILON_FLOOR``."""
-    if group not in baseline.p_qualified:
-        raise ConfigError(f"group {group} has no share in the baseline")
     return max(baseline.p_qualified[group], EPSILON_FLOOR)
 
 
 def skew_at_k(protected: np.ndarray, k: int, baseline: Baseline, group: int = 1) -> float:
     """Log-ratio of a group's share in the top k to its qualified share."""
-    k = _parse(Size, k, "k")
+    k, group = _parse(Size, k, "k"), _parse(Group, group, "group")
     if k > len(protected):
         raise ConfigError(f"k={k} out of range for a ranking of {len(protected)}")
     p_top = int(np.count_nonzero(np.equal(protected[:k], group))) / k
@@ -111,7 +109,7 @@ def skew_at_k(protected: np.ndarray, k: int, baseline: Baseline, group: int = 1)
 
 def ndcs(protected: np.ndarray, k_max: int, baseline: Baseline, group: int = 1) -> float:
     """Discount-weighted average of Skew@j over prefixes j = 1..k_max."""
-    k_max = _parse(Size, k_max, "k_max")
+    k_max, group = _parse(Size, k_max, "k_max"), _parse(Group, group, "group")
     if k_max > len(protected):
         raise ConfigError(f"k_max={k_max} out of range for a ranking of {len(protected)}")
     prefix = np.arange(1, k_max + 1, dtype=float)
@@ -140,6 +138,7 @@ def evaluate_ranking(
     """Build a full report for one ranking; ``protected`` and ``labels`` follow rank order."""
     if len(protected) != len(labels):
         raise ConfigError("protected values and labels must have equal length")
+    group = _parse(Group, group, "group")
     skew_values: dict[int, float] = {}
     precision_values: dict[int, float] = {}
     counts: dict[int, int] = {}

@@ -76,23 +76,27 @@ def auc_oracle(scores, flags):
     return wins / (len(pos) * len(neg))
 
 
-def greedy_online_oracle(model, features, labels, rounds, score, step):
+def greedy_online_oracle(model, features, labels, rounds, score, step, snapshot_interval=0):
     """The greedy online loop with a boolean mask of shown rows, rebuilt every round.
 
     ``score(model, features)`` and ``step(model, x, y)`` come from the caller,
     so this pins only the selection: which row each round shows. Returns the
-    final model and the shown row indices in order.
+    final model, the shown row indices in order, and the (round, model) pairs
+    after every ``snapshot_interval``-th round (none when it is 0).
     """
     available = np.ones(len(labels), dtype=bool)
     shown = []
-    for _ in range(rounds):
+    snapshots = []
+    for r in range(1, rounds + 1):
         scores = score(model, features)
         scores[~available] = -np.inf
         i = int(np.argmax(scores))
         shown.append(i)
         available[i] = False
         model = step(model, features[i], int(labels[i]))
-    return model, shown
+        if snapshot_interval > 0 and r % snapshot_interval == 0:
+            snapshots.append((r, model))
+    return model, shown, snapshots
 
 
 def scores_expression(features, weights):

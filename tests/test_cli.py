@@ -361,7 +361,7 @@ def test_cli_error_exits(tmp_path, capsys):
         (["generate", "--config", str(wide_json), "--n", "10", "--seed", "1",
           "--out", str(tmp_path / "wide.csv")], "finite span hi - lo, got [-1e+308, 1e+308]"),
         (["metrics", "--ranking", str(pool_csv), "--baseline", str(baseline_json), "--k", "5",
-          "--group", "5"], "group 5"),
+          "--group", "5"], "error: group must lie in [0, 1], got 5\n"),
         (["warm", "--pool", str(labeled_csv), "--sample-size", "5", "--eta", "-1",
           "--out", str(tmp_path / "w.json")], f"{bad_eta}-1.0\n"),
         (["warm", "--pool", str(labeled_csv), "--sample-size", "5", "--seed", "-1",

@@ -141,7 +141,7 @@ def test_with_strength_keeps_fit(tiny_pool):
 
 def test_padded_direction_never_touches_intercept(tiny_pool):
     reg = fit_auxiliary(tiny_pool)
-    padded = reg.padded_direction()
+    padded = reg.padded_direction
     assert padded[0] == 0.0
     np.testing.assert_array_equal(padded[1:], reg.w_reg)
 
@@ -224,7 +224,7 @@ def test_regularized_update_noop_returns_same_object():
 
 def test_penalty_contracts_the_aligned_component_geometrically():
     reg = _make_reg([0.8, 0.6], lam=0.4)
-    padded = reg.padded_direction()
+    padded = reg.padded_direction
     factor = 1.0 - 0.4 * float(padded @ padded)
     model = LinearModel(np.array([0.2, 1.0, -0.3]))
     # x scores negative and the label agrees, so only the penalty acts

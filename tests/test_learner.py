@@ -20,13 +20,11 @@ from fairsim import (
     label_pool,
     load_model,
     perceptron_update,
-    predict,
     rank_by_model,
     regularized_update,
     run_online,
     save_model,
     save_trace,
-    score,
     score_all,
     warm_start,
     zero_model,
@@ -107,17 +105,19 @@ def test_model_validation(tmp_path, tiny_labeled):
 
 def test_score_and_predict():
     model = LinearModel(np.array([0.5, 1.0, -2.0]))
-    assert score(model, [1.0, 1.0]) == pytest.approx(-0.5)
-    assert predict(model, [1.0, 1.0]) == 0
-    assert predict(model, [2.0, 1.0]) == 1
+    assert score_all(model, np.array([[1.0, 1.0]]))[0] == pytest.approx(-0.5)
+    # A step leaves the model itself in place exactly when it predicts the label.
+    assert perceptron_update(model, [1.0, 1.0], 0, 0.1) is model
+    assert perceptron_update(model, [2.0, 1.0], 1, 0.1) is model
     # the step function fires on exact zero
-    assert predict(zero_model(2), [3.0, 4.0]) == 1
+    zero = zero_model(2)
+    assert perceptron_update(zero, [3.0, 4.0], 1, 0.1) is zero
 
 
 def test_score_all_matches_score():
     model = LinearModel(np.array([0.1, -0.3, 0.7]))
     feats = np.array([[0.0, 1.0], [2.0, -1.0], [0.5, 0.5]])
-    want = [score(model, row) for row in feats]
+    want = [score_all(model, np.array([row]))[0] for row in feats]
     np.testing.assert_allclose(score_all(model, feats), want, rtol=0, atol=1e-15)
     for bad in (feats[:, :1], feats[0], np.float64(1.0)):
         with pytest.raises(DimensionMismatch):
@@ -260,7 +260,7 @@ def test_run_online_matches_boolean_mask_loop(tiny_labeled, lam, start):
         reg = fit_auxiliary(twice.pool).with_strength(lam)
         step = partial(regularized_update, eta=eta, reg=reg)
     final, trace = run_online(model, twice, len(twice), eta, regularizer=reg)
-    want_model, want_shown = greedy_online_oracle(
+    want_model, want_shown, _ = greedy_online_oracle(
         model, twice.pool.features, twice.labels, len(twice), score_all, step
     )
     assert trace.shown_order == want_shown

@@ -80,10 +80,21 @@ def test_k_range_errors():
             ndcs(ranking, bad_k, baseline)
         with pytest.raises(ConfigError):
             precision_at_k([1, 0], bad_k)
-    with pytest.raises(ConfigError, match="group 2"):
-        skew_at_k(ranking, 1, baseline, group=2)
-    with pytest.raises(ConfigError, match="group 2"):
-        ndcs(ranking, 1, baseline, group=2)
+    # A group is a protected value: an integer 0 or 1, never a bool, float or string.
+    for group, problem in (
+        (True, "group must be an integer, got True"),
+        (1.0, "group must be an integer, got 1.0"),
+        ("1", "group must be an integer, got '1'"),
+        (-1, "group must lie in [0, 1], got -1"),
+        (2, "group must lie in [0, 1], got 2"),
+    ):
+        for call in (
+            lambda: skew_at_k(ranking, 1, baseline, group=group),
+            lambda: ndcs(ranking, 1, baseline, group=group),
+            lambda: evaluate_ranking(ranking, [1, 0], baseline, [1], ndcs_k_max=2, group=group),
+        ):
+            with pytest.raises(ConfigError, match=f"^{re.escape(problem)}$"):
+                call()
     # Cutoffs parse as integers of at least 1; a bool or a float is neither.
     for call, problem in (
         (lambda: skew_at_k(ranking, True, baseline), "k must be an integer, got True"),

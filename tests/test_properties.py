@@ -1,7 +1,8 @@
 """Property tests: CSV and config round trips, the zero-copy column accessors,
 the array type rules, the bounded scalar annotations, the exact ranking order,
-the online step's expressions pinned bit for bit, and the algebraic invariants
-of the online steps and of Skew@k."""
+the online step's expressions pinned bit for bit, the algebraic invariants
+of the online steps and of Skew@k, and the online loop and re-ranked reports
+against naive references on tie-heavy pools."""
 
 import json
 import re
@@ -18,6 +19,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from fairsim import (
     Baseline,
     ConfigError,
+    ExperimentConfig,
     FairRegularizer,
     GenConfig,
     LabeledPool,
@@ -34,23 +36,29 @@ from fairsim import (
     protected_values,
     rank_by_model,
     regularized_update,
+    run_online,
     save_labeled,
     save_pool,
     score_all,
     skew_at_k,
 )
 from fairsim.datagen import (
-    BOUNDS, BinaryArray, Count, FloatArray, Rate, Seed, Share, Size, _parse, config_to_dict,
+    BOUNDS, BinaryArray, Count, FloatArray, Group, Rate, Seed, Share, Size, _parse, config_to_dict,
     gen_config_from_dict,
 )
+from fairsim.experiments import SeedContext, _ranked_report
 from fairsim.learner import _perceptron_step
 from fairsim.usermodel import linear_scores
 
 from _oracles import (
+    greedy_online_oracle,
+    ndcs_oracle,
     perceptron_step_expression,
+    precision_oracle,
     rank_expression,
     regularized_step_expression,
     scores_expression,
+    skew_oracle,
 )
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -143,6 +151,7 @@ BOUND_RULES = {
     Size: (int, 1, None, "be at least 1"),
     Share: (float, 0.0, 1.0, "lie in [0, 1]"),
     Rate: (float, 0.0, None, "be at least 0"),
+    Group: (int, 0, 1, "lie in [0, 1]"),
 }
 
 
@@ -306,10 +315,10 @@ def test_regularized_update_is_the_fresh_padding_expression_bit_for_bit(inputs, 
                     | st.integers(0, 2**32 - 1).map(
                         lambda seed: np.random.default_rng(seed).uniform(-10.0, 10.0, m)))
     reg = _regularizer(w_a, lam)
-    padded = reg.padded_direction()
+    padded = reg.padded_direction
     assert not padded.flags.writeable
     assert _same_bits(padded, np.concatenate(([0.0], reg.w_reg)))
-    assert reg.padded_direction() is padded
+    assert reg.padded_direction is padded
     model = LinearModel(w)
     for x, y in zip(features, labels.tolist()):
         want = regularized_step_expression(model.weights, x, y, eta, reg.w_reg, lam)
@@ -362,7 +371,7 @@ def test_penalty_step_without_mistake_shrinks_alignment(inputs, strength, eta):
     norm2 = float(w_a @ w_a)
     assume(norm2 > 1e-6)
     reg = _regularizer(w_a, strength / norm2)
-    w, padded = model.weights, reg.padded_direction()
+    w, padded = model.weights, reg.padded_direction
     y = 1 if float(w @ np.concatenate(([1.0], x))) >= 0.0 else 0
     after = regularized_update(model, x, y, eta, reg).weights
     rounding = 1e-12 * float(np.linalg.norm(w) * np.linalg.norm(padded))
@@ -378,3 +387,92 @@ def test_skew_is_zero_when_the_top_k_mirrors_the_qualified_share(k, data):
     share = ones / k
     baseline = Baseline(p_qualified={0: 1.0 - share, 1: share}, qualified_count=k)
     assert skew_at_k(np.array(top + tail), k, baseline) == 0.0
+
+
+
+@st.composite
+def tie_heavy_pools(draw):
+    """Weights and a labeled pool whose scores tie often: features and weights
+    in steps of 0.1, rows repeated from a few distinct ones, the zero model, and
+    sometimes one row a single ulp away from another in one feature."""
+    n = draw(st.integers(1, 300))
+    m = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = draw(st.integers(1, n))
+    features = (rng.integers(-10, 11, size=(distinct, m)) / 10)[rng.integers(0, distinct, n)]
+    if n > 1 and draw(st.booleans()):
+        i, j = rng.choice(n, size=2, replace=False)
+        c = rng.integers(m)
+        features[j] = features[i]
+        features[j, c] = np.nextafter(features[i, c], draw(st.sampled_from([-np.inf, np.inf])))
+    w = np.zeros(m + 1) if draw(st.booleans()) else rng.integers(-10, 11, m + 1) / 10
+    pool = LabeledPool(
+        pool=Pool(features=features, protected=rng.integers(0, 2, n)),
+        labels=rng.integers(0, 2, n),
+        bias_coin=np.zeros(n, dtype=np.int64),
+    )
+    return w, pool
+
+
+@settings(deadline=None, max_examples=100)
+@given(inputs=tie_heavy_pools(), eta=st.sampled_from([0.0, 0.1]) | st.floats(0.0, 10.0),
+       data=st.data())
+def test_run_online_matches_the_mask_oracle_on_tie_heavy_pools(inputs, eta, data):
+    w, pool = inputs
+    n, m = pool.pool.features.shape
+    rounds = data.draw(st.integers(0, n))
+    snapshot_interval = data.draw(st.integers(0, rounds))
+    reg = None
+    if data.draw(st.booleans()):
+        w_a = data.draw(arrays(np.float64, m, elements=st.integers(-10, 10).map(lambda v: v / 10)))
+        norm2 = float(w_a @ w_a)
+        # lambda from 0 up to the stability bound 2 / |w_reg|^2, both ends included.
+        lam = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)) * (
+            2.0 / norm2 if norm2 else 1.0)
+        while lam * norm2 > 2.0:
+            lam = float(np.nextafter(lam, 0.0))
+        reg = _regularizer(w_a, lam)
+        step = partial(regularized_step_expression, eta=eta, w_reg=reg.w_reg, lam=lam)
+    else:
+        step = partial(perceptron_step_expression, eta=eta)
+    final, trace = run_online(LinearModel(w), pool, rounds, eta, regularizer=reg,
+                              snapshot_interval=snapshot_interval)
+    want_w, want_shown, want_snapshots = greedy_online_oracle(
+        w, pool.pool.features, pool.labels, rounds, lambda v, f: scores_expression(f, v), step,
+        snapshot_interval,
+    )
+    assert trace.shown_order == want_shown
+    assert _same_bits(final.weights, want_w)
+    assert [r for r, _ in trace.snapshots] == [r for r, _ in want_snapshots]
+    for (_, got), (_, want) in zip(trace.snapshots, want_snapshots):
+        assert _same_bits(got.weights, want)
+
+
+@settings(deadline=None, max_examples=100)
+@given(inputs=tie_heavy_pools(), share=st.sampled_from([0.0, 1e-7, 0.5, 1.0]) | st.floats(0, 1),
+       data=st.data())
+def test_ranked_report_matches_a_stable_argsort_and_direct_counts(inputs, share, data):
+    w, pool = inputs
+    n = len(pool)
+    cfg = ExperimentConfig(
+        k_list=tuple(data.draw(st.lists(st.integers(1, n + 2), min_size=1, max_size=5))),
+        online_rounds=data.draw(st.integers(1, n + 2)),
+    )
+    # Snapshot reports re-rank the rows shown so far; final reports re-rank them all.
+    rows = data.draw(st.just(slice(None)) | st.integers(1, n).flatmap(
+        lambda r: st.permutations(range(n)).map(lambda p: p[:r])))
+    baseline = Baseline(p_qualified={0: 1.0 - share, 1: share}, qualified_count=n)
+    ctx = SeedContext(seed=0, warm=LinearModel(w), baseline=baseline, online_pool=pool.pool,
+                      online_features=pool.pool.features, labeled={}, regularizer=None)
+    report = _ranked_report(LinearModel(w), ctx, pool.labels, cfg, rows)
+    index = np.arange(n)[rows]
+    order = index[np.argsort(-scores_expression(pool.pool.features[index], w), kind="stable")]
+    flags, labels = pool.pool.protected[order].tolist(), pool.labels[order].tolist()
+    ks = {k for k in cfg.k_list if k <= len(order)}
+    assert set(report.skew_at) == set(report.precision_at) == set(report.counts_at) == ks
+    for k in ks:
+        assert report.skew_at[k] == skew_oracle(flags, k, share)
+        assert report.precision_at[k] == precision_oracle(labels, k)
+        assert report.counts_at[k] == sum(flags[:k])
+    want_ndcs = ndcs_oracle(flags, min(cfg.online_rounds, len(order)), share)
+    assert report.ndcs == pytest.approx(want_ndcs, rel=1e-12, abs=1e-12)
