@@ -76,6 +76,7 @@ from .metrics import (
 from .experiments import (
     ExperimentConfig,
     RunResult,
+    SeedResult,
     build_seed_context,
     derive_seed,
     experiment_config_from_dict,

@@ -20,7 +20,6 @@ from . import __version__
 from .datagen import (
     Count,
     GenConfig,
-    Pool,
     Rate,
     Seed,
     Share,
@@ -72,7 +71,7 @@ class ExperimentConfig:
     warm_sample_size: Size = 1000
     warm_rounds: Count = 1000
     warm_eta: Rate = 0.3
-    online_rounds: Count = 1000
+    online_rounds: Size = 1000
     snapshot_interval: Count = 25
     seeds: tuple[Seed, ...] = (3, 5, 7, 9, 11)
     k_list: tuple[Size, ...] = (25, 100, 500, 1000)
@@ -86,8 +85,11 @@ class ExperimentConfig:
                 f"user_weights of length {len(self.user_weights)} do not fit {self.gen.m} attributes"
             )
         for name in ("p_bias_grid", "eta_grid", "lambda_grid", "seeds", "k_list"):
-            if len(getattr(self, name)) == 0:
+            values = getattr(self, name)
+            if len(values) == 0:
                 raise ConfigError(f"{name} must not be empty")
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} must not repeat a value, got {values}")
         if self.warm_sample_size > self.gen.n:
             raise ConfigError("warm_sample_size must lie in [1, pool size]")
         if self.online_rounds > self.gen.n:
@@ -106,40 +108,38 @@ def experiment_config_from_dict(obj) -> ExperimentConfig:
 class RunResult:
     """One grid cell: coordinates, trained model, trace, and metric reports."""
 
+    seed: int
     p_bias: float
     eta: float
     lam: float
-    seed: int
     final_model: LinearModel
-    warm_model: LinearModel
     trace: OnlineTrace
     report_final: MetricsReport
     report_warm: MetricsReport | None
     reports_evolution: list[tuple[int, MetricsReport]]
-    baseline: Baseline
-    regularizer: FairRegularizer | None = None
 
 
 @dataclass(eq=False)
-class SeedContext:
-    """Everything one experiment seed shares across its grid cells."""
+class SeedResult:
+    """One experiment seed: what its cells share, held once, and the cells.
+
+    ``regularizer`` is the fitted penalty at strength 0, or None outside the sweep.
+    """
 
     seed: int
-    warm: LinearModel
+    warm_model: LinearModel
     baseline: Baseline
-    online_pool: Pool
-    online_features: np.ndarray
-    labeled: dict[float, LabeledPool]
     regularizer: FairRegularizer | None
+    cells: list[RunResult]
 
 
 def build_seed_context(
-    cfg: ExperimentConfig,
-    seed: int,
-    p_bias_values: tuple[float, ...],
-    with_regularizer: bool = False,
-) -> SeedContext:
+    cfg: ExperimentConfig, seed: int, with_regularizer: bool = False
+) -> tuple[SeedResult, dict[float, LabeledPool]]:
     """Generate pools, warm model, baseline, and labels for one seed.
+
+    Returns the seed's record, with no cells yet, and the online pool labeled at
+    each ``cfg.p_bias_grid`` value, kept out of the record so it is freed early.
 
     Stream assignments: the fair pool, online pool, fair user, biased user,
     and warm-start subsampling each get an independent sub-seed derived from
@@ -166,43 +166,35 @@ def build_seed_context(
             online_pool,
             UserConfig(p_bias=p_bias, weights=cfg.user_weights, seed=user_seed),
         )
-        for p_bias in p_bias_values
+        for p_bias in cfg.p_bias_grid
     }
     regularizer = fit_auxiliary(fair_pool, alpha_a=cfg.alpha_a) if with_regularizer else None
-    return SeedContext(
-        seed=seed,
-        warm=warm,
-        baseline=baseline,
-        online_pool=online_pool,
-        online_features=feature_matrix(online_pool),
-        labeled=labeled,
-        regularizer=regularizer,
-    )
+    return SeedResult(seed, warm, baseline, regularizer, cells=[]), labeled
 
 
 def _ranked_report(
     model: LinearModel,
-    ctx: SeedContext,
-    labels: np.ndarray,
+    pool: LabeledPool,
+    baseline: Baseline,
     cfg: ExperimentConfig,
     rows=slice(None),
 ) -> MetricsReport:
-    """Re-rank the online pool's ``rows`` (default: all) by ``model`` and report metrics.
+    """Re-rank the labeled pool's ``rows`` (default: all) by ``model`` and report metrics.
 
     NDCS covers the top ``online_rounds`` positions, or every row if fewer are ranked.
     """
-    order = rank_by_model(model, ctx.online_features[rows])
+    order = rank_by_model(model, feature_matrix(pool.pool)[rows])
     ks = [k for k in cfg.k_list if k <= len(order)]
     k_max = min(cfg.online_rounds, len(order))
-    protected, ranked_labels = ctx.online_pool.protected[rows][order], labels[rows][order]
-    return evaluate_ranking(protected, ranked_labels, ctx.baseline, ks, ndcs_k_max=k_max)
+    protected, ranked_labels = pool.pool.protected[rows][order], pool.labels[rows][order]
+    return evaluate_ranking(protected, ranked_labels, baseline, ks, ndcs_k_max=k_max)
 
 
 def _run_grid(
     cfg: ExperimentConfig, experiment: str, cells: list[tuple[float, float]], *,
     warm_reports: bool, snapshot_interval: int = 0, with_regularizer: bool = False,
     verbose: bool = False,
-) -> list[RunResult]:
+) -> list[SeedResult]:
     """The cell loop of every study: per seed, p_bias and ``(eta, lam)`` cell, run
     the shared warm model online (penalized at ``lam`` if ``with_regularizer``,
     ``lam = 0`` included), then report the re-ranked pool for the final model and
@@ -210,33 +202,33 @@ def _run_grid(
     """
     results = []
     for seed in cfg.seeds:
-        ctx = build_seed_context(cfg, seed, cfg.p_bias_grid, with_regularizer=with_regularizer)
-        for p_bias in cfg.p_bias_grid:
-            pool = ctx.labeled[p_bias]
-            warm_report = _ranked_report(ctx.warm, ctx, pool.labels, cfg) if warm_reports else None
+        res, labeled = build_seed_context(cfg, seed, with_regularizer=with_regularizer)
+        for p_bias, pool in labeled.items():
+            warm_report = (
+                _ranked_report(res.warm_model, pool, res.baseline, cfg) if warm_reports else None
+            )
             for eta, lam in cells:
-                reg = ctx.regularizer.with_strength(lam) if with_regularizer else None
+                reg = res.regularizer.with_strength(lam) if with_regularizer else None
                 final, trace = run_online(
-                    ctx.warm, pool, cfg.online_rounds, eta,
+                    res.warm_model, pool, cfg.online_rounds, eta,
                     regularizer=reg, snapshot_interval=snapshot_interval,
                 )
                 evolution = [
-                    (r, _ranked_report(snapshot, ctx, pool.labels, cfg, trace.shown_order[:r]))
+                    (r, _ranked_report(snapshot, pool, res.baseline, cfg, trace.shown_order[:r]))
                     for r, snapshot in trace.snapshots
                 ]
-                results.append(RunResult(
-                    p_bias=p_bias, eta=eta, lam=lam, seed=seed,
-                    final_model=final, warm_model=ctx.warm, trace=trace,
-                    report_final=_ranked_report(final, ctx, pool.labels, cfg),
+                res.cells.append(RunResult(
+                    seed=seed, p_bias=p_bias, eta=eta, lam=lam, final_model=final, trace=trace,
+                    report_final=_ranked_report(final, pool, res.baseline, cfg),
                     report_warm=warm_report, reports_evolution=evolution,
-                    baseline=ctx.baseline, regularizer=reg,
                 ))
             if verbose:
                 print(f"[{experiment}] seed={seed} p_bias={p_bias:g} done")
+        results.append(res)
     return results
 
 
-def run_final_eval(cfg: ExperimentConfig, verbose: bool = False) -> list[RunResult]:
+def run_final_eval(cfg: ExperimentConfig, verbose: bool = False) -> list[SeedResult]:
     """Grid over (p_bias, eta, seed): online-personalize the shared warm model,
     then re-rank the full online pool with the final model and report metrics.
     The untouched warm model is evaluated on the same pool as a comparison
@@ -245,13 +237,16 @@ def run_final_eval(cfg: ExperimentConfig, verbose: bool = False) -> list[RunResu
     return _run_grid(cfg, "final_eval", cells, warm_reports=True, verbose=verbose)
 
 
-def run_evolution(cfg: ExperimentConfig, verbose: bool = False) -> list[RunResult]:
+def run_evolution(cfg: ExperimentConfig, verbose: bool = False) -> list[SeedResult]:
     """Grid over (p_bias, eta, seed) with periodic interruption: every
     ``snapshot_interval`` rounds, re-rank the candidates shown so far with the
     current model snapshot and report metrics against the shared baseline.
     NDCS at a snapshot sums over every prefix of the shown list."""
-    if cfg.snapshot_interval < 1:
-        raise ConfigError("evolution needs snapshot_interval >= 1")
+    if not 1 <= cfg.snapshot_interval <= cfg.online_rounds:
+        raise ConfigError(
+            "evolution needs 1 <= snapshot_interval <= online_rounds, got snapshot_interval="
+            f"{cfg.snapshot_interval} and online_rounds={cfg.online_rounds}"
+        )
     cells = [(eta, 0.0) for eta in cfg.eta_grid]
     return _run_grid(
         cfg, "evolution", cells,
@@ -259,7 +254,7 @@ def run_evolution(cfg: ExperimentConfig, verbose: bool = False) -> list[RunResul
     )
 
 
-def run_reg_sweep(cfg: ExperimentConfig, verbose: bool = False) -> list[RunResult]:
+def run_reg_sweep(cfg: ExperimentConfig, verbose: bool = False) -> list[SeedResult]:
     """Grid over (p_bias, lambda, seed) at the fixed ``sweep_eta``: the
     regularizer is fitted once per seed on the fair pool, its strength swept,
     and each cell evaluated like a final-eval cell. The lambda = 0 column
@@ -270,15 +265,15 @@ def run_reg_sweep(cfg: ExperimentConfig, verbose: bool = False) -> list[RunResul
     )
 
 
-def results_to_rows(results: list[RunResult], experiment: str) -> list[dict]:
-    """Flatten results into metric rows with a deterministic global order."""
+def results_to_rows(results: list[SeedResult], experiment: str) -> list[dict]:
+    """Flatten every seed's cells into metric rows with a deterministic global order."""
     rows = []
-    for res in results:
-        common = dict(seed=res.seed, p_bias=res.p_bias, eta=res.eta, lam=res.lam)
-        rows.extend(report_rows(res.report_final, config_id=f"{experiment}:online", **common))
-        if res.report_warm is not None:
-            rows.extend(report_rows(res.report_warm, config_id=f"{experiment}:warm", **common))
-        for round_index, report in res.reports_evolution:
+    for cell in (cell for res in results for cell in res.cells):
+        common = dict(seed=cell.seed, p_bias=cell.p_bias, eta=cell.eta, lam=cell.lam)
+        rows.extend(report_rows(cell.report_final, config_id=f"{experiment}:online", **common))
+        if cell.report_warm is not None:
+            rows.extend(report_rows(cell.report_warm, config_id=f"{experiment}:warm", **common))
+        for round_index, report in cell.reports_evolution:
             rows.extend(
                 report_rows(
                     report, config_id=f"{experiment}:online:round={round_index:04d}", **common
@@ -288,12 +283,12 @@ def results_to_rows(results: list[RunResult], experiment: str) -> list[dict]:
     return rows
 
 
-def _cell_stem(res: RunResult) -> str:
-    return f"pbias{res.p_bias:g}_eta{res.eta:g}_lam{res.lam:g}_seed{res.seed}"
+def _cell_stem(cell: RunResult) -> str:
+    return f"pbias{cell.p_bias:g}_eta{cell.eta:g}_lam{cell.lam:g}_seed{cell.seed}"
 
 
 def write_results(
-    results: list[RunResult], out_dir: str | Path, experiment: str, cfg: ExperimentConfig
+    results: list[SeedResult], out_dir: str | Path, experiment: str, cfg: ExperimentConfig
 ) -> Path:
     """Persist one experiment: metrics CSV, model JSONs, and a manifest.
 
@@ -312,18 +307,13 @@ def write_results(
         for row in rows:
             writer.writerow([row[name] for name in CSV_FIELDS])
 
-    seen_seeds = set()
     for res in results:
-        save_model(res.final_model, models_dir / f"{_cell_stem(res)}.json", cfg.online_rounds)
-        if res.seed not in seen_seeds:
-            seen_seeds.add(res.seed)
-            save_model(res.warm_model, models_dir / f"warm_seed{res.seed}.json", 0)
-            save_baseline(res.baseline, exp_dir / f"baseline_seed{res.seed}.json")
-            if res.regularizer is not None:
-                save_regularizer(
-                    res.regularizer.with_strength(0.0),
-                    exp_dir / f"regularizer_seed{res.seed}.json",
-                )
+        save_model(res.warm_model, models_dir / f"warm_seed{res.seed}.json", 0)
+        save_baseline(res.baseline, exp_dir / f"baseline_seed{res.seed}.json")
+        if res.regularizer is not None:
+            save_regularizer(res.regularizer, exp_dir / f"regularizer_seed{res.seed}.json")
+        for cell in res.cells:
+            save_model(cell.final_model, models_dir / f"{_cell_stem(cell)}.json", cfg.online_rounds)
 
     manifest = {
         "experiment": experiment,

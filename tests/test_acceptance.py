@@ -61,7 +61,8 @@ def mean(values):
 
 
 def cells(results, **match):
-    out = [r for r in results if all(getattr(r, key) == v for key, v in match.items())]
+    out = [r for res in results for r in res.cells
+           if all(getattr(r, key) == v for key, v in match.items())]
     assert out, f"no result cells match {match}"
     return out
 
@@ -258,9 +259,10 @@ def test_criterion_09_solver_consistency():
 def test_criterion_10_orthogonality(sweep_results, online_pools):
     worst_cos = 0.0
     worst_corr = 0.0
+    directions = {res.seed: res.regularizer.w_reg for res in sweep_results}
     for r in cells(sweep_results, lam=LAM_MAX):
         w = r.final_model.weights[1:]
-        direction = r.regularizer.w_reg
+        direction = directions[r.seed]
         cos = abs(float(w @ direction)) / (np.linalg.norm(w) * np.linalg.norm(direction))
         feats, attrs = online_pools[r.seed]
         scores = r.final_model.weights[0] + feats @ w

@@ -384,6 +384,8 @@ def test_cli_error_exits(tmp_path, capsys):
           "--ndcs-k", "0"], "error: k_max must be at least 1, got 0\n"),
         (["sweep", "--eta", "-1", "--out", str(tmp_path / "out")],
          "error: eta_grid[0] must be at least 0, got -1.0\n"),
+        (["eval", "--seed", "3", "--seed", "3", "--out", str(tmp_path / "out")],
+         "error: seeds must not repeat a value, got (3, 3)\n"),
         (["sweep", "--config", str(truncated), "--out", str(tmp_path / "out")], truncated_error),
         (["generate", "--config", str(truncated), "--out", str(tmp_path / "t.csv")],
          truncated_error),

@@ -13,6 +13,9 @@ from fairsim import (
     derive_seed,
     evaluate_ranking,
     experiment_config_from_dict,
+    load_baseline,
+    load_model,
+    load_regularizer,
     rank_by_model,
     run_evolution,
     run_final_eval,
@@ -73,21 +76,28 @@ def test_derive_seed_matches_seed_sequence_and_separates_streams():
             derive_seed(root, stream)
 
 
+def cells(results):
+    return [cell for res in results for cell in res.cells]
+
+
 def test_build_seed_context_contents():
     cfg = tiny_config()
-    ctx = build_seed_context(cfg, 1, cfg.p_bias_grid, with_regularizer=True)
-    assert set(ctx.labeled) == {0.0, 1.0}
-    assert ctx.online_features.shape == (60, 3)
-    assert len(ctx.labeled[0.0]) == 60
-    assert ctx.regularizer is not None and ctx.regularizer.lam == 0.0
-    bare = build_seed_context(cfg, 1, (0.0,))
+    res, labeled = build_seed_context(cfg, 1, with_regularizer=True)
+    assert res.seed == 1 and res.cells == []
+    assert set(labeled) == {0.0, 1.0}
+    assert labeled[0.0].pool.features.shape == (60, 3)
+    assert len(labeled[0.0]) == 60
+    assert res.regularizer is not None and res.regularizer.lam == 0.0
+    bare, _ = build_seed_context(replace(cfg, p_bias_grid=(0.0,)), 1)
     assert bare.regularizer is None
-    np.testing.assert_array_equal(bare.warm.weights, ctx.warm.weights)
+    np.testing.assert_array_equal(bare.warm_model.weights, res.warm_model.weights)
 
 
 def test_final_eval_grid_shape_and_shared_warm():
     cfg = tiny_config()
-    results = run_final_eval(cfg)
+    seed_results = run_final_eval(cfg)
+    assert [res.seed for res in seed_results] == list(cfg.seeds)
+    results = cells(seed_results)
     assert len(results) == len(cfg.seeds) * len(cfg.p_bias_grid) * len(cfg.eta_grid)
     coords = {(r.seed, r.p_bias, r.eta) for r in results}
     assert len(coords) == len(results)
@@ -99,23 +109,24 @@ def test_final_eval_grid_shape_and_shared_warm():
         first = cell[0]
         for other in cell[1:]:
             assert other.report_warm is first.report_warm
-            np.testing.assert_array_equal(other.warm_model.weights, first.warm_model.weights)
+    for res in seed_results:
+        assert all(r.seed == res.seed for r in res.cells)
 
 
 def test_final_eval_zero_eta_is_a_fixed_point():
-    results = run_final_eval(tiny_config(eta_grid=(0.0,)))
-    for r in results:
-        np.testing.assert_array_equal(r.final_model.weights, r.warm_model.weights)
-        assert r.report_final.skew_at == r.report_warm.skew_at
+    for res in run_final_eval(tiny_config(eta_grid=(0.0,))):
+        for r in res.cells:
+            np.testing.assert_array_equal(r.final_model.weights, res.warm_model.weights)
+            assert r.report_final.skew_at == r.report_warm.skew_at
 
 
 def test_sweep_zero_lambda_reproduces_plain_online_runs():
     cfg = tiny_config()
-    sweep = run_reg_sweep(cfg)
+    sweep = cells(run_reg_sweep(cfg))
     assert len(sweep) == len(cfg.seeds) * len(cfg.p_bias_grid) * len(cfg.lambda_grid)
     plain = {
         (r.seed, r.p_bias): r
-        for r in run_final_eval(replace(cfg, eta_grid=(cfg.sweep_eta,)))
+        for r in cells(run_final_eval(replace(cfg, eta_grid=(cfg.sweep_eta,))))
     }
     for r in sweep:
         if r.lam == 0.0:
@@ -127,28 +138,33 @@ def test_sweep_zero_lambda_reproduces_plain_online_runs():
 
 def test_sweep_carries_the_regularizer():
     cfg = tiny_config(lambda_grid=(0.0, 2.0))
-    for r in run_reg_sweep(cfg):
-        assert r.regularizer is not None
-        assert r.regularizer.lam == r.lam
+    sweep = run_reg_sweep(cfg)
+    for res in sweep:
+        assert res.regularizer is not None
+        assert res.regularizer.lam == 0.0
+    assert {r.lam for r in cells(sweep)} == {0.0, 2.0}
+    for r in cells(sweep):
         assert r.eta == cfg.sweep_eta
+    for runner in (run_final_eval, run_evolution):
+        assert all(res.regularizer is None for res in runner(cfg))
 
 
 def test_evolution_snapshots_and_reports():
     cfg = tiny_config(p_bias_grid=(1.0,), eta_grid=(0.05,), seeds=(1,))
-    (result,) = run_evolution(cfg)
+    ((result,),) = [res.cells for res in run_evolution(cfg)]
     rounds = [r for r, _ in result.reports_evolution]
     assert rounds == [5, 10, 15, 20]
     for round_index, report in result.reports_evolution:
         assert set(report.skew_at) == {k for k in cfg.k_list if k <= round_index}
     # one snapshot replayed by hand: re-rank what was shown, then evaluate
-    ctx = build_seed_context(cfg, 1, (1.0,))
+    res, labeled = build_seed_context(cfg, 1)
     round_index, snapshot = result.trace.snapshots[1]
     shown = result.trace.shown_order[:round_index]
-    order = rank_by_model(snapshot, ctx.online_features[shown])
-    protected = ctx.online_pool.protected[shown][order]
-    labels = ctx.labeled[1.0].labels[np.array(shown)][order]
+    order = rank_by_model(snapshot, labeled[1.0].pool.features[shown])
+    protected = labeled[1.0].pool.protected[shown][order]
+    labels = labeled[1.0].labels[np.array(shown)][order]
     want = evaluate_ranking(
-        protected, labels, ctx.baseline, k_list=(5, 10), ndcs_k_max=round_index
+        protected, labels, res.baseline, k_list=(5, 10), ndcs_k_max=round_index
     )
     got = result.reports_evolution[1][1]
     assert got.skew_at == want.skew_at
@@ -157,8 +173,14 @@ def test_evolution_snapshots_and_reports():
 
 
 def test_evolution_requires_snapshot_interval():
-    with pytest.raises(ConfigError):
-        run_evolution(tiny_config(snapshot_interval=0))
+    for interval in (0, 21):
+        problem = ("evolution needs 1 <= snapshot_interval <= online_rounds, "
+                   f"got snapshot_interval={interval} and online_rounds=20")
+        with pytest.raises(ConfigError, match=f"^{re.escape(problem)}$"):
+            run_evolution(tiny_config(snapshot_interval=interval))
+    cfg = tiny_config(snapshot_interval=20, seeds=(1,), p_bias_grid=(1.0,), eta_grid=(0.05,))
+    ((result,),) = [res.cells for res in run_evolution(cfg)]
+    assert [r for r, _ in result.reports_evolution] == [20]
 
 
 def test_results_to_rows_sorted_and_labeled():
@@ -175,6 +197,7 @@ def test_results_to_rows_sorted_and_labeled():
 def test_write_results_layout_and_stability(tmp_path):
     cfg = tiny_config(seeds=(1,))
     results = run_reg_sweep(cfg)
+    (res,) = results
     out = write_results(results, tmp_path, "reg_sweep", cfg)
     assert out == tmp_path / "reg_sweep"
     csv_path = out / "metrics.csv"
@@ -184,8 +207,17 @@ def test_write_results_layout_and_stability(tmp_path):
     assert (out / "baseline_seed1.json").exists()
     assert (out / "regularizer_seed1.json").exists()
     assert (out / "models" / "warm_seed1.json").exists()
+    warm, round_index = load_model(out / "models" / "warm_seed1.json")
+    np.testing.assert_array_equal(warm.weights, res.warm_model.weights)
+    assert round_index == 0
+    assert load_baseline(out / "baseline_seed1.json") == res.baseline
+    reg = load_regularizer(out / "regularizer_seed1.json")
+    assert reg.lam == 0.0
+    np.testing.assert_array_equal(reg.w_reg, res.regularizer.w_reg)
     named = list((out / "models").glob("pbias*_eta*_lam*_seed1.json"))
-    assert len(named) == len(results)
+    assert len(named) == len(res.cells)
+    evaluated = write_results(run_final_eval(cfg), tmp_path, "final_eval", cfg)
+    assert list(evaluated.glob("regularizer_seed*.json")) == []
     first_bytes = csv_path.read_bytes()
     write_results(results, tmp_path, "reg_sweep", cfg)
     assert csv_path.read_bytes() == first_bytes
@@ -237,7 +269,8 @@ def test_config_dict_defaults_and_validation():
          r"^experiment config\.p_bias_grid\[1\] must lie in \[0, 1\], got 2\.0$"),
         ({"eta_grid": [-0.5]}, r"^experiment config\.eta_grid\[0\] must be at least 0, got -0\.5$"),
         ({"alpha_a": -1}, r"^experiment config\.alpha_a must be at least 0, got -1\.0$"),
-        ({"online_rounds": -1}, r"^experiment config\.online_rounds must be at least 0, got -1$"),
+        ({"online_rounds": -1}, r"^experiment config\.online_rounds must be at least 1, got -1$"),
+        ({"online_rounds": 0}, r"^experiment config\.online_rounds must be at least 1, got 0$"),
         ({"snapshot_interval": -1},
          r"^experiment config\.snapshot_interval must be at least 0, got -1$"),
         ({"warm_sample_size": 0},
@@ -245,6 +278,9 @@ def test_config_dict_defaults_and_validation():
         ({"k_list": [0]}, r"^experiment config\.k_list\[0\] must be at least 1, got 0$"),
         ({"seeds": [-1]},
          r"^experiment config\.seeds\[0\] must lie in \[0, 18446744073709551615\], got -1$"),
+        ({"seeds": [1, 1]}, r"^experiment config\.seeds must not repeat a value, got \(1, 1\)$"),
+        ({"eta_grid": [0.05, 0.05]},
+         r"^experiment config\.eta_grid must not repeat a value, got \(0\.05, 0\.05\)$"),
         ({"gen": {"harmless_dists": [{"kind": "uniform", "lo": 1.0, "hi": 0.0}]}},
          r"experiment config\.gen\.harmless_dists\[0\]: uniform bounds"),
     ):
@@ -267,6 +303,17 @@ def test_config_validate_errors():
         tiny_config(user_weights=(0.1, 0.2))
     with pytest.raises(ConfigError):
         tiny_config(lambda_grid=(-1.0,))
+    for name, values, shown in (
+        ("seeds", (1, 1), "(1, 1)"),
+        ("seeds", (1, np.int64(1)), "(1, 1)"),
+        ("p_bias_grid", (0.0, 1.0, 0.0), "(0.0, 1.0, 0.0)"),
+        ("eta_grid", (0.05, 0.05), "(0.05, 0.05)"),
+        ("lambda_grid", (0.0, -0.0), "(0.0, -0.0)"),
+        ("k_list", (5, 10, 5), "(5, 10, 5)"),
+    ):
+        problem = f"{name} must not repeat a value, got {shown}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(problem)}$"):
+            tiny_config(**{name: values})
     assert tiny_config(seeds=[1, np.int64(2)]).seeds == (1, 2)
     nan = float("nan")
     for name, value in (

@@ -46,7 +46,7 @@ from fairsim.datagen import (
     BOUNDS, BinaryArray, Count, FloatArray, Group, Rate, Seed, Share, Size, _parse, config_to_dict,
     gen_config_from_dict,
 )
-from fairsim.experiments import SeedContext, _ranked_report
+from fairsim.experiments import _ranked_report
 from fairsim.learner import _perceptron_step
 from fairsim.usermodel import linear_scores
 
@@ -455,16 +455,15 @@ def test_ranked_report_matches_a_stable_argsort_and_direct_counts(inputs, share,
     w, pool = inputs
     n = len(pool)
     cfg = ExperimentConfig(
-        k_list=tuple(data.draw(st.lists(st.integers(1, n + 2), min_size=1, max_size=5))),
+        k_list=tuple(data.draw(st.lists(st.integers(1, n + 2), min_size=1, max_size=5,
+                                            unique=True))),
         online_rounds=data.draw(st.integers(1, n + 2)),
     )
     # Snapshot reports re-rank the rows shown so far; final reports re-rank them all.
     rows = data.draw(st.just(slice(None)) | st.integers(1, n).flatmap(
         lambda r: st.permutations(range(n)).map(lambda p: p[:r])))
     baseline = Baseline(p_qualified={0: 1.0 - share, 1: share}, qualified_count=n)
-    ctx = SeedContext(seed=0, warm=LinearModel(w), baseline=baseline, online_pool=pool.pool,
-                      online_features=pool.pool.features, labeled={}, regularizer=None)
-    report = _ranked_report(LinearModel(w), ctx, pool.labels, cfg, rows)
+    report = _ranked_report(LinearModel(w), pool, baseline, cfg, rows)
     index = np.arange(n)[rows]
     order = index[np.argsort(-scores_expression(pool.pool.features[index], w), kind="stable")]
     flags, labels = pool.pool.protected[order].tolist(), pool.labels[order].tolist()
