@@ -230,15 +230,15 @@ def generate_pool(cfg: GenConfig) -> Pool:
     """
     rng = np.random.default_rng(cfg.seed)
     protected = (rng.random(cfg.n) < cfg.p_group).astype(np.int64)
-    columns = []
-    for dist in cfg.harmless_dists:
-        columns.append(dist.sample(rng, cfg.n))
-    for proxy in cfg.proxy_dists:
+    features = np.empty((cfg.n, cfg.m))
+    for j, dist in enumerate(cfg.harmless_dists):
+        features[:, j] = dist.sample(rng, cfg.n)
+    for j, proxy in enumerate(cfg.proxy_dists, start=len(cfg.harmless_dists)):
         z = rng.standard_normal(cfg.n)
         mean = np.where(protected == 1, proxy.group1.mean, proxy.group0.mean)
-        std = np.where(protected == 1, proxy.group1.std, proxy.group0.std)
-        columns.append(mean + std * z)
-    return Pool(features=np.column_stack(columns), protected=protected)
+        z *= np.where(protected == 1, proxy.group1.std, proxy.group0.std)
+        np.add(mean, z, out=features[:, j])
+    return Pool(features=features, protected=protected)
 
 
 def feature_matrix(pool: Pool) -> np.ndarray:

@@ -10,6 +10,7 @@ bit-identical and the warm model is shared across every cell of a seed.
 
 import csv
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -135,11 +136,12 @@ class SeedResult:
 
 def build_seed_context(
     cfg: ExperimentConfig, seed: int, with_regularizer: bool = False
-) -> tuple[SeedResult, dict[float, LabeledPool]]:
+) -> tuple[SeedResult, Iterator[tuple[float, LabeledPool]]]:
     """Generate pools, warm model, baseline, and labels for one seed.
 
-    Returns the seed's record, with no cells yet, and the online pool labeled at
-    each ``cfg.p_bias_grid`` value, kept out of the record so it is freed early.
+    Returns the seed's record, with no cells yet, and lazy ``(p_bias, LabeledPool)``
+    pairs in ``cfg.p_bias_grid`` order, so a caller that drops each pair before
+    taking the next holds one labeled copy of the online pool, whatever the grid.
 
     Stream assignments: the fair pool, online pool, fair user, biased user,
     and warm-start subsampling each get an independent sub-seed derived from
@@ -147,28 +149,25 @@ def build_seed_context(
     every eta and lambda cell of a seed sees identical feedback.
     """
     fair_pool = generate_pool(replace(cfg.gen, seed=derive_seed(seed, STREAM_FAIR_POOL)))
-    online_pool = generate_pool(replace(cfg.gen, seed=derive_seed(seed, STREAM_ONLINE_POOL)))
     fair_user = UserConfig(
         p_bias=0.0, weights=cfg.user_weights, seed=derive_seed(seed, STREAM_FAIR_USER)
     )
-    fair_labeled = label_pool(fair_pool, fair_user)
     warm = warm_start(
-        fair_labeled,
+        label_pool(fair_pool, fair_user),
         sample_size=cfg.warm_sample_size,
         rounds=cfg.warm_rounds,
         eta=cfg.warm_eta,
         seed=derive_seed(seed, STREAM_WARM),
     )
+    regularizer = fit_auxiliary(fair_pool, alpha_a=cfg.alpha_a) if with_regularizer else None
+    del fair_pool  # freed before the online pool is drawn
+    online_pool = generate_pool(replace(cfg.gen, seed=derive_seed(seed, STREAM_ONLINE_POOL)))
     baseline = compute_baseline(online_pool, fair_user)
     user_seed = derive_seed(seed, STREAM_ONLINE_USER)
-    labeled = {
-        p_bias: label_pool(
-            online_pool,
-            UserConfig(p_bias=p_bias, weights=cfg.user_weights, seed=user_seed),
-        )
-        for p_bias in cfg.p_bias_grid
-    }
-    regularizer = fit_auxiliary(fair_pool, alpha_a=cfg.alpha_a) if with_regularizer else None
+    labeled = (
+        (p, label_pool(online_pool, UserConfig(p_bias=p, weights=cfg.user_weights, seed=user_seed)))
+        for p in cfg.p_bias_grid
+    )
     return SeedResult(seed, warm, baseline, regularizer, cells=[]), labeled
 
 
@@ -203,7 +202,7 @@ def _run_grid(
     results = []
     for seed in cfg.seeds:
         res, labeled = build_seed_context(cfg, seed, with_regularizer=with_regularizer)
-        for p_bias, pool in labeled.items():
+        for p_bias, pool in labeled:
             warm_report = (
                 _ranked_report(res.warm_model, pool, res.baseline, cfg) if warm_reports else None
             )
@@ -224,6 +223,7 @@ def _run_grid(
                 ))
             if verbose:
                 print(f"[{experiment}] seed={seed} p_bias={p_bias:g} done")
+            del pool  # before the next p_bias (or seed) is labeled
         results.append(res)
     return results
 

@@ -2,9 +2,9 @@
 
 Everything here favors clarity over speed: explicit loops and scalar math,
 sharing no code with the package so that a bug cannot hide in both places.
-The ``*_expression`` oracles keep the plain numpy forms of the online step
-that the package computes with fewer temporaries; tests pin the two to the
-same bits.
+The ``*_expression`` oracles keep the plain numpy forms of the pool build and
+the online step that the package computes with fewer temporaries; tests pin
+the two to the same bits.
 """
 
 import math
@@ -97,6 +97,25 @@ def greedy_online_oracle(model, features, labels, rounds, score, step, snapshot_
         if snapshot_interval > 0 and r % snapshot_interval == 0:
             snapshots.append((r, model))
     return model, shown, snapshots
+
+
+def generate_pool_expression(cfg):
+    """A pool's ``(features, protected)``, drawn in the pinned order into a list of
+    columns that ``np.column_stack`` joins."""
+    rng = np.random.default_rng(cfg.seed)
+    protected = (rng.random(cfg.n) < cfg.p_group).astype(np.int64)
+    columns = []
+    for dist in cfg.harmless_dists:
+        if hasattr(dist, "lo"):
+            columns.append(rng.uniform(dist.lo, dist.hi, cfg.n))
+        else:
+            columns.append(rng.normal(dist.mean, dist.std, cfg.n))
+    for proxy in cfg.proxy_dists:
+        z = rng.standard_normal(cfg.n)
+        mean = np.where(protected == 1, proxy.group1.mean, proxy.group0.mean)
+        std = np.where(protected == 1, proxy.group1.std, proxy.group0.std)
+        columns.append(mean + std * z)
+    return np.column_stack(columns), protected
 
 
 def scores_expression(features, weights):

@@ -1,4 +1,5 @@
 import sys
+import warnings
 
 import pytest
 from hypothesis import settings
@@ -8,6 +9,17 @@ from fairsim import GenConfig, default_user, generate_pool, label_pool
 # `pytest --hypothesis-profile=ci` (the CI tier-1 step) draws the same examples
 # on every run, so a tie-heavy case that fails once fails again.
 settings.register_profile("ci", derandomize=True, deadline=None)
+
+# A failing property makes Hypothesis's pytest plugin import this module (libcst
+# behind it) inside a report hook, where `-W error` turns libcst's import-time
+# DeprecationWarning into an INTERNALERROR that hides the falsifying example and
+# stops the run. Importing it here first, with that warning ignored, avoids it.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst: the plugin then skips the import too
+        pass
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -1,5 +1,6 @@
 import json
 import re
+import weakref
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from fairsim import (
     run_reg_sweep,
     write_results,
 )
+from fairsim import experiments
 from fairsim.datagen import config_to_dict
 from fairsim.experiments import (
     STREAM_FAIR_POOL,
@@ -82,8 +84,9 @@ def cells(results):
 
 def test_build_seed_context_contents():
     cfg = tiny_config()
-    res, labeled = build_seed_context(cfg, 1, with_regularizer=True)
+    res, pairs = build_seed_context(cfg, 1, with_regularizer=True)
     assert res.seed == 1 and res.cells == []
+    labeled = dict(pairs)
     assert set(labeled) == {0.0, 1.0}
     assert labeled[0.0].pool.features.shape == (60, 3)
     assert len(labeled[0.0]) == 60
@@ -157,7 +160,8 @@ def test_evolution_snapshots_and_reports():
     for round_index, report in result.reports_evolution:
         assert set(report.skew_at) == {k for k in cfg.k_list if k <= round_index}
     # one snapshot replayed by hand: re-rank what was shown, then evaluate
-    res, labeled = build_seed_context(cfg, 1)
+    res, pairs = build_seed_context(cfg, 1)
+    labeled = dict(pairs)
     round_index, snapshot = result.trace.snapshots[1]
     shown = result.trace.shown_order[:round_index]
     order = rank_by_model(snapshot, labeled[1.0].pool.features[shown])
@@ -170,6 +174,40 @@ def test_evolution_snapshots_and_reports():
     assert got.skew_at == want.skew_at
     assert got.ndcs == want.ndcs
     assert got.precision_at == want.precision_at
+
+
+def test_a_seed_holds_one_pool_and_one_labeled_copy_at_a_time(monkeypatch):
+    # Weak references to every pool and labeled pool handed out; at each new
+    # draw or labeling, none of the earlier ones may still be alive.
+    pools, labeled = [], []
+
+    def tracked(fn, made):
+        def wrapper(*args):
+            assert all(ref() is None for ref in made), fn.__name__
+            result = fn(*args)
+            made.append(weakref.ref(result))
+            return result
+        return wrapper
+
+    monkeypatch.setattr(experiments, "generate_pool", tracked(experiments.generate_pool, pools))
+    monkeypatch.setattr(experiments, "label_pool", tracked(experiments.label_pool, labeled))
+    cfg = tiny_config(p_bias_grid=(0.0, 0.5, 1.0))
+    run_final_eval(cfg)
+    assert len(pools) == 2 * len(cfg.seeds)
+    assert len(labeled) == (1 + len(cfg.p_bias_grid)) * len(cfg.seeds)
+
+
+def test_cells_do_not_depend_on_the_p_bias_order():
+    cfg = tiny_config(p_bias_grid=(0.2, 0.5, 0.8))
+    forward = cells(run_final_eval(cfg))
+    backward = cells(run_final_eval(replace(cfg, p_bias_grid=cfg.p_bias_grid[::-1])))
+    assert len(forward) == len(backward)
+    by_coords = {(r.seed, r.p_bias, r.eta): r for r in backward}
+    for r in forward:
+        twin = by_coords[(r.seed, r.p_bias, r.eta)]
+        np.testing.assert_array_equal(r.final_model.weights, twin.final_model.weights)
+        assert r.report_final == twin.report_final
+        assert r.report_warm == twin.report_warm
 
 
 def test_evolution_requires_snapshot_interval():

@@ -1,6 +1,6 @@
 """Property tests: CSV and config round trips, the zero-copy column accessors,
 the array type rules, the bounded scalar annotations, the exact ranking order,
-the online step's expressions pinned bit for bit, the algebraic invariants
+the pool build's and online step's expressions pinned bit for bit, the algebraic invariants
 of the online steps and of Skew@k, and the online loop and re-ranked reports
 against naive references on tie-heavy pools."""
 
@@ -30,6 +30,7 @@ from fairsim import (
     ProxyDist,
     Uniform,
     feature_matrix,
+    generate_pool,
     load_labeled,
     load_pool,
     perceptron_update,
@@ -51,6 +52,7 @@ from fairsim.learner import _perceptron_step
 from fairsim.usermodel import linear_scores
 
 from _oracles import (
+    generate_pool_expression,
     greedy_online_oracle,
     ndcs_oracle,
     perceptron_step_expression,
@@ -181,7 +183,7 @@ def test_bounded_annotations_parse_their_range_and_name_the_path(annotation, pat
 
 
 @st.composite
-def gen_configs(draw):
+def gen_configs(draw, sizes=st.integers(1, 10**6), shares=st.floats(0.0, 1.0)):
     finite = st.floats(-1e6, 1e6, allow_nan=False)
     std = st.floats(1e-6, 1e3, allow_nan=False)
     uniform = st.tuples(finite, finite).map(lambda b: Uniform(min(b), max(b)))
@@ -191,10 +193,10 @@ def gen_configs(draw):
     proxies = draw(st.lists(proxy, min_size=0 if harmless else 1, max_size=3))
     # Records take numpy integers and lists too, and store them as int and tuple.
     sequence = st.sampled_from([tuple, list])
-    n = draw(st.integers(1, 10**6))
+    n = draw(sizes)
     seed = draw(st.integers(0, 2**64 - 1))
     return GenConfig(
-        p_group=draw(st.floats(0.0, 1.0)),
+        p_group=draw(shares),
         harmless_dists=draw(sequence)(harmless),
         proxy_dists=draw(sequence)(proxies),
         n=draw(st.sampled_from([int, np.int64]))(n),
@@ -206,6 +208,15 @@ def gen_configs(draw):
 @given(cfg=gen_configs())
 def test_gen_config_dict_roundtrip(cfg):
     assert gen_config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+
+@settings(deadline=None, max_examples=100)
+@given(cfg=gen_configs(st.integers(1, 300), st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)))
+def test_generate_pool_is_the_column_stack_expression_bit_for_bit(cfg):
+    features, protected = generate_pool_expression(cfg)
+    pool = generate_pool(cfg)
+    assert _same_bits(pool.features, features)
+    assert _same_bits(pool.protected, protected)
 
 
 @st.composite
