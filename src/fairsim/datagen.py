@@ -334,11 +334,14 @@ def read_json(path: str | Path):
 
 def read_json_keys(path: str | Path, keys: list[str], build):
     """``build(*values)`` with the raw value of each key of the JSON object in ``path``.
-    ConfigError names the file and a missing key; a FairsimError raised by ``build``
-    is re-raised as the same type with the file name in front."""
+    ConfigError names the file and any unknown keys or a missing key; a FairsimError
+    raised by ``build`` is re-raised as the same type with the file name in front."""
     payload = read_json(path)
     if not isinstance(payload, dict):
         raise ConfigError(f"{path} must hold a JSON object")
+    unknown = sorted(set(payload) - set(keys))
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys {unknown}; expected {sorted(keys)}")
     for key in keys:
         if key not in payload:
             raise ConfigError(f"{path}: key {key!r} is missing")

@@ -35,7 +35,7 @@ from .datagen import (
     write_json,
 )
 from .errors import ConfigError, DimensionMismatch, SingularSystemError
-from .learner import LinearModel, _perceptron_step
+from .learner import LinearModel, perceptron_update
 
 # Relative residual above which a direct solve is reported as unreliable.
 RESIDUAL_TOLERANCE = 1e-8
@@ -142,18 +142,16 @@ def solve_exact(design: np.ndarray, targets: np.ndarray, reg: FairRegularizer) -
     return LinearModel(w)
 
 
-def regularized_update(
-    model: LinearModel, x, y: int, eta: float, reg: FairRegularizer
-) -> LinearModel:
-    """One online step with the fairness penalty.
+def regularized_update(w: np.ndarray, x, y: int, eta: float, reg: FairRegularizer) -> np.ndarray:
+    """One online step with the fairness penalty, on raw weights (intercept first).
 
     Applies ``w + eta * (y - yhat) * (1, x) - lambda * (w . w_reg~) * w_reg~``
     where both terms read the pre-update weights. The penalty applies every
     call; the perceptron term only on a mistake. With ``lambda = 0`` this
-    reproduces the plain perceptron step bit for bit.
+    reproduces the plain perceptron step bit for bit. Returns ``w`` itself
+    (same object) when nothing changes.
     """
-    w = model.weights
-    new = _perceptron_step(w, x, y, eta)
+    new = perceptron_update(w, x, y, eta)
     if reg.w_a.size != w.size - 1:
         raise DimensionMismatch("regularizer direction does not match model width")
     if reg.lam != 0.0:
@@ -161,7 +159,7 @@ def regularized_update(
         aligned = float(w.dot(padded))
         if aligned != 0.0:
             new = new - (reg.lam * aligned) * padded
-    return model if new is w else LinearModel(new)
+    return new
 
 
 def save_regularizer(reg: FairRegularizer, path: str | Path) -> None:

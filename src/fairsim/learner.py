@@ -18,9 +18,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .datagen import (
-    Count, FloatArray, Rate, Seed, Size, _parse, feature_matrix, read_json_keys, write_json
+    Count, FloatArray, Rate, Seed, Size, _parse, check_fields, feature_matrix, read_json_keys,
+    write_json,
 )
-from .errors import ConfigError, DimensionMismatch, NumericalError
+from .errors import ConfigError, DimensionMismatch
 from .usermodel import LabeledPool, linear_scores
 
 if TYPE_CHECKING:  # import cycle: fairreg builds on LinearModel
@@ -29,18 +30,15 @@ if TYPE_CHECKING:  # import cycle: fairreg builds on LinearModel
 
 @dataclass(frozen=True, eq=False)
 class LinearModel:
-    """Linear scorer; ``weights[0]`` is the intercept."""
+    """Linear scorer; ``weights[0]`` is the intercept. The per-round steps work on
+    the raw weight vector; a model is built where the weights leave the loop."""
 
-    weights: np.ndarray
+    weights: FloatArray
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        if w.ndim != 1 or w.size < 2:
+        check_fields(self)
+        if self.weights.ndim != 1 or self.weights.size < 2:
             raise DimensionMismatch("weights must be a vector with an intercept and coefficients")
-        if not np.isfinite(w).all():
-            raise NumericalError("model weights must be finite")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
 
 
 def zero_model(m: int) -> LinearModel:
@@ -48,20 +46,9 @@ def zero_model(m: int) -> LinearModel:
     return LinearModel(np.zeros(_parse(Size, m, "m") + 1))
 
 
-def augment(x) -> np.ndarray:
-    """Prepend the intercept coordinate: x -> (1, x)."""
-    xv = np.asarray(x, dtype=float)
-    if xv.ndim != 1:
-        raise DimensionMismatch(f"feature vector must be 1-D, got shape {xv.shape}")
-    xa = np.empty(xv.size + 1)
-    xa[0] = 1.0
-    xa[1:] = xv
-    return xa
-
-
-def score_all(model: LinearModel, features: np.ndarray) -> np.ndarray:
-    """Score every row of an (n, m) feature matrix."""
-    return linear_scores(features, model.weights)
+def score_all(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """Score every row of an (n, m) feature matrix under raw weights (intercept first)."""
+    return linear_scores(features, weights)
 
 
 def rank_by_model(model: LinearModel, features: np.ndarray) -> np.ndarray:
@@ -71,7 +58,7 @@ def rank_by_model(model: LinearModel, features: np.ndarray) -> np.ndarray:
     sorted scores strictly decrease the order is unique, so it is the stable
     order; any tie, signed zero or NaN falls back to the stable sort.
     """
-    keys = score_all(model, features)
+    keys = score_all(model.weights, features)
     np.negative(keys, out=keys)
     order = np.argsort(keys)
     ranked = keys[order]
@@ -80,23 +67,21 @@ def rank_by_model(model: LinearModel, features: np.ndarray) -> np.ndarray:
     return order
 
 
-def _perceptron_step(w: np.ndarray, x, y: int, eta: float) -> np.ndarray:
-    """Raw weights after one perceptron step; ``w`` itself when the prediction is right."""
-    xa = augment(x)
-    if xa.size != w.size:
-        raise DimensionMismatch(f"feature vector of size {xa.size - 1} does not match model")
+def perceptron_update(w: np.ndarray, x, y: int, eta: float) -> np.ndarray:
+    """One perceptron step on raw weights (intercept first): ``w + eta * (y - yhat) * (1, x)``.
+
+    Returns ``w`` itself (same object) when the prediction is already correct.
+    """
+    xv = np.asarray(x, dtype=float)
+    if xv.ndim != 1:
+        raise DimensionMismatch(f"feature vector must be 1-D, got shape {xv.shape}")
+    if xv.size + 1 != w.size:
+        raise DimensionMismatch(f"feature vector of size {xv.size} does not match model")
+    xa = np.empty(w.size)  # (1, x)
+    xa[0] = 1.0
+    xa[1:] = xv
     err = float(y) - (1.0 if w.dot(xa) >= 0.0 else 0.0)
     return w if err == 0.0 else w + (eta * err) * xa
-
-
-def perceptron_update(model: LinearModel, x, y: int, eta: float) -> LinearModel:
-    """One perceptron step: ``w + eta * (y - yhat) * (1, x)``.
-
-    Returns the input model unchanged (same object) when the prediction is
-    already correct.
-    """
-    new = _perceptron_step(model.weights, x, y, eta)
-    return model if new is model.weights else LinearModel(new)
 
 
 def warm_start(
@@ -128,11 +113,11 @@ def warm_start(
     subsample = rng.permutation(n)[:sample_size]
     picks = rng.integers(0, sample_size, size=rounds)
     features = feature_matrix(pool.pool)
-    model = zero_model(features.shape[1])
+    w = np.zeros(features.shape[1] + 1)
     for i in picks:
         j = int(subsample[i])
-        model = perceptron_update(model, features[j], int(pool.labels[j]), eta)
-    return model
+        w = perceptron_update(w, features[j], int(pool.labels[j]), eta)
+    return LinearModel(w)
 
 
 @dataclass(eq=False)
@@ -188,18 +173,20 @@ def run_online(
     labels = pool.labels.tolist()
     shown = np.empty(rounds, dtype=np.intp)
     snapshots: list[tuple[int, LinearModel]] = []
+    w = start = model.weights
     for r in range(1, rounds + 1):
-        scores = score_all(model, features)
+        scores = score_all(w, features)
         scores[shown[: r - 1]] = -np.inf
         i = int(scores.argmax())
         shown[r - 1] = i
         if regularizer is None:
-            model = perceptron_update(model, features[i], labels[i], eta)
+            w = perceptron_update(w, features[i], labels[i], eta)
         else:
-            model = regularized_update(model, features[i], labels[i], eta, regularizer)
+            w = regularized_update(w, features[i], labels[i], eta, regularizer)
         if snapshot_interval and r % snapshot_interval == 0:
-            snapshots.append((r, model))
-    return model, OnlineTrace(shown_order=shown.tolist(), snapshots=snapshots)
+            snapshots.append((r, model if w is start else LinearModel(w)))
+    final = model if w is start else LinearModel(w)
+    return final, OnlineTrace(shown_order=shown.tolist(), snapshots=snapshots)
 
 
 def save_model(model: LinearModel, path: str | Path, round_index: int = 0) -> None:
@@ -210,9 +197,8 @@ def save_model(model: LinearModel, path: str | Path, round_index: int = 0) -> No
 
 def load_model(path: str | Path) -> tuple[LinearModel, int]:
     """Read a model written by :func:`save_model`; returns (model, round)."""
-    return read_json_keys(path, ["weights", "round"], lambda w, r: (
-        LinearModel(_parse(FloatArray, w, "model weights")), _parse(Count, r, "round")
-    ))
+    return read_json_keys(path, ["weights", "round"],
+                          lambda w, r: (LinearModel(w), _parse(Count, r, "round")))
 
 
 def save_trace(trace: OnlineTrace, pool: LabeledPool, path: str | Path) -> None:

@@ -76,27 +76,27 @@ def auc_oracle(scores, flags):
     return wins / (len(pos) * len(neg))
 
 
-def greedy_online_oracle(model, features, labels, rounds, score, step, snapshot_interval=0):
+def greedy_online_oracle(w, features, labels, rounds, score, step, snapshot_interval=0):
     """The greedy online loop with a boolean mask of shown rows, rebuilt every round.
 
-    ``score(model, features)`` and ``step(model, x, y)`` come from the caller,
-    so this pins only the selection: which row each round shows. Returns the
-    final model, the shown row indices in order, and the (round, model) pairs
+    ``score(w, features)`` and ``step(w, x, y)`` come from the caller, so this
+    pins only the selection: which row each round shows. Returns the final
+    weights, the shown row indices in order, and the (round, weights) pairs
     after every ``snapshot_interval``-th round (none when it is 0).
     """
     available = np.ones(len(labels), dtype=bool)
     shown = []
     snapshots = []
     for r in range(1, rounds + 1):
-        scores = score(model, features)
+        scores = score(w, features)
         scores[~available] = -np.inf
         i = int(np.argmax(scores))
         shown.append(i)
         available[i] = False
-        model = step(model, features[i], int(labels[i]))
+        w = step(w, features[i], int(labels[i]))
         if snapshot_interval > 0 and r % snapshot_interval == 0:
-            snapshots.append((r, model))
-    return model, shown, snapshots
+            snapshots.append((r, w))
+    return w, shown, snapshots
 
 
 def generate_pool_expression(cfg):

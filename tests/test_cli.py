@@ -347,7 +347,7 @@ def test_cli_error_exits(tmp_path, capsys):
         (["sweep", "--config", str(sweep_json), "--out", str(tmp_path / "out")], "seeds"),
         (["online", "--model", str(nan_model), "--pool", str(pool_csv),
           "--out", str(tmp_path / "m.json")],
-         "nan_model.json: model weights[1] must be finite, got nan\n"),
+         "nan_model.json: weights[1] must be finite, got nan\n"),
         (["online", "--model", str(good_model), "--pool", str(labeled_csv), "--lambda", "nan",
           "--out", str(tmp_path / "m.json")], "error: lam must be a finite number, got nan\n"),
         (["metrics", "--ranking", str(pool_csv), "--baseline", str(bad_shares), "--k", "5"],

@@ -10,7 +10,6 @@ from fairsim import (
     DimensionMismatch,
     FairRegularizer,
     GenConfig,
-    LinearModel,
     NumericalError,
     Pool,
     SingularSystemError,
@@ -190,49 +189,49 @@ def test_solve_exact_dimension_errors(tiny_pool):
 
 
 def test_regularized_update_zero_lambda_is_plain_perceptron():
-    model = LinearModel(np.array([0.3, -0.2, 0.9]))
+    w = np.array([0.3, -0.2, 0.9])
     reg = _make_reg([0.4, -0.7], lam=0.0)
     for x, y in (([0.5, 0.1], 0), ([0.2, 0.9], 1), ([-1.0, 0.3], 1)):
-        a = regularized_update(model, x, y, eta=0.05, reg=reg)
-        b = perceptron_update(model, x, y, eta=0.05)
-        np.testing.assert_array_equal(a.weights, b.weights)
-        model = a
+        a = regularized_update(w, x, y, eta=0.05, reg=reg)
+        b = perceptron_update(w, x, y, eta=0.05)
+        np.testing.assert_array_equal(a, b)
+        w = a
 
 
 def test_regularized_update_applies_penalty_without_mistake():
-    model = LinearModel(np.array([0.0, 1.0, 0.0]))
+    w = np.array([0.0, 1.0, 0.0])
     reg = _make_reg([1.0, 0.0], lam=0.1)
     # score of x is 1.0 >= 0 and the label agrees: no perceptron term
-    updated = regularized_update(model, [1.0, 0.0], 1, eta=0.5, reg=reg)
-    np.testing.assert_allclose(updated.weights, [0.0, 0.9, 0.0], rtol=0, atol=1e-15)
+    updated = regularized_update(w, [1.0, 0.0], 1, eta=0.5, reg=reg)
+    np.testing.assert_allclose(updated, [0.0, 0.9, 0.0], rtol=0, atol=1e-15)
 
 
 def test_regularized_update_reads_pre_update_weights_in_both_terms():
-    model = LinearModel(np.array([0.0, 1.0, 0.0]))
+    w = np.array([0.0, 1.0, 0.0])
     reg = _make_reg([1.0, 0.0], lam=0.1)
     # score 1.0, label 0: subtract eta * (1, x); penalty still uses the old w
-    updated = regularized_update(model, [1.0, 0.0], 0, eta=0.5, reg=reg)
-    np.testing.assert_allclose(updated.weights, [-0.5, 0.4, 0.0], rtol=0, atol=1e-15)
+    updated = regularized_update(w, [1.0, 0.0], 0, eta=0.5, reg=reg)
+    np.testing.assert_allclose(updated, [-0.5, 0.4, 0.0], rtol=0, atol=1e-15)
 
 
 def test_regularized_update_noop_returns_same_object():
-    model = LinearModel(np.array([0.0, 0.0, 1.0]))
+    w = np.array([0.0, 0.0, 1.0])
     reg = _make_reg([1.0, 0.0], lam=0.5)
     # no mistake and w orthogonal to the direction: nothing changes
-    assert regularized_update(model, [0.0, 1.0], 1, eta=0.5, reg=reg) is model
+    assert regularized_update(w, [0.0, 1.0], 1, eta=0.5, reg=reg) is w
 
 
 def test_penalty_contracts_the_aligned_component_geometrically():
     reg = _make_reg([0.8, 0.6], lam=0.4)
     padded = reg.padded_direction
     factor = 1.0 - 0.4 * float(padded @ padded)
-    model = LinearModel(np.array([0.2, 1.0, -0.3]))
+    w = np.array([0.2, 1.0, -0.3])
     # x scores negative and the label agrees, so only the penalty acts
     x = [-10.0, 0.0]
     for _ in range(5):
-        before = float(model.weights @ padded)
-        model = regularized_update(model, x, 0, eta=0.1, reg=reg)
-        after = float(model.weights @ padded)
+        before = float(w @ padded)
+        w = regularized_update(w, x, 0, eta=0.1, reg=reg)
+        after = float(w @ padded)
         assert after == pytest.approx(factor * before, rel=1e-12)
 
 
@@ -265,8 +264,15 @@ def test_regularizer_roundtrip(tmp_path, tiny_pool):
 def test_load_regularizer_rejects_tampered_file(tmp_path, tiny_pool):
     path = tmp_path / "reg.json"
     save_regularizer(fit_auxiliary(tiny_pool), path)
-    payload = json.loads(path.read_text())
-    payload["w_reg"][0] += 1.0
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ConfigError):
-        load_regularizer(path)
+    saved = json.loads(path.read_text())
+    assert saved["lambda"] == 0.0
+    shifted = dict(saved, w_reg=[saved["w_reg"][0] + 1.0] + saved["w_reg"][1:])
+    keys = "['alpha_a', 'lambda', 'sigma_x', 'w_a', 'w_reg']"
+    for payload, problem in (
+        (shifted, "w_reg must equal sigma_x @ w_a"),
+        # A misspelt key must not load as the saved strength 0.
+        (dict(saved, lam=10.0), f"unknown keys ['lam']; expected {keys}"),
+    ):
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {problem}')}$"):
+            load_regularizer(path)

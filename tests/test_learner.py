@@ -34,24 +34,31 @@ from _oracles import greedy_online_oracle
 
 
 def test_model_validation(tmp_path, tiny_labeled):
-    with pytest.raises(DimensionMismatch):
-        LinearModel(np.array([1.0]))
-    with pytest.raises(NumericalError):
-        LinearModel(np.array([0.0, np.nan]))
-    # Built in Python, a model is not parsed by the type rule (it is built every
-    # changed round); numpy's own conversion error is what a bad entry gives.
-    with pytest.raises(ValueError, match="could not convert string to float"):
-        LinearModel(["a", "b"])
+    # A model parses its weights by the type rule, like every other record.
+    for weights, error, problem in (
+        (np.array([1.0]), DimensionMismatch,
+         "weights must be a vector with an intercept and coefficients"),
+        (np.ones((2, 2)), DimensionMismatch,
+         "weights must be a vector with an intercept and coefficients"),
+        (np.array([0.0, np.nan]), NumericalError, "weights[1] must be finite, got nan"),
+        (["a", "b"], ConfigError, "weights must hold real numbers, got <U1 entries"),
+        (["1", "2"], ConfigError, "weights must hold real numbers, got <U1 entries"),
+        ([True, False, True], ConfigError, "weights must hold real numbers, got bool entries"),
+    ):
+        with pytest.raises(error, match=f"^{re.escape(problem)}$"):
+            LinearModel(weights)
     path = tmp_path / "model.json"
     for payload, error, problem in (
         ({"weights": ["a", "b"], "round": 0}, ConfigError,
-         "model weights must hold real numbers, got <U1 entries"),
+         "weights must hold real numbers, got <U1 entries"),
         ({"weights": [0.5, None], "round": 0}, ConfigError,
-         "model weights must hold real numbers, got object entries"),
+         "weights must hold real numbers, got object entries"),
         ({"weights": [0.5, 1e999], "round": 0}, NumericalError,
-         r"model weights\[1\] must be finite, got inf"),
+         r"weights\[1\] must be finite, got inf"),
         ({"weights": [0.5, 1.0], "round": 2.5}, ConfigError, "round must be an integer, got 2.5"),
         ({"weights": [0.5, 1.0], "round": -1}, ConfigError, "round must be at least 0, got -1"),
+        ({"weights": [0.5, 1.0], "round": 0, "rounds": 900}, ConfigError,
+         r"unknown keys \['rounds'\]; expected \['round', 'weights'\]"),
     ):
         path.write_text(json.dumps(payload))
         with pytest.raises(error, match=rf"^{re.escape(str(path))}: {problem}$"):
@@ -98,45 +105,45 @@ def test_model_validation(tmp_path, tiny_labeled):
     reg = fit_auxiliary(generate_pool(GenConfig(n=20, seed=1))).with_strength(1.0)
     for x in (np.zeros((1, 3)), np.zeros(()), np.zeros(2)):
         with pytest.raises(DimensionMismatch):
-            perceptron_update(zero_model(3), x, 1, 0.1)
+            perceptron_update(np.zeros(4), x, 1, 0.1)
         with pytest.raises(DimensionMismatch):
-            regularized_update(zero_model(3), x, 1, 0.1, reg)
+            regularized_update(np.zeros(4), x, 1, 0.1, reg)
 
 
 def test_score_and_predict():
-    model = LinearModel(np.array([0.5, 1.0, -2.0]))
-    assert score_all(model, np.array([[1.0, 1.0]]))[0] == pytest.approx(-0.5)
-    # A step leaves the model itself in place exactly when it predicts the label.
-    assert perceptron_update(model, [1.0, 1.0], 0, 0.1) is model
-    assert perceptron_update(model, [2.0, 1.0], 1, 0.1) is model
+    w = np.array([0.5, 1.0, -2.0])
+    assert score_all(w, np.array([[1.0, 1.0]]))[0] == pytest.approx(-0.5)
+    # A step leaves the weights themselves in place exactly when it predicts the label.
+    assert perceptron_update(w, [1.0, 1.0], 0, 0.1) is w
+    assert perceptron_update(w, [2.0, 1.0], 1, 0.1) is w
     # the step function fires on exact zero
-    zero = zero_model(2)
+    zero = np.zeros(3)
     assert perceptron_update(zero, [3.0, 4.0], 1, 0.1) is zero
 
 
 def test_score_all_matches_score():
-    model = LinearModel(np.array([0.1, -0.3, 0.7]))
+    w = np.array([0.1, -0.3, 0.7])
     feats = np.array([[0.0, 1.0], [2.0, -1.0], [0.5, 0.5]])
-    want = [score_all(model, np.array([row]))[0] for row in feats]
-    np.testing.assert_allclose(score_all(model, feats), want, rtol=0, atol=1e-15)
+    want = [score_all(w, np.array([row]))[0] for row in feats]
+    np.testing.assert_allclose(score_all(w, feats), want, rtol=0, atol=1e-15)
     for bad in (feats[:, :1], feats[0], np.float64(1.0)):
         with pytest.raises(DimensionMismatch):
-            score_all(model, bad)
+            score_all(w, bad)
 
 
 def test_perceptron_update_hand_case():
-    model = LinearModel(np.array([0.0, 1.0, -1.0]))
+    w = np.array([0.0, 1.0, -1.0])
     # score = 0.5 - 1.0 < 0, prediction 0, label 1: add eta * (1, x)
-    updated = perceptron_update(model, [0.5, 1.0], 1, eta=0.1)
-    np.testing.assert_array_equal(updated.weights, [0.1, 1.05, -0.9])
+    updated = perceptron_update(w, [0.5, 1.0], 1, eta=0.1)
+    np.testing.assert_array_equal(updated, [0.1, 1.05, -0.9])
     # score >= 0, prediction 1, label 0: subtract
-    down = perceptron_update(model, [2.0, 0.5], 0, eta=0.1)
-    np.testing.assert_array_equal(down.weights, [-0.1, 0.8, -1.05])
+    down = perceptron_update(w, [2.0, 0.5], 0, eta=0.1)
+    np.testing.assert_array_equal(down, [-0.1, 0.8, -1.05])
 
 
 def test_perceptron_noop_returns_same_object():
-    model = LinearModel(np.array([0.0, 1.0, -1.0]))
-    assert perceptron_update(model, [2.0, 0.5], 1, eta=0.1) is model
+    w = np.array([0.0, 1.0, -1.0])
+    assert perceptron_update(w, [2.0, 0.5], 1, eta=0.1) is w
 
 
 def test_rank_by_model_orders_and_breaks_ties_low_first():
@@ -184,9 +191,9 @@ def test_warm_start_learns_the_fair_rule():
     rng = np.random.default_rng(1)
     subsample = rng.permutation(len(labeled))[:1000]
     feats = feature_matrix(labeled.pool)
-    pred = (score_all(model, feats[subsample]) >= 0.0).astype(int)
+    pred = (score_all(model.weights, feats[subsample]) >= 0.0).astype(int)
     assert (pred == labeled.labels[subsample]).mean() >= 0.95
-    pred_full = (score_all(model, feats) >= 0.0).astype(int)
+    pred_full = (score_all(model.weights, feats) >= 0.0).astype(int)
     assert (pred_full == labeled.labels).mean() >= 0.9
 
 
@@ -232,6 +239,30 @@ def test_run_online_snapshots(tiny_labeled):
     np.testing.assert_array_equal(trace2.snapshots[-1][1].weights, final2.weights)
 
 
+def test_models_are_built_only_where_they_leave_the_loop(monkeypatch, fair_user):
+    # The loop steps the raw weight vector; a model is built only for each
+    # snapshot and for the returned model, never once per changed round.
+    labeled = label_pool(generate_pool(GenConfig(n=100, seed=5)), fair_user)
+    start = LinearModel(-np.array(fair_user.weights))  # the labelling rule reversed
+    builds = []
+
+    class CountedModel(LinearModel):
+        def __post_init__(self):
+            builds.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr("fairsim.learner.LinearModel", CountedModel)
+    final, trace = run_online(start, labeled, 100, eta=0.001, snapshot_interval=25)
+    assert [r for r, _ in trace.snapshots] == [25, 50, 75, 100]
+    assert builds == [snap for _, snap in trace.snapshots] + [final]
+    # Mistake-heavy: every stretch between snapshots changed the weights.
+    weights = [start.weights] + [snap.weights for _, snap in trace.snapshots]
+    assert all(not np.array_equal(a, b) for a, b in zip(weights, weights[1:]))
+    builds.clear()
+    warm = warm_start(labeled, sample_size=50, rounds=200, seed=2)
+    assert builds == [warm]
+
+
 def test_run_online_is_pure(tiny_labeled):
     model = zero_model(3)
     a, ta = run_online(model, tiny_labeled, 40, eta=0.05)
@@ -260,12 +291,12 @@ def test_run_online_matches_boolean_mask_loop(tiny_labeled, lam, start):
         reg = fit_auxiliary(twice.pool).with_strength(lam)
         step = partial(regularized_update, eta=eta, reg=reg)
     final, trace = run_online(model, twice, len(twice), eta, regularizer=reg)
-    want_model, want_shown, _ = greedy_online_oracle(
-        model, twice.pool.features, twice.labels, len(twice), score_all, step
+    want_w, want_shown, _ = greedy_online_oracle(
+        model.weights, twice.pool.features, twice.labels, len(twice), score_all, step
     )
     assert trace.shown_order == want_shown
     assert all(type(i) is int for i in trace.shown_order)
-    assert final.weights.tobytes() == want_model.weights.tobytes()
+    assert final.weights.tobytes() == want_w.tobytes()
 
 
 def test_run_online_argument_errors(tiny_labeled):
