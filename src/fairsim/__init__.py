@@ -35,9 +35,9 @@ from .usermodel import (
     UserConfig,
     default_user,
     label_pool,
-    linear_scores,
     load_labeled,
     save_labeled,
+    score_all,
 )
 from .learner import (
     LinearModel,
@@ -48,7 +48,6 @@ from .learner import (
     run_online,
     save_model,
     save_trace,
-    score_all,
     warm_start,
     zero_model,
 )
@@ -69,7 +68,6 @@ from .metrics import (
     load_baseline,
     ndcs,
     precision_at_k,
-    report_rows,
     save_baseline,
     skew_at_k,
 )

@@ -35,15 +35,7 @@ from .datagen import (
 from .errors import ConfigError
 from .fairreg import FairRegularizer, fit_auxiliary, save_regularizer
 from .learner import LinearModel, OnlineTrace, rank_by_model, run_online, save_model, warm_start
-from .metrics import (
-    CSV_FIELDS,
-    Baseline,
-    MetricsReport,
-    compute_baseline,
-    evaluate_ranking,
-    report_rows,
-    save_baseline,
-)
+from .metrics import Baseline, MetricsReport, compute_baseline, evaluate_ranking, save_baseline
 from .usermodel import DEFAULT_USER_WEIGHTS, LabeledPool, UserConfig, label_pool
 
 # Sub-stream tags for deriving independent seeds from one experiment seed.
@@ -265,20 +257,29 @@ def run_reg_sweep(cfg: ExperimentConfig, verbose: bool = False) -> list[SeedResu
     )
 
 
+CSV_FIELDS = (
+    "config_id", "seed", "p_bias", "eta", "lambda", "k", "skew", "precision", "ndcs",
+    "count_group1",
+)
+
+
 def results_to_rows(results: list[SeedResult], experiment: str) -> list[dict]:
-    """Flatten every seed's cells into metric rows with a deterministic global order."""
+    """One ``CSV_FIELDS`` row per report and cutoff k, in a deterministic global order.
+
+    ``config_id`` is ``<experiment>:`` plus ``online``, ``warm`` or ``online:round=NNNN``."""
     rows = []
     for cell in (cell for res in results for cell in res.cells):
-        common = dict(seed=cell.seed, p_bias=cell.p_bias, eta=cell.eta, lam=cell.lam)
-        rows.extend(report_rows(cell.report_final, config_id=f"{experiment}:online", **common))
+        reports = [("online", cell.report_final)]
         if cell.report_warm is not None:
-            rows.extend(report_rows(cell.report_warm, config_id=f"{experiment}:warm", **common))
-        for round_index, report in cell.reports_evolution:
-            rows.extend(
-                report_rows(
-                    report, config_id=f"{experiment}:online:round={round_index:04d}", **common
+            reports.append(("warm", cell.report_warm))
+        reports += [(f"online:round={r:04d}", report) for r, report in cell.reports_evolution]
+        for tag, report in reports:
+            for k in sorted(report.skew_at):
+                values = (
+                    f"{experiment}:{tag}", cell.seed, cell.p_bias, cell.eta, cell.lam, k,
+                    report.skew_at[k], report.precision_at[k], report.ndcs, report.counts_at[k],
                 )
-            )
+                rows.append(dict(zip(CSV_FIELDS, values)))
     rows.sort(key=lambda r: (r["p_bias"], r["eta"], r["lambda"], r["seed"], r["k"], r["config_id"]))
     return rows
 
@@ -294,11 +295,16 @@ def write_results(
 
     The CSV is sorted by (p_bias, eta, lambda, seed, k), so file bytes do not
     depend on execution order. The manifest carries the resolved config and
-    the only timestamp in the output tree.
+    the only timestamp in the output tree. Model, baseline and regularizer
+    files an earlier run left in the directory are deleted first, so the tree
+    describes this run alone.
     """
     exp_dir = Path(out_dir) / experiment
     models_dir = exp_dir / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
+    for pattern in ("models/*.json", "baseline_seed*.json", "regularizer_seed*.json"):
+        for stale in exp_dir.glob(pattern):
+            stale.unlink()
 
     rows = results_to_rows(results, experiment)
     with open(exp_dir / "metrics.csv", "w", newline="") as fh:

@@ -22,7 +22,7 @@ from .datagen import (
     write_json,
 )
 from .errors import ConfigError, DimensionMismatch
-from .usermodel import LabeledPool, linear_scores
+from .usermodel import LabeledPool, score_all
 
 if TYPE_CHECKING:  # import cycle: fairreg builds on LinearModel
     from .fairreg import FairRegularizer
@@ -44,11 +44,6 @@ class LinearModel:
 def zero_model(m: int) -> LinearModel:
     """All-zero model for ``m`` features."""
     return LinearModel(np.zeros(_parse(Size, m, "m") + 1))
-
-
-def score_all(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Score every row of an (n, m) feature matrix under raw weights (intercept first)."""
-    return linear_scores(features, weights)
 
 
 def rank_by_model(model: LinearModel, features: np.ndarray) -> np.ndarray:

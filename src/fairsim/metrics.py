@@ -32,7 +32,7 @@ from .datagen import (
     read_json_keys, write_json,
 )
 from .errors import ConfigError, EmptyQualifiedPool
-from .usermodel import UserConfig, linear_scores
+from .usermodel import UserConfig, score_all
 
 EPSILON_FLOOR = 1e-6
 
@@ -82,7 +82,7 @@ def compute_baseline(pool: Pool, fair_user: UserConfig) -> Baseline:
     """
     features = feature_matrix(pool)
     attrs = protected_values(pool)
-    qualified = linear_scores(features, fair_user.weights) >= 0.0
+    qualified = score_all(fair_user.weights, features) >= 0.0
     total = int(qualified.sum())
     if total == 0:
         raise EmptyQualifiedPool("no candidate passes the fair acceptance rule")
@@ -152,43 +152,6 @@ def evaluate_ranking(
         precision_at=precision_values,
         counts_at=counts,
     )
-
-
-CSV_FIELDS = (
-    "config_id",
-    "seed",
-    "p_bias",
-    "eta",
-    "lambda",
-    "k",
-    "skew",
-    "precision",
-    "ndcs",
-    "count_group1",
-)
-
-
-def report_rows(
-    report: MetricsReport, *, config_id: str, seed: int, p_bias: float, eta: float, lam: float
-) -> list[dict]:
-    """Flatten a report into CSV rows, one per cutoff k."""
-    rows = []
-    for k in sorted(report.skew_at):
-        rows.append(
-            {
-                "config_id": config_id,
-                "seed": seed,
-                "p_bias": p_bias,
-                "eta": eta,
-                "lambda": lam,
-                "k": k,
-                "skew": report.skew_at[k],
-                "precision": report.precision_at[k],
-                "ndcs": report.ndcs,
-                "count_group1": report.counts_at[k],
-            }
-        )
-    return rows
 
 
 def save_baseline(baseline: Baseline, path: str | Path) -> None:

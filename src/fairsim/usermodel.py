@@ -45,8 +45,8 @@ def default_user(p_bias: float, seed: int = 0) -> UserConfig:
     return UserConfig(p_bias=p_bias, weights=DEFAULT_USER_WEIGHTS, seed=seed)
 
 
-def linear_scores(features: np.ndarray, weights) -> np.ndarray:
-    """Evaluate ``w0 + w . x`` for each row of ``features``."""
+def score_all(weights, features: np.ndarray) -> np.ndarray:
+    """Evaluate ``w0 + w . x`` for each row of an (n, m) ``features`` (intercept first)."""
     w = np.asarray(weights, dtype=float)
     f = np.asarray(features, dtype=float)
     if f.ndim != 2 or f.shape[1] != w.size - 1:
@@ -86,7 +86,7 @@ def label_pool(pool: Pool, user: UserConfig) -> LabeledPool:
     (non-strict, so a score of exactly zero is accepted).
     """
     features = feature_matrix(pool)
-    fair = linear_scores(features, user.weights) >= 0.0
+    fair = score_all(user.weights, features) >= 0.0
     rng = np.random.default_rng(user.seed)
     coin = rng.random(len(pool)) < user.p_bias
     protected = protected_values(pool)

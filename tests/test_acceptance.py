@@ -30,12 +30,12 @@ from fairsim import (
     feature_matrix,
     fit_auxiliary,
     generate_pool,
-    linear_scores,
     ndcs,
     protected_values,
     run_evolution,
     run_final_eval,
     run_reg_sweep,
+    score_all,
     skew_at_k,
     solve_exact,
 )
@@ -94,7 +94,7 @@ def online_pools():
 def test_criterion_01_metric_oracle_equivalence():
     user = default_user(0.0)
     base_pool = generate_pool(GenConfig(n=12, seed=2))
-    order = np.argsort(-linear_scores(feature_matrix(base_pool), user.weights), kind="stable")
+    order = np.argsort(-score_all(user.weights, feature_matrix(base_pool)), kind="stable")
     features = feature_matrix(base_pool)[order]
 
     start = time.monotonic()
@@ -229,7 +229,7 @@ def test_criterion_09_solver_consistency():
     pool = generate_pool(GenConfig(n=200, seed=31))
     feats = feature_matrix(pool)
     design = np.vstack([np.ones(len(feats)), feats.T])
-    targets = linear_scores(feats, default_user(0.0).weights) >= 0.0
+    targets = score_all(default_user(0.0).weights, feats) >= 0.0
     targets = targets.astype(float)
     reg = fit_auxiliary(pool).with_strength(5.0)
     exact = solve_exact(design, targets, reg)

@@ -26,6 +26,7 @@ from fairsim import (
 from fairsim import experiments
 from fairsim.datagen import config_to_dict
 from fairsim.experiments import (
+    CSV_FIELDS,
     STREAM_FAIR_POOL,
     STREAM_FAIR_USER,
     STREAM_ONLINE_POOL,
@@ -33,7 +34,6 @@ from fairsim.experiments import (
     STREAM_WARM,
     results_to_rows,
 )
-from fairsim.metrics import CSV_FIELDS
 
 
 def tiny_config(**overrides):
@@ -232,6 +232,45 @@ def test_results_to_rows_sorted_and_labeled():
     assert len(rows) == cells * len(cfg.k_list) * 2
 
 
+def test_results_to_rows_carry_each_reports_values():
+    # k_list out of order: each report's rows must still run through sorted k.
+    cfg = tiny_config(k_list=(10, 5))
+    snapshot_tags = {f"evolution:online:round={r:04d}" for r in (5, 10, 15, 20)}
+    for runner, experiment, tags in (
+        (run_final_eval, "final_eval", {"final_eval:online", "final_eval:warm"}),
+        (run_evolution, "evolution", {"evolution:online"} | snapshot_tags),
+        (run_reg_sweep, "reg_sweep", {"reg_sweep:online", "reg_sweep:warm"}),
+    ):
+        results = runner(cfg)
+        reports = {}
+        for cell in cells(results):
+            coords = (cell.seed, cell.p_bias, cell.eta, cell.lam)
+            reports[(f"{experiment}:online", *coords)] = cell.report_final
+            if cell.report_warm is not None:
+                reports[(f"{experiment}:warm", *coords)] = cell.report_warm
+            for r, report in cell.reports_evolution:
+                reports[(f"{experiment}:online:round={r:04d}", *coords)] = report
+        rows_of = {}
+        for row in results_to_rows(results, experiment):
+            assert list(row) == list(CSV_FIELDS)
+            rows_of.setdefault(tuple(row[name] for name in CSV_FIELDS[:5]), []).append(row)
+        assert rows_of.keys() == reports.keys()
+        assert {config_id for config_id, *_ in rows_of} == tags
+        for key, rows in rows_of.items():
+            match = re.fullmatch(r"evolution:online:round=(\d{4})", key[0])
+            shown = int(match.group(1)) if match else cfg.online_rounds
+            assert [row["k"] for row in rows] == [k for k in sorted(cfg.k_list) if k <= shown]
+            report = reports[key]
+            for row in rows:
+                k = row["k"]
+                assert row["skew"] == report.skew_at[k]
+                assert row["precision"] == report.precision_at[k]
+                assert row["ndcs"] == report.ndcs
+                assert row["count_group1"] == report.counts_at[k]
+        if experiment == "reg_sweep":
+            assert {key[4] for key in rows_of} == set(cfg.lambda_grid)
+
+
 def test_write_results_layout_and_stability(tmp_path):
     cfg = tiny_config(seeds=(1,))
     results = run_reg_sweep(cfg)
@@ -262,6 +301,23 @@ def test_write_results_layout_and_stability(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     again = experiment_config_from_dict(manifest["config"])
     assert config_to_dict(again) == config_to_dict(cfg)
+
+
+def test_a_rerun_into_the_same_directory_leaves_only_its_own_files(tmp_path):
+    def files(root):
+        return sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+
+    big = tiny_config()
+    small = tiny_config(seeds=(1,), p_bias_grid=(0.0,), eta_grid=(0.05,), lambda_grid=(1.0,))
+    for runner, experiment in ((run_final_eval, "final_eval"), (run_reg_sweep, "reg_sweep")):
+        write_results(runner(big), tmp_path / "rerun", experiment, big)
+        (tmp_path / "rerun" / experiment / "notes.txt").write_text("kept")
+        rerun = write_results(runner(small), tmp_path / "rerun", experiment, small)
+        fresh = write_results(runner(small), tmp_path / "fresh", experiment, small)
+        assert files(rerun) == sorted(files(fresh) + ["notes.txt"])
+        for name in files(fresh):
+            if name != "manifest.json":
+                assert (rerun / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 def test_numpy_seeds_write_the_same_manifest(tmp_path):

@@ -15,11 +15,10 @@ from fairsim import (
     load_baseline,
     ndcs,
     precision_at_k,
-    report_rows,
     save_baseline,
     skew_at_k,
 )
-from fairsim.metrics import CSV_FIELDS, EPSILON_FLOOR
+from fairsim.metrics import EPSILON_FLOOR
 
 from _oracles import baseline_oracle, ndcs_oracle, precision_oracle, skew_oracle
 
@@ -157,20 +156,6 @@ def test_evaluate_ranking_length_mismatch():
     baseline = Baseline(p_qualified={0: 0.5, 1: 0.5}, qualified_count=2)
     with pytest.raises(ConfigError):
         evaluate_ranking(ranking, [1], baseline, k_list=(1,), ndcs_k_max=1)
-
-
-def test_report_rows_layout():
-    flags = [1, 0, 1]
-    ranking = _ranking(flags)
-    baseline = Baseline(p_qualified={0: 0.5, 1: 0.5}, qualified_count=2)
-    report = evaluate_ranking(ranking, [1, 1, 0], baseline, k_list=(3, 1), ndcs_k_max=3)
-    rows = report_rows(report, config_id="demo", seed=4, p_bias=0.2, eta=0.01, lam=1.0)
-    assert [row["k"] for row in rows] == [1, 3]
-    for row in rows:
-        assert set(row) == set(CSV_FIELDS)
-        assert row["config_id"] == "demo"
-        assert row["lambda"] == 1.0
-        assert row["ndcs"] == report.ndcs
 
 
 def test_baseline_roundtrip(tmp_path, tiny_pool, fair_user):

@@ -1,7 +1,7 @@
 """Property tests: CSV and config round trips, the zero-copy column accessors,
 the array type rules, the bounded scalar annotations, the exact ranking order,
 the pool build's and online step's expressions pinned bit for bit, the algebraic invariants
-of the online steps and of Skew@k, and the online loop and re-ranked reports
+of the online steps, of Skew@k, of the regularizer's fit and of the warm start's scale, and the online loop and re-ranked reports
 against naive references on tie-heavy pools."""
 
 import json
@@ -29,8 +29,11 @@ from fairsim import (
     Pool,
     ProxyDist,
     Uniform,
+    default_user,
     feature_matrix,
+    fit_auxiliary,
     generate_pool,
+    label_pool,
     load_labeled,
     load_pool,
     perceptron_update,
@@ -42,13 +45,13 @@ from fairsim import (
     save_pool,
     score_all,
     skew_at_k,
+    warm_start,
 )
 from fairsim.datagen import (
     BOUNDS, BinaryArray, Count, FloatArray, Group, Rate, Seed, Share, Size, _parse, config_to_dict,
     gen_config_from_dict,
 )
 from fairsim.experiments import _ranked_report
-from fairsim.usermodel import linear_scores
 
 from _oracles import (
     generate_pool_expression,
@@ -294,8 +297,8 @@ def step_inputs(draw):
 def test_scores_are_the_intercept_sum_expression_bit_for_bit(inputs):
     w, features, _ = inputs
     want = scores_expression(features, w)
-    assert _same_bits(linear_scores(features, w), want)
     assert _same_bits(score_all(w, features), want)
+    assert _same_bits(score_all(tuple(w), features), want)
 
 
 @settings(deadline=None, max_examples=150)
@@ -399,6 +402,34 @@ def test_skew_is_zero_when_the_top_k_mirrors_the_qualified_share(k, data):
     share = ones / k
     baseline = Baseline(p_qualified={0: 1.0 - share, 1: share}, qualified_count=k)
     assert skew_at_k(np.array(top + tail), k, baseline) == 0.0
+
+
+@settings(deadline=None, max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1), alpha_a=st.sampled_from([0.0, 1e-3, 1.0]))
+def test_scores_covary_with_the_auxiliary_prediction_as_w_dot_w_reg(seed, alpha_a):
+    # The regularizer's premise: on the pool it was fitted on, the population
+    # covariance of any model's scores w0 + X w with the auxiliary prediction X w_a
+    # is w . w_reg, so driving w . w_reg to 0 decorrelates the two.
+    pool = generate_pool(GenConfig(n=500, seed=seed))
+    reg = fit_auxiliary(pool, alpha_a=alpha_a)
+    w = np.random.default_rng(seed).normal(size=len(reg.w_reg) + 1)
+    scores, predicted = w[0] + pool.features @ w[1:], pool.features @ reg.w_a
+    covariance = np.mean((scores - scores.mean()) * (predicted - predicted.mean()))
+    scale = np.linalg.norm(w[1:]) * np.linalg.norm(reg.w_reg)
+    assert abs(covariance - w[1:] @ reg.w_reg) <= 1e-12 * scale
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), p_bias=st.floats(0.0, 1.0),
+       exponent=st.floats(-14.0, 0.0), k=st.sampled_from([-6, 1, 5]))
+def test_warm_start_eta_fixes_only_the_norm(seed, p_bias, exponent, k):
+    # From zero weights a power-of-two factor on eta scales every product and sum
+    # of the trajectory exactly, so each prediction, and each step, is unchanged.
+    labeled = label_pool(generate_pool(GenConfig(n=200, seed=seed)), default_user(p_bias, seed))
+    eta = 10.0**exponent
+    base = warm_start(labeled, sample_size=100, rounds=200, eta=eta, seed=seed).weights
+    scaled = warm_start(labeled, sample_size=100, rounds=200, eta=eta * 2.0**k, seed=seed)
+    assert _same_bits(scaled.weights, base * 2.0**k)
 
 
 

@@ -13,10 +13,10 @@ from fairsim import (
     default_user,
     feature_matrix,
     label_pool,
-    linear_scores,
     load_labeled,
     protected_values,
     save_labeled,
+    score_all,
 )
 
 from _oracles import fair_scores_oracle
@@ -26,17 +26,17 @@ def test_default_weights_value():
     assert DEFAULT_USER_WEIGHTS == (-0.48, 0.35, 0.28, 0.28)
 
 
-def test_linear_scores_match_scalar_arithmetic(tiny_pool):
+def test_score_all_matches_scalar_arithmetic(tiny_pool):
     feats = feature_matrix(tiny_pool)
-    got = linear_scores(feats, DEFAULT_USER_WEIGHTS)
+    got = score_all(DEFAULT_USER_WEIGHTS, feats)
     want = fair_scores_oracle(tiny_pool, DEFAULT_USER_WEIGHTS)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
-def test_linear_scores_dimension_mismatch(tiny_pool):
+def test_score_all_dimension_mismatch(tiny_pool):
     feats = feature_matrix(tiny_pool)
     with pytest.raises(DimensionMismatch):
-        linear_scores(feats, (0.0, 1.0))
+        score_all((0.0, 1.0), feats)
 
 
 def test_zero_bias_labels_follow_fair_rule(tiny_pool, fair_user):
