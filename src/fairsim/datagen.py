@@ -25,7 +25,8 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatch, FairsimError, NumericalError
 
 
-# check_fields annotations beyond the builtin types; arrays are stored as read-only copies.
+# check_fields annotations beyond the builtin types; arrays are stored as read-only copies,
+# except an owned read-only array of the stored dtype, which is kept as is.
 FloatArray = NewType("FloatArray", np.ndarray)  # finite reals, as float64
 BinaryArray = NewType("BinaryArray", np.ndarray)  # bools or integers 0 and 1, as int64
 Seed = NewType("Seed", int)  # the seeds numpy takes
@@ -94,7 +95,9 @@ def _parse_array(annotation, value, path: str) -> np.ndarray:
     if raw.dtype.kind not in ("iuf" if floats else "biu"):
         what = "real numbers" if floats else "bools or integers"
         raise ConfigError(f"{path} must hold {what}, got {raw.dtype} entries")
-    array = np.array(raw, dtype=np.float64 if floats else np.int64)
+    dtype = np.float64 if floats else np.int64
+    owned = type(value) is np.ndarray and value.dtype == dtype and value.base is None
+    array = value if owned and not value.flags.writeable else np.array(raw, dtype=dtype)
     # min/max rather than isin: a fraction of the cost on 10^5-row columns.
     if not (np.isfinite(array).all() if floats
             else raw.dtype.kind == "b" or raw.size == 0 or 0 <= raw.min() <= raw.max() <= 1):
@@ -196,7 +199,8 @@ class GenConfig:
 @dataclass(frozen=True, eq=False)
 class Pool:
     """Candidates in columns: ``features`` is (n, m) finite float, ``protected`` is (n,) 0 or 1.
-    Both are private read-only copies, so a pool can hand them out without copying again."""
+    Both are read-only, so a pool can hand them out without copying again; they are
+    copies unless passed in owned, read-only and of the stored dtype."""
 
     features: FloatArray
     protected: BinaryArray
@@ -235,9 +239,11 @@ def generate_pool(cfg: GenConfig) -> Pool:
         features[:, j] = dist.sample(rng, cfg.n)
     for j, proxy in enumerate(cfg.proxy_dists, start=len(cfg.harmless_dists)):
         z = rng.standard_normal(cfg.n)
-        mean = np.where(protected == 1, proxy.group1.mean, proxy.group0.mean)
-        z *= np.where(protected == 1, proxy.group1.std, proxy.group0.std)
+        mean = np.array([proxy.group0.mean, proxy.group1.mean])[protected]
+        z *= np.array([proxy.group0.std, proxy.group1.std])[protected]
         np.add(mean, z, out=features[:, j])
+    features.setflags(write=False)  # read-only and owned: the Pool keeps them without a copy
+    protected.setflags(write=False)
     return Pool(features=features, protected=protected)
 
 

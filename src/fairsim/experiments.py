@@ -173,10 +173,12 @@ def _ranked_report(
     """Re-rank the labeled pool's ``rows`` (default: all) by ``model`` and report metrics.
 
     NDCS covers the top ``online_rounds`` positions, or every row if fewer are ranked.
+    Only the positions the metrics read are sorted; the report still gets every row.
     """
-    order = rank_by_model(model, feature_matrix(pool.pool)[rows])
-    ks = [k for k in cfg.k_list if k <= len(order)]
-    k_max = min(cfg.online_rounds, len(order))
+    features = feature_matrix(pool.pool)[rows]
+    ks = [k for k in cfg.k_list if k <= len(features)]
+    k_max = min(cfg.online_rounds, len(features))
+    order = rank_by_model(model, features, top=max(ks + [k_max]))
     protected, ranked_labels = pool.pool.protected[rows][order], pool.labels[rows][order]
     return evaluate_ranking(protected, ranked_labels, baseline, ks, ndcs_k_max=k_max)
 

@@ -46,20 +46,35 @@ def zero_model(m: int) -> LinearModel:
     return LinearModel(np.zeros(_parse(Size, m, "m") + 1))
 
 
-def rank_by_model(model: LinearModel, features: np.ndarray) -> np.ndarray:
+def _unique_argsort(keys: np.ndarray) -> np.ndarray | None:
+    """``np.argsort(keys)`` by numpy's default (unstable, SIMD-dispatched) sort if the
+    sorted keys strictly increase, so that the order is unique; None on any tie,
+    signed zero or NaN."""
+    order = np.argsort(keys)
+    ranked = keys[order]
+    return order if np.all(ranked[:-1] < ranked[1:]) else None
+
+
+def rank_by_model(model: LinearModel, features: np.ndarray, top: int | None = None) -> np.ndarray:
     """Indices of all rows sorted by decreasing score; ties keep the lower index first.
 
-    Sorts with numpy's default (unstable, SIMD-dispatched) sort first. When the
-    sorted scores strictly decrease the order is unique, so it is the stable
-    order; any tie, signed zero or NaN falls back to the stable sort.
+    With ``top`` below the row count, only the first ``top`` entries are in that
+    order; the other rows follow in an unspecified but deterministic order, as in
+    C++ ``std::partial_sort``. The head comes from a partition. It is exact when
+    its scores are distinct and no row outside it ties the ``top``-th score; a tie
+    or NaN falls back to the full sort, which is the stable sort after any tie.
     """
     keys = score_all(model.weights, features)
     np.negative(keys, out=keys)
-    order = np.argsort(keys)
-    ranked = keys[order]
-    if not np.all(ranked[:-1] < ranked[1:]):
-        order = np.argsort(keys, kind="stable")
-    return order
+    if top is not None and _parse(Size, top, "top") < keys.size:
+        order = np.argpartition(keys, top - 1)
+        head = order[:top]  # a view: the head is sorted in place
+        head_order = _unique_argsort(keys[head])
+        if head_order is not None and np.count_nonzero(keys <= keys[head[-1]]) == top:
+            head[:] = head[head_order]
+            return order
+    order = _unique_argsort(keys)
+    return order if order is not None else np.argsort(keys, kind="stable")
 
 
 def perceptron_update(w: np.ndarray, x, y: int, eta: float) -> np.ndarray:
@@ -165,7 +180,6 @@ def run_online(
                 f"lambda={regularizer.lam!r} exceeds the online stability limit "
                 f"2 / |w_reg|^2 = {2.0 / norm2:.6g}"
             )
-    labels = pool.labels.tolist()
     shown = np.empty(rounds, dtype=np.intp)
     snapshots: list[tuple[int, LinearModel]] = []
     w = start = model.weights
@@ -175,9 +189,9 @@ def run_online(
         i = int(scores.argmax())
         shown[r - 1] = i
         if regularizer is None:
-            w = perceptron_update(w, features[i], labels[i], eta)
+            w = perceptron_update(w, features[i], int(pool.labels[i]), eta)
         else:
-            w = regularized_update(w, features[i], labels[i], eta, regularizer)
+            w = regularized_update(w, features[i], int(pool.labels[i]), eta, regularizer)
         if snapshot_interval and r % snapshot_interval == 0:
             snapshots.append((r, model if w is start else LinearModel(w)))
     final = model if w is start else LinearModel(w)

@@ -80,6 +80,23 @@ def test_pool_columns_are_read_only():
         pool.protected[0] = 1
 
 
+def test_pool_keeps_owned_read_only_arrays_and_copies_views():
+    features, protected = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]), np.array([0, 1, 1])
+    features.setflags(write=False)
+    protected.setflags(write=False)
+    pool = Pool(features=features, protected=protected)
+    assert np.shares_memory(pool.features, features) and pool.protected is protected
+    # A read-only view of a writeable base could still change through the base.
+    base = features.copy()
+    view = base[:]
+    view.setflags(write=False)
+    pool = Pool(features=view, protected=protected)
+    assert not np.shares_memory(pool.features, base) and not pool.features.flags.writeable
+    # The generator's arrays are already owned and read-only, so the pool holds them.
+    drawn = generate_pool(GenConfig(n=5, seed=1))
+    assert drawn.features.base is None and drawn.protected.base is None
+
+
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
         GenConfig(p_group=1.5)

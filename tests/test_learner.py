@@ -150,6 +150,9 @@ def test_rank_by_model_orders_and_breaks_ties_low_first():
     model = LinearModel(np.array([0.0, 1.0]))
     feats = np.array([[0.2], [0.9], [0.2], [0.5]])
     np.testing.assert_array_equal(rank_by_model(model, feats), [1, 3, 0, 2])
+    np.testing.assert_array_equal(rank_by_model(model, feats, top=2)[:2], [1, 3])
+    with pytest.raises(ConfigError, match="^top must be at least 1"):
+        rank_by_model(model, feats, top=0)
 
 
 def test_warm_start_matches_independent_replay(tiny_labeled):

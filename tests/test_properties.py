@@ -266,6 +266,26 @@ def test_rank_by_model_orders_signed_zeros_and_nan_stably(values, n, seed):
     assert _same_bits(got, np.argsort(-scores, kind="stable"))
 
 
+@settings(deadline=None, max_examples=80)
+@given(
+    values=st.lists(st.sampled_from([0.0, -0.0, 1.0, np.nan, np.inf, -np.inf]) | FINITE,
+                    min_size=1, max_size=8),
+    n=st.integers(1, 200),
+    seed=st.integers(0, 2**32 - 1),
+    distinct=st.booleans(),
+)
+def test_rank_by_model_top_is_the_stable_prefix_of_a_permutation(values, n, seed, distinct):
+    # Tie-heavy scores drawn from a few values, or distinct normals for the unstable head sort.
+    rng = np.random.default_rng(seed)
+    scores = rng.normal(size=n) if distinct else np.array(values)[rng.integers(0, len(values), n)]
+    want = np.argsort(-scores, kind="stable")
+    with mock.patch("fairsim.learner.score_all", lambda weights, features: scores.copy()):
+        for top in range(1, n + 2):
+            got = rank_by_model(LinearModel(np.zeros(2)), np.zeros((n, 1)), top=top)
+            assert _same_bits(got[:top], want[:top])
+            assert _same_bits(np.sort(got), np.arange(n))
+
+
 # Bounded so that no product or sum overflows; signed zeros are drawn often.
 SIGNED_ZERO = st.sampled_from([0.0, -0.0])
 BOUNDED = st.floats(-1e100, 1e100, allow_nan=False) | SIGNED_ZERO
