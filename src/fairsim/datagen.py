@@ -28,7 +28,7 @@ from .errors import ConfigError, DimensionMismatch, FairsimError, NumericalError
 # check_fields annotations beyond the builtin types; arrays are stored as read-only copies,
 # except an owned read-only array of the stored dtype, which is kept as is.
 FloatArray = NewType("FloatArray", np.ndarray)  # finite reals, as float64
-BinaryArray = NewType("BinaryArray", np.ndarray)  # bools or integers 0 and 1, as int64
+BinaryArray = NewType("BinaryArray", np.ndarray)  # bools or integers 0 and 1, as int8
 Seed = NewType("Seed", int)  # the seeds numpy takes
 Count = NewType("Count", int)
 Size = NewType("Size", int)
@@ -95,7 +95,7 @@ def _parse_array(annotation, value, path: str) -> np.ndarray:
     if raw.dtype.kind not in ("iuf" if floats else "biu"):
         what = "real numbers" if floats else "bools or integers"
         raise ConfigError(f"{path} must hold {what}, got {raw.dtype} entries")
-    dtype = np.float64 if floats else np.int64
+    dtype = np.float64 if floats else np.int8
     owned = type(value) is np.ndarray and value.dtype == dtype and value.base is None
     array = value if owned and not value.flags.writeable else np.array(raw, dtype=dtype)
     # min/max rather than isin: a fraction of the cost on 10^5-row columns.
@@ -233,15 +233,16 @@ def generate_pool(cfg: GenConfig) -> Pool:
     Values are not clipped; proxy draws may fall outside [0, 1].
     """
     rng = np.random.default_rng(cfg.seed)
-    protected = (rng.random(cfg.n) < cfg.p_group).astype(np.int64)
+    protected = (rng.random(cfg.n) < cfg.p_group).astype(np.int8)
     features = np.empty((cfg.n, cfg.m))
     for j, dist in enumerate(cfg.harmless_dists):
         features[:, j] = dist.sample(rng, cfg.n)
     for j, proxy in enumerate(cfg.proxy_dists, start=len(cfg.harmless_dists)):
+        # z * std + mean, holding one n-row gather beside z at a time.
         z = rng.standard_normal(cfg.n)
-        mean = np.array([proxy.group0.mean, proxy.group1.mean])[protected]
         z *= np.array([proxy.group0.std, proxy.group1.std])[protected]
-        np.add(mean, z, out=features[:, j])
+        np.add(z, np.array([proxy.group0.mean, proxy.group1.mean])[protected], out=features[:, j])
+        del z
     features.setflags(write=False)  # read-only and owned: the Pool keeps them without a copy
     protected.setflags(write=False)
     return Pool(features=features, protected=protected)

@@ -52,6 +52,11 @@ def derive_seed(root: int, stream: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
+def _stem_value(value: float) -> str:
+    """A grid value as it reads in a model file name."""
+    return f"{value:g}"
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Grids, defaults, and shared settings for every experiment."""
@@ -83,6 +88,16 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must not be empty")
             if len(set(values)) < len(values):
                 raise ConfigError(f"{name} must not repeat a value, got {values}")
+        for name in ("p_bias_grid", "eta_grid", "lambda_grid"):
+            stems = {}
+            for value in getattr(self, name):
+                stem = _stem_value(value)
+                if stem in stems:
+                    raise ConfigError(
+                        f"{name} values {stems[stem]!r} and {value!r} both read {stem!r} "
+                        "in model file names"
+                    )
+                stems[stem] = value
         if self.warm_sample_size > self.gen.n:
             raise ConfigError("warm_sample_size must lie in [1, pool size]")
         if self.online_rounds > self.gen.n:
@@ -287,7 +302,8 @@ def results_to_rows(results: list[SeedResult], experiment: str) -> list[dict]:
 
 
 def _cell_stem(cell: RunResult) -> str:
-    return f"pbias{cell.p_bias:g}_eta{cell.eta:g}_lam{cell.lam:g}_seed{cell.seed}"
+    p_bias, eta, lam = (_stem_value(v) for v in (cell.p_bias, cell.eta, cell.lam))
+    return f"pbias{p_bias}_eta{eta}_lam{lam}_seed{cell.seed}"
 
 
 def write_results(

@@ -103,7 +103,7 @@ def generate_pool_expression(cfg):
     """A pool's ``(features, protected)``, drawn in the pinned order into a list of
     columns that ``np.column_stack`` joins."""
     rng = np.random.default_rng(cfg.seed)
-    protected = (rng.random(cfg.n) < cfg.p_group).astype(np.int64)
+    protected = (rng.random(cfg.n) < cfg.p_group).astype(np.int8)
     columns = []
     for dist in cfg.harmless_dists:
         if hasattr(dist, "lo"):

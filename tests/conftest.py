@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -45,6 +46,29 @@ def rewrite_cell():
         path.write_text("\n".join(lines) + "\n")
 
     return rewrite
+
+
+@pytest.fixture
+def traced():
+    """Run ``call()`` under tracemalloc; give its result, the bytes it left allocated
+    and the bytes it held at its peak, both counted from the start of the call.
+    Works whether or not tracing is already on."""
+
+    def run(call):
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            result = call()
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            if started:
+                tracemalloc.stop()
+        return result, after - before, peak - before
+
+    return run
 
 
 @pytest.fixture(scope="session")

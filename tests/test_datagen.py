@@ -81,7 +81,8 @@ def test_pool_columns_are_read_only():
 
 
 def test_pool_keeps_owned_read_only_arrays_and_copies_views():
-    features, protected = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]), np.array([0, 1, 1])
+    features = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+    protected = np.array([0, 1, 1], dtype=np.int8)
     features.setflags(write=False)
     protected.setflags(write=False)
     pool = Pool(features=features, protected=protected)
@@ -95,6 +96,15 @@ def test_pool_keeps_owned_read_only_arrays_and_copies_views():
     # The generator's arrays are already owned and read-only, so the pool holds them.
     drawn = generate_pool(GenConfig(n=5, seed=1))
     assert drawn.features.base is None and drawn.protected.base is None
+
+
+def test_pool_draw_holds_one_gather_beside_each_proxy_draw(traced):
+    # Beyond the (n, m) features and one byte per protected value, drawing a proxy
+    # column holds its standard normals and one per-group gather: two float columns.
+    n = 100_000
+    pool, kept, peak = traced(lambda: generate_pool(GenConfig(n=n, seed=5)))
+    assert peak - kept <= 2.25 * 8 * n
+    assert kept < pool.features.nbytes + n + 4096
 
 
 def test_config_validation_errors():

@@ -409,6 +409,15 @@ def test_config_validate_errors():
         with pytest.raises(ConfigError, match=f"^{re.escape(problem)}$"):
             tiny_config(**{name: values})
     assert tiny_config(seeds=[1, np.int64(2)]).seeds == (1, 2)
+    # Model file names show each grid value with %g, so two values must not read alike there.
+    for name, values, shown in (
+        ("p_bias_grid", (0.1234561, 0.1234562), "0.1234561 and 0.1234562 both read '0.123456'"),
+        ("eta_grid", (0.05, 1e-9, 1.0000001e-9), "1e-09 and 1.0000001e-09 both read '1e-09'"),
+        ("lambda_grid", (1e6, 1000000.4), "1000000.0 and 1000000.4 both read '1e+06'"),
+    ):
+        problem = f"{name} values {shown} in model file names"
+        with pytest.raises(ConfigError, match=f"^{re.escape(problem)}$"):
+            tiny_config(**{name: values})
     nan = float("nan")
     for name, value in (
         ("eta_grid", (0.01, nan)),

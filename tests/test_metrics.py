@@ -151,6 +151,21 @@ def test_evaluate_ranking_is_consistent():
     assert report.ndcs == pytest.approx(ndcs_oracle(flags, 8, 0.4), abs=1e-12)
 
 
+def test_int8_columns_count_past_127():
+    # Binary columns are stored as int8; their counts and sums must not wrap at 127.
+    ones, wide = np.ones(300, dtype=np.int8), np.ones(300, dtype=np.int64)
+    baseline = Baseline(p_qualified={0: 0.6, 1: 0.4}, qualified_count=500)
+    ks = (1, 127, 128, 255, 256, 300)
+    report = evaluate_ranking(ones, ones, baseline, ks, ndcs_k_max=300)
+    assert report.counts_at == {k: k for k in ks}
+    assert report.precision_at == {k: 1.0 for k in ks}
+    assert precision_at_k(ones, 300) == 1.0
+    wide_report = evaluate_ranking(wide, wide, baseline, ks, ndcs_k_max=300)
+    for k in ks:
+        assert report.skew_at[k].hex() == wide_report.skew_at[k].hex()
+    assert report.ndcs.hex() == wide_report.ndcs.hex() == ndcs(ones, 300, baseline).hex()
+
+
 def test_evaluate_ranking_length_mismatch():
     ranking = _ranking([1, 0])
     baseline = Baseline(p_qualified={0: 0.5, 1: 0.5}, qualified_count=2)

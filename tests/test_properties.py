@@ -1,8 +1,9 @@
 """Property tests: CSV and config round trips, the zero-copy column accessors,
 the array type rules, the bounded scalar annotations, the exact ranking order,
-the pool build's and online step's expressions pinned bit for bit, the algebraic invariants
-of the online steps, of Skew@k, of the regularizer's fit and of the warm start's scale, and the online loop and re-ranked reports
-against naive references on tie-heavy pools."""
+the pool build's and online step's expressions pinned bit for bit, the algebraic
+invariants of the online steps, of Skew@k and NDCS, of the regularizer's fit and
+of the warm start's scale, and the online loop and re-ranked reports against
+naive references on tie-heavy pools."""
 
 import json
 import re
@@ -36,6 +37,7 @@ from fairsim import (
     label_pool,
     load_labeled,
     load_pool,
+    ndcs,
     perceptron_update,
     protected_values,
     rank_by_model,
@@ -142,7 +144,7 @@ def test_array_rules_keep_read_only_copies_and_reject_bad_entries(raw, binary):
             parse()
     else:
         got = parse()
-        assert got.dtype == (np.int64 if binary else np.float64) and got.shape == raw.shape
+        assert got.dtype == (np.int8 if binary else np.float64) and got.shape == raw.shape
         np.testing.assert_array_equal(got, raw)
         assert not got.flags.writeable and not np.shares_memory(got, raw)
     assert raw.flags.writeable and _same_bits(raw, before)
@@ -422,6 +424,37 @@ def test_skew_is_zero_when_the_top_k_mirrors_the_qualified_share(k, data):
     share = ones / k
     baseline = Baseline(p_qualified={0: 1.0 - share, 1: share}, qualified_count=k)
     assert skew_at_k(np.array(top + tail), k, baseline) == 0.0
+
+
+@st.composite
+def rankings(draw):
+    """A 0/1 ranking, stored as int8 like a pool's column, and a baseline whose
+    group-1 share is often 0 or 1, where the floor applies."""
+    flags = draw(arrays(np.int8, st.integers(2, 40), elements=st.integers(0, 1)))
+    share = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return flags, Baseline(p_qualified={0: 1.0 - share, 1: share}, qualified_count=len(flags))
+
+
+@settings(deadline=None, max_examples=150)
+@given(inputs=rankings(), data=st.data())
+def test_moving_group_1_above_group_0_never_lowers_its_skew_or_ndcs(inputs, data):
+    flags, baseline = inputs
+    i = data.draw(st.integers(0, len(flags) - 2))
+    before, after = flags.copy(), flags.copy()
+    before[i:i + 2], after[i:i + 2] = (0, 1), (1, 0)
+    for k in range(1, len(flags) + 1):
+        assert skew_at_k(after, k, baseline) >= skew_at_k(before, k, baseline)
+        assert ndcs(after, k, baseline) >= ndcs(before, k, baseline)
+
+
+@settings(deadline=None, max_examples=150)
+@given(inputs=rankings(), data=st.data())
+def test_ndcs_lies_between_its_least_and_greatest_prefix_skew(inputs, data):
+    flags, baseline = inputs
+    k_max = data.draw(st.integers(1, len(flags)))
+    skews = [skew_at_k(flags, k, baseline) for k in range(1, k_max + 1)]
+    rounding = 1e-12 * max(1.0, *map(abs, skews))
+    assert min(skews) - rounding <= ndcs(flags, k_max, baseline) <= max(skews) + rounding
 
 
 @settings(deadline=None, max_examples=20)

@@ -7,11 +7,13 @@ from fairsim import (
     DEFAULT_USER_WEIGHTS,
     ConfigError,
     DimensionMismatch,
+    GenConfig,
     LabeledPool,
     Pool,
     UserConfig,
     default_user,
     feature_matrix,
+    generate_pool,
     label_pool,
     load_labeled,
     protected_values,
@@ -99,6 +101,13 @@ def test_user_config_validation():
     assert user == UserConfig(p_bias=0.5, weights=(0.1, 0.2), seed=3)
 
 
+def test_labels_and_coins_take_one_byte_per_candidate(traced):
+    n = 100_000
+    pool = generate_pool(GenConfig(n=n, seed=5))
+    _, kept, _ = traced(lambda: label_pool(pool, default_user(0.4, seed=2)))
+    assert kept < 2.05 * n
+
+
 def test_labeled_pool_length_mismatch(tiny_pool):
     with pytest.raises(DimensionMismatch):
         LabeledPool(
@@ -116,7 +125,7 @@ def test_labeled_pool_length_mismatch(tiny_pool):
         with pytest.raises(ConfigError, match=problem):
             LabeledPool(pool=two, labels=labels, bias_coin=bias_coin)
     labeled = LabeledPool(pool=two, labels=[True, False], bias_coin=np.array([0, 1], np.uint8))
-    assert labeled.labels.dtype == labeled.bias_coin.dtype == np.int64
+    assert labeled.labels.dtype == labeled.bias_coin.dtype == np.int8
     with pytest.raises(ValueError):
         labeled.labels[0] = 0
     with pytest.raises(FrozenInstanceError):
