@@ -47,10 +47,14 @@ def _parse_weights(text: str) -> tuple[float, ...]:
         raise ConfigError(f"cannot parse weights {text!r}: expected comma-separated floats") from exc
 
 
+def _given(args, *names) -> dict:
+    """The flags among ``names`` that ``args`` holds and are not None, keyed by name."""
+    return {name: value for name in names if (value := getattr(args, name, None)) is not None}
+
+
 def _cmd_generate(args) -> int:
     cfg = gen_config_from_dict(read_json(args.config)) if args.config else GenConfig()
-    overrides = {"n": args.n, "p_group": args.p_group, "seed": args.seed}
-    cfg = replace(cfg, **{name: v for name, v in overrides.items() if v is not None})
+    cfg = replace(cfg, **_given(args, "n", "p_group", "seed"))
     save_pool(generate_pool(cfg), args.out)
     print(f"wrote {args.out}")
     return 0
@@ -66,9 +70,7 @@ def _cmd_label(args) -> int:
 
 def _cmd_warm(args) -> int:
     pool = load_labeled(args.pool)
-    model = warm_start(
-        pool, sample_size=args.sample_size, rounds=args.rounds, eta=args.eta, seed=args.seed
-    )
+    model = warm_start(pool, **_given(args, "sample_size", "rounds", "eta", "seed"))
     save_model(model, args.out, 0)
     print(f"wrote {args.out}")
     return 0
@@ -101,22 +103,20 @@ def _cmd_metrics(args) -> int:
         protected, labels = ranking.pool.protected, ranking.labels
     else:
         protected, labels = load_pool(args.ranking).protected, None
-    baseline = load_baseline(args.baseline)
+    baseline, group = load_baseline(args.baseline), _given(args, "group")
     for k in args.k or []:
-        value = skew_at_k(protected, k, baseline, group=args.group)
+        value = skew_at_k(protected, k, baseline, **group)
         print(f"skew@{k} = {value!r}")
         if labels is not None:
             print(f"precision@{k} = {precision_at_k(labels, k)!r}")
     if args.ndcs_k is not None:
-        print(f"ndcs@{args.ndcs_k} = {ndcs(protected, args.ndcs_k, baseline, group=args.group)!r}")
+        print(f"ndcs@{args.ndcs_k} = {ndcs(protected, args.ndcs_k, baseline, **group)!r}")
     return 0
 
 
 def _load_experiment_config(args) -> ExperimentConfig:
     cfg = experiment_config_from_dict(read_json(args.config)) if args.config else ExperimentConfig()
-    grids = {"seeds": args.seed, "p_bias_grid": args.p_bias, "eta_grid": args.eta,
-             "lambda_grid": args.lam}
-    return replace(cfg, **{name: values for name, values in grids.items() if values})
+    return replace(cfg, **_given(args, "seeds", "p_bias_grid", "eta_grid", "lambda_grid"))
 
 
 def _run_one_seed(kind: str, cfg: ExperimentConfig, seed: int, verbose: bool):
@@ -158,14 +158,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="draw a synthetic pool and write it as CSV")
     p.add_argument("--config", help="pool config JSON")
     p.add_argument("--n", type=int)
-    p.add_argument("--p-group", type=float, dest="p_group")
+    p.add_argument("--p-group", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("label", help="materialize user labels for a pool")
     p.add_argument("--pool", required=True)
-    p.add_argument("--p-bias", type=float, required=True, dest="p_bias")
+    p.add_argument("--p-bias", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--weights", default=",".join(str(w) for w in DEFAULT_USER_WEIGHTS))
     p.add_argument("--out", required=True)
@@ -173,18 +173,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("warm", help="train a warm-start model on a labeled pool")
     p.add_argument("--pool", required=True)
-    p.add_argument("--sample-size", type=int, default=1000, dest="sample_size")
-    p.add_argument("--rounds", type=int, default=1000)
-    p.add_argument("--eta", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--sample-size", type=int)
+    p.add_argument("--rounds", type=int)
+    p.add_argument("--eta", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_warm)
 
     p = sub.add_parser("online", help="run greedy online personalization rounds")
     p.add_argument("--model", required=True)
     p.add_argument("--pool", required=True)
-    p.add_argument("--rounds", type=int, default=1000)
-    p.add_argument("--eta", type=float, default=0.01)
+    p.add_argument("--rounds", type=int, default=ExperimentConfig.online_rounds)
+    p.add_argument("--eta", type=float, default=ExperimentConfig.sweep_eta)
     p.add_argument("--regularizer", help="fitted regularizer JSON")
     p.add_argument("--lambda", type=float, dest="lam",
                    help="penalty strength; fits on the pool when no --regularizer is given")
@@ -196,22 +196,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ranking", required=True, help="pool or labeled-pool CSV in rank order")
     p.add_argument("--baseline", required=True, help="baseline JSON")
     p.add_argument("--k", type=int, action="append")
-    p.add_argument("--ndcs-k", type=int, dest="ndcs_k")
-    p.add_argument("--group", type=int, default=1)
+    p.add_argument("--ndcs-k", type=int)
+    p.add_argument("--group", type=int)
     p.set_defaults(func=_cmd_metrics)
 
     for kind, (experiment, _) in _EXPERIMENTS.items():
         p = sub.add_parser(kind, help=f"run the {experiment} experiment grid")
         p.add_argument("--config", help="experiment config JSON")
         p.add_argument("--out", help="output directory (default: FAIRSIM_OUT_DIR)")
-        p.add_argument("--seed", type=int, action="append",
+        p.add_argument("--seed", type=int, action="append", dest="seeds", metavar="SEED",
                        help="replace the seed list (repeatable)")
-        p.add_argument("--p-bias", type=float, action="append", dest="p_bias",
-                       help="replace the p_bias grid (repeatable)")
-        p.add_argument("--eta", type=float, action="append",
-                       help="replace the eta grid (repeatable)")
-        p.add_argument("--lambda", type=float, action="append", dest="lam",
-                       help="replace the lambda grid (repeatable)")
+        p.add_argument("--p-bias", type=float, action="append", dest="p_bias_grid",
+                       metavar="P_BIAS", help="replace the p_bias grid (repeatable)")
+        # The sweep runs every cell at sweep_eta; the other studies leave lambda at 0.
+        grid = "lambda" if kind == "sweep" else "eta"
+        p.add_argument(f"--{grid}", type=float, action="append", dest=f"{grid}_grid",
+                       metavar=grid.upper(), help=f"replace the {grid} grid (repeatable)")
         p.add_argument("--jobs", type=int, default=1,
                        help="parallel seed workers (at most one per seed)")
         p.add_argument("--verbose", action="store_true")

@@ -285,20 +285,25 @@ def read_columns(path: str | Path, int_names: list[str]) -> tuple[np.ndarray, np
         m = len(header) - width
         if m < 1 or header != [f"x{j + 1}" for j in range(m)] + int_names:
             raise ConfigError(f"{path}: header {header} is not x1..xm followed by {int_names}")
-        features, ints = [], []
+        # Flat C buffers, not an object per cell. Imported here: loading the module's shared
+        # library adds about 0.2 MB of RSS to the commands that read no CSV.
+        from array import array
+
+        features, ints = array("d"), array("q")
         for row_no, row in enumerate(reader, start=1):
             if len(row) != m + width:
                 raise ConfigError(
                     f"{path}: data row {row_no} has {len(row)} fields, expected {m + width}"
                 )
             try:
-                features.append([float(v) for v in row[:m]])
-                ints.append([int(v) for v in row[m:]])
-            except ValueError as exc:
+                features.extend([float(v) for v in row[:m]])
+                ints.extend([int(v) for v in row[m:]])
+            except (ValueError, OverflowError) as exc:  # OverflowError: an int past 64 bits
                 raise ConfigError(f"{path}: data row {row_no}: {exc}") from None
     if not features:
         raise ConfigError(f"{path}: empty pool")
-    features, ints = np.array(features, dtype=float), np.array(ints, dtype=np.int64)
+    features = np.frombuffer(features, dtype=np.float64).reshape(-1, m)
+    ints = np.frombuffer(ints, dtype=np.int64).reshape(-1, width)
     for values, names, ok, problem in (
         (features, header[:m], np.isfinite(features), "is not finite"),
         (ints, int_names, (ints == 0) | (ints == 1), "is not 0 or 1"),

@@ -98,6 +98,9 @@ class ExperimentConfig:
                         "in model file names"
                     )
                 stems[stem] = value
+        if self.gen.seed != 0:
+            raise ConfigError(f"gen.seed must be 0, got {self.gen.seed}: every study derives its "
+                              "pool seeds from seeds, so set seeds instead")
         if self.warm_sample_size > self.gen.n:
             raise ConfigError("warm_sample_size must lie in [1, pool size]")
         if self.online_rounds > self.gen.n:

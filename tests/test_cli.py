@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from concurrent.futures import Future
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 import fairsim
 from fairsim import (
+    ExperimentConfig,
     Pool,
     compute_baseline,
     default_user,
@@ -24,8 +26,9 @@ from fairsim import (
     save_labeled,
     save_regularizer,
     skew_at_k,
+    warm_start,
 )
-from fairsim.cli import main
+from fairsim.cli import _load_experiment_config, build_parser, main
 
 TINY_EXPERIMENT = {
     "gen": None,  # filled per test with a small pool spec
@@ -189,6 +192,36 @@ def test_experiment_grid_overrides(tmp_path):
     assert manifest["config"]["seeds"] == [7]
     assert manifest["config"]["p_bias_grid"] == [0.0]
     assert manifest["config"]["eta_grid"] == [0.01]
+
+
+def test_each_study_takes_only_the_grid_flag_it_reads(capsys):
+    # eval and evolve run every cell at lambda 0, and the sweep every cell at sweep_eta.
+    for kind, unused, used, grid in (
+        ("eval", "--lambda", "--eta", "eta_grid"),
+        ("evolve", "--lambda", "--eta", "eta_grid"),
+        ("sweep", "--eta", "--lambda", "lambda_grid"),
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main([kind, unused, "1", "--out", "out"])
+        assert exit_info.value.code == 2
+        assert f"error: unrecognized arguments: {unused} 1\n" in capsys.readouterr().err
+        args = build_parser().parse_args(
+            [kind, used, "0.5", used, "2", "--seed", "4", "--p-bias", "0.2"])
+        cfg = _load_experiment_config(args)
+        assert (getattr(cfg, grid), cfg.seeds, cfg.p_bias_grid) == ((0.5, 2.0), (4,), (0.2,))
+        default = ExperimentConfig()
+        assert replace(cfg, **{name: getattr(default, name)
+                               for name in (grid, "seeds", "p_bias_grid")}) == default
+
+
+def test_warm_leaves_unset_flags_to_warm_start(tmp_path):
+    pool_csv, labeled_csv, warm_json = (tmp_path / name for name in ("p.csv", "l.csv", "w.json"))
+    assert main(["generate", "--n", "1000", "--seed", "2", "--out", str(pool_csv)]) == 0
+    assert main(["label", "--pool", str(pool_csv), "--p-bias", "0.5",
+                 "--out", str(labeled_csv)]) == 0
+    assert main(["warm", "--pool", str(labeled_csv), "--out", str(warm_json)]) == 0
+    want = warm_start(load_labeled(labeled_csv))
+    np.testing.assert_array_equal(load_model(warm_json)[0].weights, want.weights)
 
 
 def test_out_dir_falls_back_to_environment(tmp_path, monkeypatch):
@@ -382,7 +415,7 @@ def test_cli_error_exits(tmp_path, capsys):
          "error: k must be at least 1, got 0\n"),
         (["metrics", "--ranking", str(pool_csv), "--baseline", str(baseline_json),
           "--ndcs-k", "0"], "error: k_max must be at least 1, got 0\n"),
-        (["sweep", "--eta", "-1", "--out", str(tmp_path / "out")],
+        (["eval", "--eta", "-1", "--out", str(tmp_path / "out")],
          "error: eta_grid[0] must be at least 0, got -1.0\n"),
         (["eval", "--seed", "3", "--seed", "3", "--out", str(tmp_path / "out")],
          "error: seeds must not repeat a value, got (3, 3)\n"),

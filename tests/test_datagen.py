@@ -231,6 +231,14 @@ def test_load_pool_rejects_unparsable_cell(tmp_path, tiny_pool, rewrite_cell, co
         load_pool(path)
 
 
+def test_load_pool_rejects_an_int_cell_past_64_bits(tmp_path, tiny_pool, rewrite_cell):
+    path = tmp_path / "pool.csv"
+    save_pool(tiny_pool, path)
+    rewrite_cell(path, 6, -1, "99999999999999999999")
+    with pytest.raises(ConfigError, match=r"pool\.csv: data row 6: "):
+        load_pool(path)
+
+
 def test_load_pool_rejects_protected_outside_zero_one(tmp_path, tiny_pool, rewrite_cell):
     path = tmp_path / "pool.csv"
     save_pool(tiny_pool, path)

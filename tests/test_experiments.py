@@ -357,6 +357,8 @@ def test_config_dict_defaults_and_validation():
         ({"online_rounds": True}, r"\.online_rounds must be an integer"),
         ({"gen": {"n": 12.5}}, r"\.gen\.n must be an integer"),
         ({"gen": {"n": 0}}, r"^experiment config\.gen\.n must be at least 1, got 0$"),
+        ({"gen": {"seed": 42}}, r"^experiment config: gen\.seed must be 0, got 42: every study "
+         r"derives its pool seeds from seeds, so set seeds instead$"),
         ({"gen": {"p_group": 1.5}},
          r"^experiment config\.gen\.p_group must lie in \[0, 1\], got 1\.5$"),
         ({"p_bias_grid": [0.5, 2.0]},

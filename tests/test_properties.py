@@ -2,12 +2,14 @@
 the array type rules, the bounded scalar annotations, the exact ranking order,
 the pool build's and online step's expressions pinned bit for bit, the algebraic
 invariants of the online steps, of Skew@k and NDCS, of the regularizer's fit and
-of the warm start's scale, and the online loop and re-ranked reports against
-naive references on tie-heavy pools."""
+of the warm start's scale, the online loop and re-ranked reports against naive
+references on tie-heavy pools, and each study's metrics.csv rows against a
+reference built from those oracles."""
 
 import json
 import re
 import sys
+from dataclasses import replace
 from functools import partial
 from unittest import mock
 
@@ -30,7 +32,10 @@ from fairsim import (
     Pool,
     ProxyDist,
     Uniform,
+    UserConfig,
+    compute_baseline,
     default_user,
+    derive_seed,
     feature_matrix,
     fit_auxiliary,
     generate_pool,
@@ -42,7 +47,10 @@ from fairsim import (
     protected_values,
     rank_by_model,
     regularized_update,
+    run_evolution,
+    run_final_eval,
     run_online,
+    run_reg_sweep,
     save_labeled,
     save_pool,
     score_all,
@@ -53,7 +61,16 @@ from fairsim.datagen import (
     BOUNDS, BinaryArray, Count, FloatArray, Group, Rate, Seed, Share, Size, _parse, config_to_dict,
     gen_config_from_dict,
 )
-from fairsim.experiments import _ranked_report
+from fairsim.experiments import (
+    CSV_FIELDS,
+    STREAM_FAIR_POOL,
+    STREAM_FAIR_USER,
+    STREAM_ONLINE_POOL,
+    STREAM_ONLINE_USER,
+    STREAM_WARM,
+    _ranked_report,
+    results_to_rows,
+)
 
 from _oracles import (
     generate_pool_expression,
@@ -416,6 +433,25 @@ def test_penalty_step_without_mistake_shrinks_alignment(inputs, strength, eta):
 
 
 @settings(deadline=None, max_examples=100)
+@given(inputs=update_inputs(bound=1e3), strength=st.floats(0.0, 2.0), eta=st.floats(0.0, 1.0))
+def test_penalty_step_without_mistake_scales_only_the_aligned_part(inputs, strength, eta):
+    # The paper's w_reg~ is w_reg with a 0 for the intercept, built here apart from the package.
+    w, x, w_a = inputs
+    norm2 = float(w_a @ w_a)
+    assume(norm2 > 1e-6)
+    lam = strength / norm2
+    unit = np.concatenate(([0.0], w_a)) / np.sqrt(norm2)
+    y = 1 if float(w @ np.concatenate(([1.0], x))) >= 0.0 else 0
+    assert perceptron_update(w, x, y, eta) is w  # no mistake
+    after = regularized_update(w, x, y, eta, _regularizer(w_a, lam))
+    # A few roundings of eps * |w| each, far below 1e-12 |w|; the floor covers subnormal w.
+    rounding = 1e-12 * float(np.linalg.norm(w)) + 1e-300
+    aligned = float(w @ unit)
+    assert abs(float(after @ unit) - (1.0 - lam * norm2) * aligned) <= rounding
+    assert np.abs((after - (after @ unit) * unit) - (w - aligned * unit)).max() <= rounding
+
+
+@settings(deadline=None, max_examples=100)
 @given(k=st.integers(1, 50), data=st.data())
 def test_skew_is_zero_when_the_top_k_mirrors_the_qualified_share(k, data):
     ones = data.draw(st.integers(0, k))
@@ -571,3 +607,96 @@ def test_ranked_report_matches_a_stable_argsort_and_direct_counts(inputs, share,
         assert report.counts_at[k] == sum(flags[:k])
     want_ndcs = ndcs_oracle(flags, min(cfg.online_rounds, len(order)), share)
     assert report.ndcs == pytest.approx(want_ndcs, rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def tiny_studies(draw):
+    """Experiment configs over default pools of at most 60 candidates: one or two
+    seeds, one to three values per grid, rounds <= n and a snapshot interval in
+    [1, rounds]. With no warm rounds the warm model is zero and every score ties."""
+    n = draw(st.integers(20, 60))
+    rounds = draw(st.integers(1, n))
+
+    def grid(values):
+        return draw(st.lists(st.sampled_from(values), min_size=1, max_size=3, unique=True))
+
+    return ExperimentConfig(
+        gen=GenConfig(n=n),
+        p_bias_grid=grid([0.0, 0.3, 0.5, 0.8, 1.0]),
+        eta_grid=grid([0.0, 0.001, 0.01, 0.1, 0.5]),
+        lambda_grid=grid([0.0, 0.1, 1.0, 10.0]),
+        warm_sample_size=draw(st.integers(1, n)),
+        warm_rounds=draw(st.integers(0, 60)),
+        online_rounds=rounds,
+        snapshot_interval=draw(st.integers(1, rounds)),
+        seeds=draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=2, unique=True)),
+        k_list=draw(st.lists(st.integers(1, n), min_size=1, max_size=3, unique=True)),
+        sweep_eta=draw(st.sampled_from([0.01, 0.1])),
+    )
+
+
+def _study_reference(cfg: ExperimentConfig, experiment: str) -> dict:
+    """Each metrics.csv row's ``(skew, precision, ndcs, count_group1)``, keyed by its
+    ``(config_id, seed, p_bias, eta, lambda, k)``. Pools, labels and the warm model
+    come from the documented seed streams; each cell runs the greedy mask oracle,
+    and each report re-ranks its rows by a stable argsort and counts directly."""
+    want = {}
+    for seed in cfg.seeds:
+        fair_pool, online_pool = (generate_pool(replace(cfg.gen, seed=derive_seed(seed, stream)))
+                                  for stream in (STREAM_FAIR_POOL, STREAM_ONLINE_POOL))
+        fair_user = UserConfig(0.0, cfg.user_weights, derive_seed(seed, STREAM_FAIR_USER))
+        warm = warm_start(label_pool(fair_pool, fair_user), cfg.warm_sample_size,
+                          cfg.warm_rounds, cfg.warm_eta, derive_seed(seed, STREAM_WARM)).weights
+        share = compute_baseline(online_pool, fair_user).p_qualified[1]
+        w_reg = fit_auxiliary(fair_pool, alpha_a=cfg.alpha_a).w_reg
+        for p_bias in cfg.p_bias_grid:
+            user = UserConfig(p_bias, cfg.user_weights, derive_seed(seed, STREAM_ONLINE_USER))
+            labeled = label_pool(online_pool, user)
+            features = labeled.pool.features
+            if experiment == "reg_sweep":
+                cells = [(cfg.sweep_eta, lam) for lam in cfg.lambda_grid]
+            else:
+                cells = [(eta, 0.0) for eta in cfg.eta_grid]
+            for eta, lam in cells:
+                if experiment == "reg_sweep":
+                    step = partial(regularized_step_expression, eta=eta, w_reg=w_reg, lam=lam)
+                else:
+                    step = partial(perceptron_step_expression, eta=eta)
+                final, shown, snapshots = greedy_online_oracle(
+                    warm, features, labeled.labels, cfg.online_rounds,
+                    lambda v, f: scores_expression(f, v), step,
+                    cfg.snapshot_interval if experiment == "evolution" else 0,
+                )
+                everyone = np.arange(len(features))
+                reports = [("online", final, everyone)]
+                if experiment != "evolution":
+                    reports.append(("warm", warm, everyone))
+                reports += [(f"online:round={r:04d}", w, np.array(shown[:r])) for r, w in snapshots]
+                for tag, w, rows in reports:
+                    order = rows[np.argsort(-scores_expression(features[rows], w), kind="stable")]
+                    flags = labeled.pool.protected[order].tolist()
+                    labels = labeled.labels[order].tolist()
+                    ndcs_value = ndcs_oracle(flags, min(cfg.online_rounds, len(order)), share)
+                    for k in cfg.k_list:
+                        if k <= len(order):
+                            key = (f"{experiment}:{tag}", seed, p_bias, eta, lam, k)
+                            want[key] = (skew_oracle(flags, k, share), precision_oracle(labels, k),
+                                         ndcs_value, sum(flags[:k]))
+    return want
+
+
+@pytest.mark.parametrize("runner, experiment", [
+    (run_final_eval, "final_eval"), (run_evolution, "evolution"), (run_reg_sweep, "reg_sweep"),
+])
+@settings(deadline=None, max_examples=30)
+@given(cfg=tiny_studies())
+def test_each_study_matches_a_reference_built_from_the_oracles(runner, experiment, cfg):
+    rows = results_to_rows(runner(cfg), experiment)
+    got = {tuple(row[name] for name in CSV_FIELDS[:6]): tuple(row[name] for name in CSV_FIELDS[6:])
+           for row in rows}
+    want = _study_reference(cfg, experiment)
+    assert len(got) == len(rows) and got.keys() == want.keys()
+    for key, (skew, precision, ndcs_value, count) in want.items():
+        got_skew, got_precision, got_ndcs, got_count = got[key]
+        assert (got_skew, got_precision, got_count) == (skew, precision, count), key
+        assert got_ndcs == pytest.approx(ndcs_value, rel=1e-12, abs=1e-12), key

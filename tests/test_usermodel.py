@@ -108,6 +108,16 @@ def test_labels_and_coins_take_one_byte_per_candidate(traced):
     assert kept < 2.05 * n
 
 
+def test_load_labeled_holds_no_object_per_cell(tmp_path, traced):
+    # Six cells a row; a Python list per row with a float object per cell peaked
+    # at about 7 MB here, more than twice this bound.
+    n = 20_000
+    path = tmp_path / "labeled.csv"
+    save_labeled(label_pool(generate_pool(GenConfig(n=n, seed=5)), default_user(0.5, 2)), path)
+    _, _, peak = traced(lambda: load_labeled(path))
+    assert peak < 3 * (n * 6 * 8)
+
+
 def test_labeled_pool_length_mismatch(tiny_pool):
     with pytest.raises(DimensionMismatch):
         LabeledPool(
