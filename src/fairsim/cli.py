@@ -85,7 +85,7 @@ def _cmd_online(args) -> int:
         if args.lam is not None:
             regularizer = regularizer.with_strength(args.lam)
     elif args.lam is not None:
-        regularizer = fit_auxiliary(pool.pool).with_strength(args.lam)
+        regularizer = fit_auxiliary(pool).with_strength(args.lam)
     final, trace = run_online(model, pool, args.rounds, args.eta, regularizer=regularizer)
     save_model(final, args.out, args.rounds)
     print(f"wrote {args.out}")
@@ -96,11 +96,13 @@ def _cmd_online(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
+    if not args.k and args.ndcs_k is None:
+        raise ConfigError("metrics needs --k or --ndcs-k")
     with open(args.ranking, newline="") as fh:
         header = next(csv.reader(fh), [])
     if header[-1:] == ["bias_coin"]:
         ranking = load_labeled(args.ranking)
-        protected, labels = ranking.pool.protected, ranking.labels
+        protected, labels = ranking.protected, ranking.labels
     else:
         protected, labels = load_pool(args.ranking).protected, None
     baseline, group = load_baseline(args.baseline), _given(args, "group")

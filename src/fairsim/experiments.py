@@ -193,11 +193,11 @@ def _ranked_report(
     NDCS covers the top ``online_rounds`` positions, or every row if fewer are ranked.
     Only the positions the metrics read are sorted; the report still gets every row.
     """
-    features = feature_matrix(pool.pool)[rows]
+    features = feature_matrix(pool)[rows]
     ks = [k for k in cfg.k_list if k <= len(features)]
     k_max = min(cfg.online_rounds, len(features))
     order = rank_by_model(model, features, top=max(ks + [k_max]))
-    protected, ranked_labels = pool.pool.protected[rows][order], pool.labels[rows][order]
+    protected, ranked_labels = pool.protected[rows][order], pool.labels[rows][order]
     return evaluate_ranking(protected, ranked_labels, baseline, ks, ndcs_k_max=k_max)
 
 

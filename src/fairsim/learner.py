@@ -46,35 +46,29 @@ def zero_model(m: int) -> LinearModel:
     return LinearModel(np.zeros(_parse(Size, m, "m") + 1))
 
 
-def _unique_argsort(keys: np.ndarray) -> np.ndarray | None:
-    """``np.argsort(keys)`` by numpy's default (unstable, SIMD-dispatched) sort if the
-    sorted keys strictly increase, so that the order is unique; None on any tie,
-    signed zero or NaN."""
-    order = np.argsort(keys)
-    ranked = keys[order]
-    return order if np.all(ranked[:-1] < ranked[1:]) else None
-
-
 def rank_by_model(model: LinearModel, features: np.ndarray, top: int | None = None) -> np.ndarray:
     """Indices of all rows sorted by decreasing score; ties keep the lower index first.
 
     With ``top`` below the row count, only the first ``top`` entries are in that
     order; the other rows follow in an unspecified but deterministic order, as in
-    C++ ``std::partial_sort``. The head comes from a partition. It is exact when
-    its scores are distinct and no row outside it ties the ``top``-th score; a tie
-    or NaN falls back to the full sort, which is the stable sort after any tie.
+    C++ ``std::partial_sort``. The head comes from a partition and numpy's default
+    (unstable, SIMD-dispatched) sort. It is exact when its scores are distinct and
+    no row outside it ties the ``top``-th score; a tie, signed zero or NaN falls
+    back to the stable sort of every row.
     """
     keys = score_all(model.weights, features)
     np.negative(keys, out=keys)
-    if top is not None and _parse(Size, top, "top") < keys.size:
+    top = keys.size if top is None else min(_parse(Size, top, "top"), keys.size)
+    if top:
         order = np.argpartition(keys, top - 1)
         head = order[:top]  # a view: the head is sorted in place
-        head_order = _unique_argsort(keys[head])
-        if head_order is not None and np.count_nonzero(keys <= keys[head[-1]]) == top:
+        head_keys = keys[head]
+        head_order = np.argsort(head_keys)
+        ranked = head_keys[head_order]
+        if np.all(ranked[:-1] < ranked[1:]) and np.count_nonzero(keys <= ranked[-1]) == top:
             head[:] = head[head_order]
             return order
-    order = _unique_argsort(keys)
-    return order if order is not None else np.argsort(keys, kind="stable")
+    return np.argsort(keys, kind="stable")
 
 
 def perceptron_update(w: np.ndarray, x, y: int, eta: float) -> np.ndarray:
@@ -122,7 +116,7 @@ def warm_start(
     rng = np.random.default_rng(seed)
     subsample = rng.permutation(n)[:sample_size]
     picks = rng.integers(0, sample_size, size=rounds)
-    features = feature_matrix(pool.pool)
+    features = feature_matrix(pool)
     w = np.zeros(features.shape[1] + 1)
     for i in picks:
         j = int(subsample[i])
@@ -134,12 +128,12 @@ def warm_start(
 class OnlineTrace:
     """What an online run showed and how the model looked along the way.
 
-    ``shown_order`` lists pool indices in presentation order, without
-    duplicates. ``snapshots`` holds (round, model) pairs captured every
+    ``shown_order`` is a read-only ``intp`` array of pool indices in presentation
+    order, without duplicates. ``snapshots`` holds (round, model) pairs captured every
     ``snapshot_interval`` rounds; rounds are 1-based.
     """
 
-    shown_order: list[int]
+    shown_order: np.ndarray
     snapshots: list[tuple[int, LinearModel]]
 
 
@@ -168,7 +162,7 @@ def run_online(
     snapshot_interval = _parse(Count, snapshot_interval, "snapshot_interval")
     if rounds > n:
         raise ConfigError(f"rounds {rounds} not in [0, {n}]")
-    features = feature_matrix(pool.pool)
+    features = feature_matrix(pool)
     if features.shape[1] != model.weights.size - 1:
         raise DimensionMismatch("pool features do not match the model")
     if regularizer is not None:
@@ -195,7 +189,8 @@ def run_online(
         if snapshot_interval and r % snapshot_interval == 0:
             snapshots.append((r, model if w is start else LinearModel(w)))
     final = model if w is start else LinearModel(w)
-    return final, OnlineTrace(shown_order=shown.tolist(), snapshots=snapshots)
+    shown.setflags(write=False)
+    return final, OnlineTrace(shown_order=shown, snapshots=snapshots)
 
 
 def save_model(model: LinearModel, path: str | Path, round_index: int = 0) -> None:
@@ -216,4 +211,4 @@ def save_trace(trace: OnlineTrace, pool: LabeledPool, path: str | Path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["round", "pool_index", "label", "protected"])
         for r, i in enumerate(trace.shown_order, start=1):
-            writer.writerow([r, i, int(pool.labels[i]), int(pool.pool.protected[i])])
+            writer.writerow([r, i, int(pool.labels[i]), int(pool.protected[i])])

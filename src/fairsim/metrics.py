@@ -133,22 +133,20 @@ def evaluate_ranking(
     baseline: Baseline,
     k_list: Sequence[int],
     ndcs_k_max: int,
-    group: int = 1,
 ) -> MetricsReport:
-    """Build a full report for one ranking; ``protected`` and ``labels`` follow rank order."""
+    """Build a group-1 report for one ranking; ``protected`` and ``labels`` follow rank order."""
     if len(protected) != len(labels):
         raise ConfigError("protected values and labels must have equal length")
-    group = _parse(Group, group, "group")
     skew_values: dict[int, float] = {}
     precision_values: dict[int, float] = {}
     counts: dict[int, int] = {}
     for k in k_list:
-        skew_values[k] = skew_at_k(protected, k, baseline, group)
+        skew_values[k] = skew_at_k(protected, k, baseline)
         precision_values[k] = precision_at_k(labels, k)
-        counts[k] = int(np.count_nonzero(np.equal(protected[:k], group)))
+        counts[k] = int(np.count_nonzero(np.equal(protected[:k], 1)))
     return MetricsReport(
         skew_at=skew_values,
-        ndcs=ndcs(protected, ndcs_k_max, baseline, group),
+        ndcs=ndcs(protected, ndcs_k_max, baseline),
         precision_at=precision_values,
         counts_at=counts,
     )

@@ -60,21 +60,18 @@ def score_all(weights, features: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class LabeledPool:
-    """A pool with materialized 0/1 user labels and the bias coins behind them."""
+class LabeledPool(Pool):
+    """A pool with two more columns: each candidate's materialized 0/1 user label and
+    the bias coin behind it. Every function that reads a pool also takes one."""
 
-    pool: Pool
     labels: BinaryArray
     bias_coin: BinaryArray
 
     def __post_init__(self):
-        check_fields(self)
-        n = len(self.pool)
+        super().__post_init__()
+        n = len(self)
         if self.labels.shape != (n,) or self.bias_coin.shape != (n,):
             raise DimensionMismatch("labels and bias_coin must have one entry per candidate")
-
-    def __len__(self) -> int:
-        return len(self.pool)
 
 
 def label_pool(pool: Pool, user: UserConfig) -> LabeledPool:
@@ -91,7 +88,7 @@ def label_pool(pool: Pool, user: UserConfig) -> LabeledPool:
     coin = rng.random(len(pool)) < user.p_bias
     protected = protected_values(pool)
     labels = np.where(coin, protected == 1, fair)
-    return LabeledPool(pool=pool, labels=labels, bias_coin=coin)
+    return LabeledPool(features, protected, labels, coin)  # the pool's columns, not copies
 
 
 LABELED_COLUMNS = ["protected", "label", "bias_coin"]
@@ -99,12 +96,11 @@ LABELED_COLUMNS = ["protected", "label", "bias_coin"]
 
 def save_labeled(labeled: LabeledPool, path: str | Path) -> None:
     """Write a labeled pool as CSV: ``x1,...,xm,protected,label,bias_coin``."""
-    columns = (labeled.pool.protected, labeled.labels, labeled.bias_coin)
-    write_columns(path, labeled.pool.features, dict(zip(LABELED_COLUMNS, columns)))
+    columns = (labeled.protected, labeled.labels, labeled.bias_coin)
+    write_columns(path, labeled.features, dict(zip(LABELED_COLUMNS, columns)))
 
 
 def load_labeled(path: str | Path) -> LabeledPool:
     """Read a labeled pool written by :func:`save_labeled`."""
     features, ints = read_columns(path, LABELED_COLUMNS)
-    pool = Pool(features=features, protected=ints[:, 0])
-    return LabeledPool(pool=pool, labels=ints[:, 1], bias_coin=ints[:, 2])
+    return LabeledPool(features, *ints.T)

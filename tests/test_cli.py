@@ -12,7 +12,6 @@ import pytest
 import fairsim
 from fairsim import (
     ExperimentConfig,
-    Pool,
     compute_baseline,
     default_user,
     feature_matrix,
@@ -100,11 +99,10 @@ def test_pipeline_generate_label_warm_online_metrics(tmp_path, capsys):
     # rank the labeled pool by the final model and ask the CLI to score it
     labeled = load_labeled(labeled_csv)
     model, _ = load_model(final_json)
-    order = rank_by_model(model, feature_matrix(labeled.pool))
+    order = rank_by_model(model, feature_matrix(labeled))
     ranked = type(labeled)(
-        pool=Pool(labeled.pool.features[order], labeled.pool.protected[order]),
-        labels=labeled.labels[order],
-        bias_coin=labeled.bias_coin[order],
+        labeled.features[order], labeled.protected[order], labeled.labels[order],
+        labeled.bias_coin[order],
     )
     ranked_csv = tmp_path / "ranked.csv"
     save_labeled(ranked, ranked_csv)
@@ -117,9 +115,9 @@ def test_pipeline_generate_label_warm_online_metrics(tmp_path, capsys):
     ) == 0
     out = capsys.readouterr().out.splitlines()
     baseline = compute_baseline(pool, default_user(0.0))
-    want_skew = skew_at_k(ranked.pool.protected, 10, baseline)
+    want_skew = skew_at_k(ranked.protected, 10, baseline)
     want_prec = float(ranked.labels[:10].mean())
-    want_ndcs = ndcs(ranked.pool.protected, 25, baseline)
+    want_ndcs = ndcs(ranked.protected, 25, baseline)
     assert out[0] == f"skew@10 = {want_skew!r}"
     assert out[1] == f"precision@10 = {want_prec!r}"
     assert out[2] == f"ndcs@25 = {want_ndcs!r}"
@@ -158,7 +156,7 @@ def test_online_fits_regularizer_when_only_lambda_given(tmp_path):
 
     # the same run with an explicit regularizer file gives the same weights
     reg_json = tmp_path / "reg.json"
-    save_regularizer(fit_auxiliary(load_labeled(labeled_csv).pool), reg_json)
+    save_regularizer(fit_auxiliary(load_labeled(labeled_csv)), reg_json)
     explicit = tmp_path / "explicit.json"
     assert main(
         ["online", "--model", str(warm_json), "--pool", str(labeled_csv), "--rounds", "10",
@@ -415,6 +413,8 @@ def test_cli_error_exits(tmp_path, capsys):
          "error: k must be at least 1, got 0\n"),
         (["metrics", "--ranking", str(pool_csv), "--baseline", str(baseline_json),
           "--ndcs-k", "0"], "error: k_max must be at least 1, got 0\n"),
+        (["metrics", "--ranking", str(pool_csv), "--baseline", str(baseline_json)],
+         "error: metrics needs --k or --ndcs-k\n"),
         (["eval", "--eta", "-1", "--out", str(tmp_path / "out")],
          "error: eta_grid[0] must be at least 0, got -1.0\n"),
         (["eval", "--seed", "3", "--seed", "3", "--out", str(tmp_path / "out")],

@@ -88,7 +88,7 @@ def test_build_seed_context_contents():
     assert res.seed == 1 and res.cells == []
     labeled = dict(pairs)
     assert set(labeled) == {0.0, 1.0}
-    assert labeled[0.0].pool.features.shape == (60, 3)
+    assert labeled[0.0].features.shape == (60, 3)
     assert len(labeled[0.0]) == 60
     assert res.regularizer is not None and res.regularizer.lam == 0.0
     bare, _ = build_seed_context(replace(cfg, p_bias_grid=(0.0,)), 1)
@@ -135,7 +135,7 @@ def test_sweep_zero_lambda_reproduces_plain_online_runs():
         if r.lam == 0.0:
             twin = plain[(r.seed, r.p_bias)]
             np.testing.assert_array_equal(r.final_model.weights, twin.final_model.weights)
-            assert r.trace.shown_order == twin.trace.shown_order
+            assert r.trace.shown_order.tolist() == twin.trace.shown_order.tolist()
             assert r.report_final.skew_at == twin.report_final.skew_at
 
 
@@ -164,9 +164,9 @@ def test_evolution_snapshots_and_reports():
     labeled = dict(pairs)
     round_index, snapshot = result.trace.snapshots[1]
     shown = result.trace.shown_order[:round_index]
-    order = rank_by_model(snapshot, labeled[1.0].pool.features[shown])
-    protected = labeled[1.0].pool.protected[shown][order]
-    labels = labeled[1.0].labels[np.array(shown)][order]
+    order = rank_by_model(snapshot, labeled[1.0].features[shown])
+    protected = labeled[1.0].protected[shown][order]
+    labels = labeled[1.0].labels[shown][order]
     want = evaluate_ranking(
         protected, labels, res.baseline, k_list=(5, 10), ndcs_k_max=round_index
     )

@@ -244,7 +244,7 @@ def test_run_online_rejects_lambda_past_the_stability_limit(tiny_labeled):
     with pytest.raises(ConfigError, match=r"2 / \|w_reg\|\^2 = 180\.83"):
         run_online(model, tiny_labeled, 10, eta=0.01, regularizer=reg.with_strength(190.0))
     # The batch solve has no such limit.
-    design = np.vstack([np.ones(len(tiny_labeled)), feature_matrix(tiny_labeled.pool).T])
+    design = np.vstack([np.ones(len(tiny_labeled)), feature_matrix(tiny_labeled).T])
     exact = solve_exact(design, tiny_labeled.labels.astype(float), reg.with_strength(190.0))
     assert np.all(np.isfinite(exact.weights))
 

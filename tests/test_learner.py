@@ -11,7 +11,6 @@ from fairsim import (
     GenConfig,
     LabeledPool,
     LinearModel,
-    Pool,
     NumericalError,
     default_user,
     feature_matrix,
@@ -151,8 +150,13 @@ def test_rank_by_model_orders_and_breaks_ties_low_first():
     feats = np.array([[0.2], [0.9], [0.2], [0.5]])
     np.testing.assert_array_equal(rank_by_model(model, feats), [1, 3, 0, 2])
     np.testing.assert_array_equal(rank_by_model(model, feats, top=2)[:2], [1, 3])
+    np.testing.assert_array_equal(rank_by_model(model, feats, top=10), [1, 3, 0, 2])
     with pytest.raises(ConfigError, match="^top must be at least 1"):
         rank_by_model(model, feats, top=0)
+    # No rows rank to an empty order, whatever the cutoff.
+    for top in (None, 1):
+        empty = rank_by_model(model, np.empty((0, 1)), top=top)
+        assert empty.shape == (0,) and empty.dtype == np.intp
 
 
 def test_warm_start_matches_independent_replay(tiny_labeled):
@@ -161,7 +165,7 @@ def test_warm_start_matches_independent_replay(tiny_labeled):
     rng = np.random.default_rng(9)
     subsample = rng.permutation(len(tiny_labeled))[:10]
     picks = rng.integers(0, 10, size=20)
-    feats = feature_matrix(tiny_labeled.pool)
+    feats = feature_matrix(tiny_labeled)
     w = np.zeros(feats.shape[1] + 1)
     for i in picks:
         j = int(subsample[i])
@@ -193,7 +197,7 @@ def test_warm_start_learns_the_fair_rule():
     model = warm_start(labeled, sample_size=1000, rounds=1000, seed=1)
     rng = np.random.default_rng(1)
     subsample = rng.permutation(len(labeled))[:1000]
-    feats = feature_matrix(labeled.pool)
+    feats = feature_matrix(labeled)
     pred = (score_all(model.weights, feats[subsample]) >= 0.0).astype(int)
     assert (pred == labeled.labels[subsample]).mean() >= 0.95
     pred_full = (score_all(model.weights, feats) >= 0.0).astype(int)
@@ -219,7 +223,7 @@ def test_run_online_zero_eta_keeps_model_and_greedy_order(tiny_labeled):
     start = LinearModel(np.array([0.02, 0.4, 0.3, -0.1]))
     final, trace = run_online(start, tiny_labeled, 30, eta=0.0)
     np.testing.assert_array_equal(final.weights, start.weights)
-    want = rank_by_model(start, feature_matrix(tiny_labeled.pool))[:30]
+    want = rank_by_model(start, feature_matrix(tiny_labeled))[:30]
     np.testing.assert_array_equal(trace.shown_order, want)
 
 
@@ -271,7 +275,7 @@ def test_run_online_is_pure(tiny_labeled):
     a, ta = run_online(model, tiny_labeled, 40, eta=0.05)
     b, tb = run_online(model, tiny_labeled, 40, eta=0.05)
     np.testing.assert_array_equal(a.weights, b.weights)
-    assert ta.shown_order == tb.shown_order
+    assert ta.shown_order.tolist() == tb.shown_order.tolist()
 
 
 @pytest.mark.parametrize("lam", [None, 0.0, 5.0])
@@ -279,10 +283,8 @@ def test_run_online_is_pure(tiny_labeled):
 def test_run_online_matches_boolean_mask_loop(tiny_labeled, lam, start):
     # Every row appears twice (rows 60..119 repeat 0..59), so scores tie all along.
     twice = LabeledPool(
-        pool=Pool(
-            features=np.concatenate([tiny_labeled.pool.features] * 2),
-            protected=np.concatenate([tiny_labeled.pool.protected] * 2),
-        ),
+        features=np.concatenate([tiny_labeled.features] * 2),
+        protected=np.concatenate([tiny_labeled.protected] * 2),
         labels=np.concatenate([tiny_labeled.labels] * 2),
         bias_coin=np.concatenate([tiny_labeled.bias_coin] * 2),
     )
@@ -291,14 +293,14 @@ def test_run_online_matches_boolean_mask_loop(tiny_labeled, lam, start):
     if lam is None:
         reg, step = None, partial(perceptron_update, eta=eta)
     else:
-        reg = fit_auxiliary(twice.pool).with_strength(lam)
+        reg = fit_auxiliary(twice).with_strength(lam)
         step = partial(regularized_update, eta=eta, reg=reg)
     final, trace = run_online(model, twice, len(twice), eta, regularizer=reg)
     want_w, want_shown, _ = greedy_online_oracle(
-        model.weights, twice.pool.features, twice.labels, len(twice), score_all, step
+        model.weights, twice.features, twice.labels, len(twice), score_all, step
     )
-    assert trace.shown_order == want_shown
-    assert all(type(i) is int for i in trace.shown_order)
+    assert trace.shown_order.tolist() == want_shown
+    assert trace.shown_order.dtype == np.intp and not trace.shown_order.flags.writeable
     assert final.weights.tobytes() == want_w.tobytes()
 
 

@@ -90,7 +90,6 @@ def test_k_range_errors():
         for call in (
             lambda: skew_at_k(ranking, 1, baseline, group=group),
             lambda: ndcs(ranking, 1, baseline, group=group),
-            lambda: evaluate_ranking(ranking, [1, 0], baseline, [1], ndcs_k_max=2, group=group),
         ):
             with pytest.raises(ConfigError, match=f"^{re.escape(problem)}$"):
                 call()

@@ -114,12 +114,12 @@ def test_pool_csv_roundtrip_is_bit_exact(tmp_path_factory, pool):
 @given(pool=pools(), data=st.data())
 def test_labeled_csv_roundtrip_is_bit_exact(tmp_path_factory, pool, data):
     flags = arrays(np.int64, len(pool), elements=st.integers(0, 1))
-    labeled = LabeledPool(pool=pool, labels=data.draw(flags), bias_coin=data.draw(flags))
+    labeled = LabeledPool(pool.features, pool.protected, data.draw(flags), data.draw(flags))
     path = tmp_path_factory.mktemp("labeled") / "labeled.csv"
     save_labeled(labeled, path)
     loaded = load_labeled(path)
-    assert _same_bits(loaded.pool.features, pool.features)
-    assert _same_bits(loaded.pool.protected, pool.protected)
+    assert _same_bits(loaded.features, pool.features)
+    assert _same_bits(loaded.protected, pool.protected)
     assert _same_bits(loaded.labels, labeled.labels)
     assert _same_bits(loaded.bias_coin, labeled.bias_coin)
 
@@ -539,7 +539,8 @@ def tie_heavy_pools(draw):
         features[j, c] = np.nextafter(features[i, c], draw(st.sampled_from([-np.inf, np.inf])))
     w = np.zeros(m + 1) if draw(st.booleans()) else rng.integers(-10, 11, m + 1) / 10
     pool = LabeledPool(
-        pool=Pool(features=features, protected=rng.integers(0, 2, n)),
+        features=features,
+        protected=rng.integers(0, 2, n),
         labels=rng.integers(0, 2, n),
         bias_coin=np.zeros(n, dtype=np.int64),
     )
@@ -551,7 +552,7 @@ def tie_heavy_pools(draw):
        data=st.data())
 def test_run_online_matches_the_mask_oracle_on_tie_heavy_pools(inputs, eta, data):
     w, pool = inputs
-    n, m = pool.pool.features.shape
+    n, m = pool.features.shape
     rounds = data.draw(st.integers(0, n))
     snapshot_interval = data.draw(st.integers(0, rounds))
     reg = None
@@ -570,10 +571,10 @@ def test_run_online_matches_the_mask_oracle_on_tie_heavy_pools(inputs, eta, data
     final, trace = run_online(LinearModel(w), pool, rounds, eta, regularizer=reg,
                               snapshot_interval=snapshot_interval)
     want_w, want_shown, want_snapshots = greedy_online_oracle(
-        w, pool.pool.features, pool.labels, rounds, lambda v, f: scores_expression(f, v), step,
+        w, pool.features, pool.labels, rounds, lambda v, f: scores_expression(f, v), step,
         snapshot_interval,
     )
-    assert trace.shown_order == want_shown
+    assert trace.shown_order.tolist() == want_shown
     assert _same_bits(final.weights, want_w)
     assert [r for r, _ in trace.snapshots] == [r for r, _ in want_snapshots]
     for (_, got), (_, want) in zip(trace.snapshots, want_snapshots):
@@ -597,8 +598,8 @@ def test_ranked_report_matches_a_stable_argsort_and_direct_counts(inputs, share,
     baseline = Baseline(p_qualified={0: 1.0 - share, 1: share}, qualified_count=n)
     report = _ranked_report(LinearModel(w), pool, baseline, cfg, rows)
     index = np.arange(n)[rows]
-    order = index[np.argsort(-scores_expression(pool.pool.features[index], w), kind="stable")]
-    flags, labels = pool.pool.protected[order].tolist(), pool.labels[order].tolist()
+    order = index[np.argsort(-scores_expression(pool.features[index], w), kind="stable")]
+    flags, labels = pool.protected[order].tolist(), pool.labels[order].tolist()
     ks = {k for k in cfg.k_list if k <= len(order)}
     assert set(report.skew_at) == set(report.precision_at) == set(report.counts_at) == ks
     for k in ks:
@@ -652,7 +653,7 @@ def _study_reference(cfg: ExperimentConfig, experiment: str) -> dict:
         for p_bias in cfg.p_bias_grid:
             user = UserConfig(p_bias, cfg.user_weights, derive_seed(seed, STREAM_ONLINE_USER))
             labeled = label_pool(online_pool, user)
-            features = labeled.pool.features
+            features = labeled.features
             if experiment == "reg_sweep":
                 cells = [(cfg.sweep_eta, lam) for lam in cfg.lambda_grid]
             else:
@@ -674,7 +675,7 @@ def _study_reference(cfg: ExperimentConfig, experiment: str) -> dict:
                 reports += [(f"online:round={r:04d}", w, np.array(shown[:r])) for r, w in snapshots]
                 for tag, w, rows in reports:
                     order = rows[np.argsort(-scores_expression(features[rows], w), kind="stable")]
-                    flags = labeled.pool.protected[order].tolist()
+                    flags = labeled.protected[order].tolist()
                     labels = labeled.labels[order].tolist()
                     ndcs_value = ndcs_oracle(flags, min(cfg.online_rounds, len(order)), share)
                     for k in cfg.k_list:

@@ -11,13 +11,17 @@ from fairsim import (
     LabeledPool,
     Pool,
     UserConfig,
+    compute_baseline,
     default_user,
     feature_matrix,
+    fit_auxiliary,
     generate_pool,
     label_pool,
     load_labeled,
+    load_pool,
     protected_values,
     save_labeled,
+    save_pool,
     score_all,
 )
 
@@ -121,7 +125,8 @@ def test_load_labeled_holds_no_object_per_cell(tmp_path, traced):
 def test_labeled_pool_length_mismatch(tiny_pool):
     with pytest.raises(DimensionMismatch):
         LabeledPool(
-            pool=tiny_pool,
+            tiny_pool.features,
+            tiny_pool.protected,
             labels=np.zeros(3, dtype=np.int64),
             bias_coin=np.zeros(3, dtype=np.int64),
         )
@@ -133,8 +138,8 @@ def test_labeled_pool_length_mismatch(tiny_pool):
         ([0, 1], ["0", "1"], "^bias_coin must hold bools or integers, got <U1 entries$"),
     ):
         with pytest.raises(ConfigError, match=problem):
-            LabeledPool(pool=two, labels=labels, bias_coin=bias_coin)
-    labeled = LabeledPool(pool=two, labels=[True, False], bias_coin=np.array([0, 1], np.uint8))
+            LabeledPool(two.features, two.protected, labels, bias_coin)
+    labeled = LabeledPool(two.features, two.protected, [True, False], np.array([0, 1], np.uint8))
     assert labeled.labels.dtype == labeled.bias_coin.dtype == np.int8
     with pytest.raises(ValueError):
         labeled.labels[0] = 0
@@ -146,11 +151,28 @@ def test_labeled_roundtrip_is_bitwise(tmp_path, tiny_labeled):
     path = tmp_path / "labeled.csv"
     save_labeled(tiny_labeled, path)
     loaded = load_labeled(path)
-    np.testing.assert_array_equal(
-        feature_matrix(loaded.pool), feature_matrix(tiny_labeled.pool)
-    )
+    np.testing.assert_array_equal(feature_matrix(loaded), feature_matrix(tiny_labeled))
     np.testing.assert_array_equal(loaded.labels, tiny_labeled.labels)
     np.testing.assert_array_equal(loaded.bias_coin, tiny_labeled.bias_coin)
+
+
+def test_a_labeled_pool_reads_as_its_pool(tmp_path, tiny_pool, tiny_labeled):
+    # label_pool keeps the pool's own read-only columns rather than copies.
+    assert np.shares_memory(tiny_labeled.features, tiny_pool.features)
+    assert np.shares_memory(tiny_labeled.protected, tiny_pool.protected)
+    plain = Pool(tiny_labeled.features, tiny_labeled.protected)
+    got, want = fit_auxiliary(tiny_labeled), fit_auxiliary(plain)
+    for name in ("w_a", "sigma_x", "w_reg"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    fair = default_user(0.0)
+    assert compute_baseline(tiny_labeled, fair) == compute_baseline(plain, fair)
+    save_pool(tiny_labeled, tmp_path / "labeled.csv")
+    save_pool(plain, tmp_path / "plain.csv")
+    assert (tmp_path / "labeled.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    loaded = load_pool(tmp_path / "labeled.csv")
+    assert type(loaded) is Pool
+    np.testing.assert_array_equal(loaded.features, plain.features)
+    np.testing.assert_array_equal(loaded.protected, plain.protected)
 
 
 @pytest.mark.parametrize(
