@@ -271,12 +271,13 @@ def write_columns(path: str | Path, features: np.ndarray, int_columns: dict) -> 
             writer.writerow([format(v, ".17g") for v in x] + [int(v) for v in ints])
 
 
-def read_columns(path: str | Path, int_names: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Read CSV written by :func:`write_columns`.
+def read_columns(path: str | Path, int_names: list[str], build):
+    """``build(features, *int_columns)`` from CSV written by :func:`write_columns`.
 
-    Returns the (n, m) float features and an (n, len(int_names)) int array.
-    Every cell must parse, every feature must be finite and every integer 0
-    or 1; otherwise a ConfigError names the file and the 1-based data row.
+    ``features`` is the (n, m) float array and each integer column an (n,) array.
+    Every cell must parse; otherwise a ConfigError names the file and the 1-based
+    data row. The values are ``build``'s to check: a FairsimError it raises is
+    re-raised as the same type with the file name in front.
     """
     width = len(int_names)
     with open(path, newline="") as fh:
@@ -300,21 +301,12 @@ def read_columns(path: str | Path, int_names: list[str]) -> tuple[np.ndarray, np
                 ints.extend([int(v) for v in row[m:]])
             except (ValueError, OverflowError) as exc:  # OverflowError: an int past 64 bits
                 raise ConfigError(f"{path}: data row {row_no}: {exc}") from None
-    if not features:
-        raise ConfigError(f"{path}: empty pool")
     features = np.frombuffer(features, dtype=np.float64).reshape(-1, m)
     ints = np.frombuffer(ints, dtype=np.int64).reshape(-1, width)
-    for values, names, ok, problem in (
-        (features, header[:m], np.isfinite(features), "is not finite"),
-        (ints, int_names, (ints == 0) | (ints == 1), "is not 0 or 1"),
-    ):
-        bad = np.argwhere(~ok)
-        if bad.size:
-            row, col = bad[0]
-            raise ConfigError(
-                f"{path}: data row {row + 1}: {names[col]} = {values[row, col]} {problem}"
-            )
-    return features, ints
+    try:
+        return build(features, *ints.T)
+    except FairsimError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def save_pool(pool: Pool, path: str | Path) -> None:
@@ -324,8 +316,7 @@ def save_pool(pool: Pool, path: str | Path) -> None:
 
 def load_pool(path: str | Path) -> Pool:
     """Read a pool written by :func:`save_pool`."""
-    features, ints = read_columns(path, ["protected"])
-    return Pool(features=features, protected=ints[:, 0])
+    return read_columns(path, ["protected"], Pool)
 
 
 def write_json(path: str | Path, payload: dict) -> None:

@@ -32,7 +32,7 @@ from .datagen import (
     feature_matrix,
     generate_pool,
 )
-from .errors import ConfigError
+from .errors import ConfigError, EmptyQualifiedPool
 from .fairreg import FairRegularizer, fit_auxiliary, save_regularizer
 from .learner import LinearModel, OnlineTrace, rank_by_model, run_online, save_model, warm_start
 from .metrics import Baseline, MetricsReport, compute_baseline, evaluate_ranking, save_baseline
@@ -156,7 +156,8 @@ def build_seed_context(
     Stream assignments: the fair pool, online pool, fair user, biased user,
     and warm-start subsampling each get an independent sub-seed derived from
     the experiment seed. Labels are materialized once per (seed, p_bias), so
-    every eta and lambda cell of a seed sees identical feedback.
+    every eta and lambda cell of a seed sees identical feedback. EmptyQualifiedPool
+    is raised if a group has no qualified online candidate.
     """
     fair_pool = generate_pool(replace(cfg.gen, seed=derive_seed(seed, STREAM_FAIR_POOL)))
     fair_user = UserConfig(
@@ -173,6 +174,9 @@ def build_seed_context(
     del fair_pool  # freed before the online pool is drawn
     online_pool = generate_pool(replace(cfg.gen, seed=derive_seed(seed, STREAM_ONLINE_POOL)))
     baseline = compute_baseline(online_pool, fair_user)
+    for g, share in baseline.p_qualified.items():
+        if share == 0.0:  # its skew would measure only the floor
+            raise EmptyQualifiedPool(f"seed {seed}: group {g} has no qualified online candidate")
     user_seed = derive_seed(seed, STREAM_ONLINE_USER)
     labeled = (
         (p, label_pool(online_pool, UserConfig(p_bias=p, weights=cfg.user_weights, seed=user_seed)))

@@ -100,13 +100,16 @@ def fit_auxiliary(pool: Pool, alpha_a: float = 1e-3) -> FairRegularizer:
     Solves ``(Xh Xh^T + alpha_a * N * I) w_a = Xh Ah^T`` on centered data and
     returns the regularizer at strength 0 with ``sigma_x = Xh Xh^T / N`` and
     ``w_reg = sigma_x @ w_a``. With ``alpha_a = 0`` this is the plain
-    least-squares normal system, which can be singular for degenerate data.
+    least-squares normal system, which can be singular for degenerate data. A
+    constant protected column raises ConfigError: its ``w_a`` would be zero.
     """
     if len(pool) < 2:
         raise ConfigError(f"need at least 2 points to fit, got {len(pool)}")
     alpha_a = _parse(Rate, alpha_a, "alpha_a")
     features = feature_matrix(pool)
     attrs = protected_values(pool).astype(float)
+    if attrs.min() == attrs.max():
+        raise ConfigError(f"every protected value is {attrs[0]:g}; the fit needs both groups")
     n, m = features.shape
     centered = features - features.mean(axis=0)
     attrs_centered = attrs - attrs.mean()

@@ -59,7 +59,7 @@ def rank_by_model(model: LinearModel, features: np.ndarray, top: int | None = No
     keys = score_all(model.weights, features)
     np.negative(keys, out=keys)
     top = keys.size if top is None else min(_parse(Size, top, "top"), keys.size)
-    if top:
+    if top < keys.size:
         order = np.argpartition(keys, top - 1)
         head = order[:top]  # a view: the head is sorted in place
         head_keys = keys[head]

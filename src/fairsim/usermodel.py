@@ -102,5 +102,4 @@ def save_labeled(labeled: LabeledPool, path: str | Path) -> None:
 
 def load_labeled(path: str | Path) -> LabeledPool:
     """Read a labeled pool written by :func:`save_labeled`."""
-    features, ints = read_columns(path, LABELED_COLUMNS)
-    return LabeledPool(features, *ints.T)
+    return read_columns(path, LABELED_COLUMNS, LabeledPool)

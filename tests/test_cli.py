@@ -317,7 +317,7 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert done.stdout.strip() == "[]"
 
 
-def test_cli_error_exits(tmp_path, capsys):
+def test_cli_error_exits(tmp_path, capsys, rewrite_cell):
     assert main(["generate", "--n", "0", "--out", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr().err == "error: n must be at least 1, got 0\n"
     assert main(
@@ -346,6 +346,9 @@ def test_cli_error_exits(tmp_path, capsys):
     sweep_json.write_text(json.dumps({"seeds": 5}))
     nan_model = tmp_path / "nan_model.json"
     nan_model.write_text(json.dumps({"weights": [1.0, float("nan"), 0, 0], "round": 0}))
+    nan_pool = tmp_path / "nan_pool.csv"
+    nan_pool.write_bytes(pool_csv.read_bytes())
+    rewrite_cell(nan_pool, 4, 1, "nan")
     good_model = tmp_path / "good_model.json"
     good_model.write_text(json.dumps({"weights": [0.0, 0.1, 0.2, 0.3], "round": 0}))
     labeled_csv = tmp_path / "labeled.csv"
@@ -370,6 +373,15 @@ def test_cli_error_exits(tmp_path, capsys):
     wide_json.write_text(json.dumps(
         {"harmless_dists": [{"kind": "uniform", "lo": -1e308, "hi": 1e308}]}
     ))
+    # Degenerate studies: one group only, and a group none of whose candidates qualifies.
+    one_group = tmp_path / "one_group.json"
+    one_group.write_text(json.dumps(TINY_EXPERIMENT | {"gen": {"n": 400, "p_group": 0.0}}))
+    unqualified = tmp_path / "unqualified.json"
+    proxy = {"group0": {"kind": "normal", "mean": 1.0, "std": 0.01},
+             "group1": {"kind": "normal", "mean": -1.0, "std": 0.01}}
+    unqualified.write_text(json.dumps(TINY_EXPERIMENT | {
+        "gen": {"n": 400, "proxy_dists": [proxy]}, "user_weights": [-0.5, 0.0, 1.0],
+    }))
     for argv, named in (
         (["metrics", "--ranking", str(pool_csv), "--baseline", str(no_count), "--k", "5"],
          "no_count.json: key 'qualified_count' is missing"),
@@ -379,6 +391,8 @@ def test_cli_error_exits(tmp_path, capsys):
         (["online", "--model", str(nan_model), "--pool", str(pool_csv),
           "--out", str(tmp_path / "m.json")],
          "nan_model.json: weights[1] must be finite, got nan\n"),
+        (["label", "--pool", str(nan_pool), "--p-bias", "0.0", "--out", str(tmp_path / "l.csv")],
+         "nan_pool.csv: features[3, 1] must be finite, got nan\n"),
         (["online", "--model", str(good_model), "--pool", str(labeled_csv), "--lambda", "nan",
           "--out", str(tmp_path / "m.json")], "error: lam must be a finite number, got nan\n"),
         (["metrics", "--ranking", str(pool_csv), "--baseline", str(bad_shares), "--k", "5"],
@@ -428,6 +442,10 @@ def test_cli_error_exits(tmp_path, capsys):
           "--regularizer", str(truncated), "--out", str(tmp_path / "m.json")], truncated_error),
         (["metrics", "--ranking", str(pool_csv), "--baseline", str(truncated), "--k", "5"],
          truncated_error),
+        (["sweep", "--config", str(one_group), "--out", str(tmp_path / "out")],
+         "error: every protected value is 0; the fit needs both groups\n"),
+        (["eval", "--config", str(unqualified), "--out", str(tmp_path / "out")],
+         "error: seed 1: group 1 has no qualified online candidate\n"),
     ):
         assert main(argv) == 1
         err = capsys.readouterr().err

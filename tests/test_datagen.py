@@ -194,9 +194,13 @@ def test_config_dict_roundtrip():
     assert again == cfg
 
 
-def test_empty_pool_helpers_raise():
+def test_empty_pool_helpers_raise(tmp_path):
     with pytest.raises(ConfigError):
         Pool(features=np.empty((0, 3)), protected=np.empty(0, dtype=np.int64))
+    header_only = tmp_path / "empty.csv"
+    header_only.write_text("x1,x2,x3,protected\n")
+    with pytest.raises(ConfigError, match=r"empty\.csv: pool is empty$"):
+        load_pool(header_only)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -218,7 +222,8 @@ def test_load_pool_rejects_non_finite_feature(tmp_path, tiny_pool, rewrite_cell,
     path = tmp_path / "pool.csv"
     save_pool(tiny_pool, path)
     rewrite_cell(path, 4, 1, value)
-    with pytest.raises(ConfigError, match=rf"pool\.csv: data row 4: x2 = {value} is not finite"):
+    with pytest.raises(NumericalError,
+                       match=rf"pool\.csv: features\[3, 1\] must be finite, got {value}$"):
         load_pool(path)
 
 
@@ -243,7 +248,7 @@ def test_load_pool_rejects_protected_outside_zero_one(tmp_path, tiny_pool, rewri
     path = tmp_path / "pool.csv"
     save_pool(tiny_pool, path)
     rewrite_cell(path, 7, -1, "7")
-    with pytest.raises(ConfigError, match=r"pool\.csv: data row 7: protected = 7 is not 0 or 1"):
+    with pytest.raises(ConfigError, match=r"pool\.csv: protected\[6\] must be 0 or 1, got 7$"):
         load_pool(path)
 
 

@@ -1,3 +1,4 @@
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -9,6 +10,7 @@ from fairsim import (
     DimensionMismatch,
     GenConfig,
     LabeledPool,
+    NumericalError,
     Pool,
     UserConfig,
     compute_baseline,
@@ -176,20 +178,24 @@ def test_a_labeled_pool_reads_as_its_pool(tmp_path, tiny_pool, tiny_labeled):
 
 
 @pytest.mark.parametrize(
-    "column, value, problem",
+    "column, value, error, problem",
     [
-        (0, "nan", "x1 = nan is not finite"),
-        (-3, "7", "protected = 7 is not 0 or 1"),
-        (-2, "3", "label = 3 is not 0 or 1"),
-        (-1, "9", "bias_coin = 9 is not 0 or 1"),
+        pytest.param(0, "nan", NumericalError, "features[4, 0] must be finite, got nan",
+                     id="0-nan-x1 = nan is not finite"),
+        pytest.param(-3, "7", ConfigError, "protected[4] must be 0 or 1, got 7",
+                     id="-3-7-protected = 7 is not 0 or 1"),
+        pytest.param(-2, "3", ConfigError, "labels[4] must be 0 or 1, got 3",
+                     id="-2-3-label = 3 is not 0 or 1"),
+        pytest.param(-1, "9", ConfigError, "bias_coin[4] must be 0 or 1, got 9",
+                     id="-1-9-bias_coin = 9 is not 0 or 1"),
     ],
 )
 def test_load_labeled_rejects_bad_values(tmp_path, tiny_labeled, rewrite_cell, column, value,
-                                         problem):
+                                         error, problem):
     path = tmp_path / "labeled.csv"
     save_labeled(tiny_labeled, path)
     rewrite_cell(path, 5, column, value)
-    with pytest.raises(ConfigError, match=rf"labeled\.csv: data row 5: {problem}"):
+    with pytest.raises(error, match=rf"labeled\.csv: {re.escape(problem)}$"):
         load_labeled(path)
 
 
