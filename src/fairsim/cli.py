@@ -12,7 +12,9 @@ import os
 import sys
 from dataclasses import replace
 
-from .datagen import GenConfig, gen_config_from_dict, generate_pool, load_pool, read_json, save_pool
+from .datagen import (
+    GenConfig, Size, _parse, gen_config_from_dict, generate_pool, load_pool, read_json, save_pool,
+)
 from .errors import ConfigError, FairsimError
 from .experiments import (
     ExperimentConfig,
@@ -133,8 +135,7 @@ def _cmd_experiment(args) -> int:
     out_dir = args.out or os.environ.get("FAIRSIM_OUT_DIR")
     if not out_dir:
         raise ConfigError("no output directory: pass --out or set FAIRSIM_OUT_DIR")
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    _parse(Size, args.jobs, "--jobs")
     if args.jobs > 1 and len(cfg.seeds) > 1:
         # Imported here: the process pool costs about 50 ms of start-up.
         from concurrent.futures import ProcessPoolExecutor

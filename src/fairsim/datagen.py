@@ -55,7 +55,9 @@ def check_fields(record) -> None:
             object.__setattr__(record, f.name, _parse(f.type, getattr(record, f.name), f.name))
 
 
-def _parse(annotation, value, path: str):
+def _parse(annotation, value, path: str, at_most=None):
+    """Parse ``value`` by ``annotation`` as :func:`check_fields` does; a number must
+    then also be at most ``at_most``, a limit known only at run time (None: none)."""
     if annotation in (FloatArray, BinaryArray):
         return _parse_array(annotation, value, path)
     base, low, high = BOUNDS.get(annotation, (annotation, None, None))
@@ -69,6 +71,8 @@ def _parse(annotation, value, path: str):
         if low is not None and not (low <= value and (high is None or value <= high)):
             bound = f"be at least {low}" if high is None else f"lie in [{low}, {high}]"
             raise ConfigError(f"{path} must {bound}, got {value}")
+        if at_most is not None and value > at_most:
+            raise ConfigError(f"{path} must be at most {at_most}, got {value}")
         return value
     origin, args = get_origin(annotation), get_args(annotation)
     if origin is tuple:

@@ -101,13 +101,10 @@ class ExperimentConfig:
         if self.gen.seed != 0:
             raise ConfigError(f"gen.seed must be 0, got {self.gen.seed}: every study derives its "
                               "pool seeds from seeds, so set seeds instead")
-        if self.warm_sample_size > self.gen.n:
-            raise ConfigError("warm_sample_size must lie in [1, pool size]")
-        if self.online_rounds > self.gen.n:
-            raise ConfigError("online_rounds cannot exceed the pool size")
-        for k in self.k_list:
-            if k > self.gen.n:
-                raise ConfigError(f"k={k} out of range for pools of {self.gen.n}")
+        ks = ((f"k_list[{i}]", k) for i, k in enumerate(self.k_list))
+        for path, value in (("warm_sample_size", self.warm_sample_size),
+                            ("online_rounds", self.online_rounds), *ks):
+            _parse(Size, value, path, at_most=self.gen.n)
 
 
 def experiment_config_from_dict(obj) -> ExperimentConfig:

@@ -109,10 +109,9 @@ def warm_start(
     one perceptron step.
     """
     n = len(pool)
-    sample_size, rounds = _parse(Size, sample_size, "sample_size"), _parse(Count, rounds, "rounds")
-    eta, seed = _parse(Rate, eta, "eta"), _parse(Seed, seed, "seed")
-    if sample_size > n:
-        raise ConfigError(f"sample_size {sample_size} not in [1, {n}]")
+    sample_size = _parse(Size, sample_size, "sample_size", at_most=n)
+    rounds, eta = _parse(Count, rounds, "rounds"), _parse(Rate, eta, "eta")
+    seed = _parse(Seed, seed, "seed")
     rng = np.random.default_rng(seed)
     subsample = rng.permutation(n)[:sample_size]
     picks = rng.integers(0, sample_size, size=rounds)
@@ -157,11 +156,8 @@ def run_online(
     [-1, 1]. Raises ConfigError when ``lambda * |w_reg|^2 > 2``, that is when
     lambda exceeds ``2 / |w_reg|^2``.
     """
-    n = len(pool)
-    rounds, eta = _parse(Count, rounds, "rounds"), _parse(Rate, eta, "eta")
+    rounds, eta = _parse(Count, rounds, "rounds", at_most=len(pool)), _parse(Rate, eta, "eta")
     snapshot_interval = _parse(Count, snapshot_interval, "snapshot_interval")
-    if rounds > n:
-        raise ConfigError(f"rounds {rounds} not in [0, {n}]")
     features = feature_matrix(pool)
     if features.shape[1] != model.weights.size - 1:
         raise DimensionMismatch("pool features do not match the model")

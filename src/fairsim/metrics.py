@@ -100,18 +100,15 @@ def _qualified_share(baseline: Baseline, group: int) -> float:
 
 def skew_at_k(protected: np.ndarray, k: int, baseline: Baseline, group: int = 1) -> float:
     """Log-ratio of a group's share in the top k to its qualified share."""
-    k, group = _parse(Size, k, "k"), _parse(Group, group, "group")
-    if k > len(protected):
-        raise ConfigError(f"k={k} out of range for a ranking of {len(protected)}")
+    k, group = _parse(Size, k, "k", at_most=len(protected)), _parse(Group, group, "group")
     p_top = int(np.count_nonzero(np.equal(protected[:k], group))) / k
     return math.log(max(p_top, EPSILON_FLOOR) / _qualified_share(baseline, group))
 
 
 def ndcs(protected: np.ndarray, k_max: int, baseline: Baseline, group: int = 1) -> float:
     """Discount-weighted average of Skew@j over prefixes j = 1..k_max."""
-    k_max, group = _parse(Size, k_max, "k_max"), _parse(Group, group, "group")
-    if k_max > len(protected):
-        raise ConfigError(f"k_max={k_max} out of range for a ranking of {len(protected)}")
+    k_max = _parse(Size, k_max, "k_max", at_most=len(protected))
+    group = _parse(Group, group, "group")
     prefix = np.arange(1, k_max + 1, dtype=float)
     p_top = np.cumsum(np.equal(protected[:k_max], group)) / prefix
     skews = np.log(np.maximum(p_top, EPSILON_FLOOR) / _qualified_share(baseline, group))
@@ -121,9 +118,7 @@ def ndcs(protected: np.ndarray, k_max: int, baseline: Baseline, group: int = 1) 
 
 def precision_at_k(labels: np.ndarray, k: int) -> float:
     """Fraction of the top k the user accepts; ``labels`` follow ranking order."""
-    k = _parse(Size, k, "k")
-    if k > len(labels):
-        raise ConfigError(f"k={k} out of range for a ranking of {len(labels)}")
+    k = _parse(Size, k, "k", at_most=len(labels))
     return int(np.sum(labels[:k])) / k
 
 

@@ -337,7 +337,7 @@ def test_cli_error_exits(tmp_path, capsys, rewrite_cell):
     assert main(
         ["metrics", "--ranking", str(pool_csv), "--baseline", str(baseline_json), "--k", "99"]
     ) == 1
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: k must be at most 10, got 99\n"
     no_count = tmp_path / "no_count.json"
     no_count.write_text(json.dumps({"p_qualified": {"0": 0.5, "1": 0.5}}))
     model_json = tmp_path / "model.json"

@@ -372,6 +372,13 @@ def test_config_dict_defaults_and_validation():
         ({"warm_sample_size": 0},
          r"^experiment config\.warm_sample_size must be at least 1, got 0$"),
         ({"k_list": [0]}, r"^experiment config\.k_list\[0\] must be at least 1, got 0$"),
+        # Sizes tied to the pool are at most gen.n (12000 by default).
+        ({"warm_sample_size": 12001},
+         r"^experiment config\.warm_sample_size must be at most 12000, got 12001$"),
+        ({"online_rounds": 12001},
+         r"^experiment config\.online_rounds must be at most 12000, got 12001$"),
+        ({"gen": {"n": 1000}, "k_list": [1001]},
+         r"^experiment config\.k_list\[0\] must be at most 1000, got 1001$"),
         ({"seeds": [-1]},
          r"^experiment config\.seeds\[0\] must lie in \[0, 18446744073709551615\], got -1$"),
         ({"seeds": [1, 1]}, r"^experiment config\.seeds must not repeat a value, got \(1, 1\)$"),
@@ -389,9 +396,9 @@ def test_config_validate_errors():
         tiny_config().seeds = (1,)
     with pytest.raises(ConfigError):
         tiny_config(seeds=())
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^k_list\[0\] must be at most 60, got 70$"):
         tiny_config(k_list=(70,))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^online_rounds must be at most 60, got 61$"):
         tiny_config(online_rounds=61)
     with pytest.raises(ConfigError):
         tiny_config(warm_sample_size=0)

@@ -12,17 +12,20 @@ from fairsim import (
     LabeledPool,
     LinearModel,
     NumericalError,
+    Pool,
     default_user,
     feature_matrix,
     fit_auxiliary,
     generate_pool,
     label_pool,
     load_model,
+    load_pool,
     perceptron_update,
     rank_by_model,
     regularized_update,
     run_online,
     save_model,
+    save_pool,
     save_trace,
     score_all,
     warm_start,
@@ -84,6 +87,9 @@ def test_model_validation(tmp_path, tiny_labeled):
         (partial(warm, seed=1.5), "seed must be an integer, got 1.5"),
         (partial(warm, seed=True), "seed must be an integer, got True"),
         (partial(warm_start, tiny_labeled, 5.5), "sample_size must be an integer, got 5.5"),
+        (partial(warm_start, tiny_labeled, 61), "sample_size must be at most 60, got 61"),
+        (partial(run_online, zero_model(3), tiny_labeled, 61, 0.1),
+         "rounds must be at most 60, got 61"),
         (partial(online, eta=0.1, snapshot_interval=2.5),
          "snapshot_interval must be an integer, got 2.5"),
         (partial(run_online, zero_model(3), tiny_labeled, 2.5, 0.1),
@@ -159,6 +165,21 @@ def test_rank_by_model_orders_and_breaks_ties_low_first():
         assert empty.shape == (0,) and empty.dtype == np.intp
 
 
+def test_identical_rows_of_a_loaded_pool_rank_by_index(tmp_path):
+    # Identical rows must score identically; ROADMAP's ruled-out column-major storage broke this.
+    rng = np.random.default_rng(17)
+    distinct = generate_pool(GenConfig(n=40, seed=5))
+    source = rng.integers(0, 40, size=4003)
+    path = tmp_path / "pool.csv"
+    save_pool(Pool(distinct.features[source], distinct.protected[source]), path)
+    features = load_pool(path).features
+    for _ in range(20):
+        order = rank_by_model(LinearModel(rng.standard_normal(4)), features)
+        for row in range(40):
+            copies = order[source[order] == row]
+            assert np.all(copies[:-1] < copies[1:])
+
+
 def test_warm_start_matches_independent_replay(tiny_labeled):
     got = warm_start(tiny_labeled, sample_size=10, rounds=20, eta=0.5, seed=9)
     # replay the documented stream contract from scratch
@@ -207,7 +228,7 @@ def test_warm_start_learns_the_fair_rule():
 def test_warm_start_argument_errors(tiny_labeled):
     with pytest.raises(ConfigError):
         warm_start(tiny_labeled, sample_size=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^sample_size must be at most 60, got 61$"):
         warm_start(tiny_labeled, sample_size=len(tiny_labeled) + 1)
     with pytest.raises(ConfigError):
         warm_start(tiny_labeled, sample_size=10, rounds=-1)
@@ -306,7 +327,7 @@ def test_run_online_matches_boolean_mask_loop(tiny_labeled, lam, start):
 
 def test_run_online_argument_errors(tiny_labeled):
     model = zero_model(3)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^rounds must be at most 60, got 61$"):
         run_online(model, tiny_labeled, len(tiny_labeled) + 1, eta=0.1)
     with pytest.raises(ConfigError):
         run_online(model, tiny_labeled, 10, eta=0.1, snapshot_interval=-1)

@@ -72,13 +72,6 @@ def test_skew_for_group_zero():
 def test_k_range_errors():
     ranking = _ranking([1, 0])
     baseline = Baseline(p_qualified={0: 0.5, 1: 0.5}, qualified_count=2)
-    for bad_k in (0, 3):
-        with pytest.raises(ConfigError):
-            skew_at_k(ranking, bad_k, baseline)
-        with pytest.raises(ConfigError):
-            ndcs(ranking, bad_k, baseline)
-        with pytest.raises(ConfigError):
-            precision_at_k([1, 0], bad_k)
     # A group is a protected value: an integer 0 or 1, never a bool, float or string.
     for group, problem in (
         (True, "group must be an integer, got True"),
@@ -101,6 +94,11 @@ def test_k_range_errors():
         (lambda: precision_at_k([1, 0], True), "k must be an integer, got True"),
         (lambda: ndcs(ranking, 2.5, baseline), "k_max must be an integer, got 2.5"),
         (lambda: ndcs(ranking, 0, baseline), "k_max must be at least 1, got 0"),
+        (lambda: precision_at_k([1, 0], 0), "k must be at least 1, got 0"),
+        # A cutoff is also at most the ranking's length.
+        (lambda: skew_at_k(ranking, 3, baseline), "k must be at most 2, got 3"),
+        (lambda: ndcs(ranking, 3, baseline), "k_max must be at most 2, got 3"),
+        (lambda: precision_at_k([1, 0], 3), "k must be at most 2, got 3"),
         (lambda: evaluate_ranking(ranking, [1, 0], baseline, k_list=[2.5], ndcs_k_max=2),
          "k must be an integer, got 2.5"),
     ):
