@@ -328,12 +328,10 @@ def write_results(
         for stale in exp_dir.glob(pattern):
             stale.unlink()
 
-    rows = results_to_rows(results, experiment)
     with open(exp_dir / "metrics.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_FIELDS)
-        for row in rows:
-            writer.writerow([row[name] for name in CSV_FIELDS])
+        writer = csv.DictWriter(fh, CSV_FIELDS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(results_to_rows(results, experiment))
 
     for res in results:
         save_model(res.warm_model, models_dir / f"warm_seed{res.seed}.json", 0)

@@ -102,9 +102,8 @@ def fit_auxiliary(pool: Pool, alpha_a: float = 1e-3) -> FairRegularizer:
     ``w_reg = sigma_x @ w_a``. With ``alpha_a = 0`` this is the plain
     least-squares normal system, which can be singular for degenerate data. A
     constant protected column raises ConfigError: its ``w_a`` would be zero.
+    That check also rejects a one-row pool, whose only value is constant.
     """
-    if len(pool) < 2:
-        raise ConfigError(f"need at least 2 points to fit, got {len(pool)}")
     alpha_a = _parse(Rate, alpha_a, "alpha_a")
     features = feature_matrix(pool)
     attrs = protected_values(pool).astype(float)

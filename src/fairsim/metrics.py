@@ -132,18 +132,11 @@ def evaluate_ranking(
     """Build a group-1 report for one ranking; ``protected`` and ``labels`` follow rank order."""
     if len(protected) != len(labels):
         raise ConfigError("protected values and labels must have equal length")
-    skew_values: dict[int, float] = {}
-    precision_values: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for k in k_list:
-        skew_values[k] = skew_at_k(protected, k, baseline)
-        precision_values[k] = precision_at_k(labels, k)
-        counts[k] = int(np.count_nonzero(np.equal(protected[:k], 1)))
     return MetricsReport(
-        skew_at=skew_values,
+        skew_at={k: skew_at_k(protected, k, baseline) for k in k_list},
         ndcs=ndcs(protected, ndcs_k_max, baseline),
-        precision_at=precision_values,
-        counts_at=counts,
+        precision_at={k: precision_at_k(labels, k) for k in k_list},
+        counts_at={k: int(np.count_nonzero(np.equal(protected[:k], 1))) for k in k_list},
     )
 
 

@@ -65,8 +65,9 @@ def test_fit_auxiliary_direction_tracks_the_attribute(tiny_pool):
 
 
 def test_fit_auxiliary_argument_errors(tiny_pool):
-    with pytest.raises(ConfigError):
-        fit_auxiliary(Pool(tiny_pool.features[:1], tiny_pool.protected[:1]))
+    one_row = Pool(tiny_pool.features[:1], tiny_pool.protected[:1])
+    ones = np.flatnonzero(tiny_pool.protected == 1)[:2]
+    two_ones = Pool(tiny_pool.features[ones], tiny_pool.protected[ones])
     reg = fit_auxiliary(tiny_pool)
     design = np.vstack([np.ones(len(tiny_pool)), tiny_pool.features.T])
     nan_design = design.copy()
@@ -75,6 +76,11 @@ def test_fit_auxiliary_argument_errors(tiny_pool):
     inf_targets = np.concatenate((targets[:-1], [np.inf]))
     fit = partial(fit_auxiliary, tiny_pool)
     for call, error, problem in (
+        # One row holds one protected value, so the both-groups check covers it.
+        (partial(fit_auxiliary, one_row), ConfigError,
+         f"every protected value is {tiny_pool.protected[0]}; the fit needs both groups"),
+        (partial(fit_auxiliary, two_ones), ConfigError,
+         "every protected value is 1; the fit needs both groups"),
         (partial(fit, alpha_a=-1.0), ConfigError, "alpha_a must be at least 0, got -1.0"),
         (partial(fit, alpha_a=np.nan), ConfigError, "alpha_a must be a finite number, got nan"),
         (partial(fit, alpha_a=np.inf), ConfigError, "alpha_a must be a finite number, got inf"),

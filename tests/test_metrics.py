@@ -139,13 +139,15 @@ def test_evaluate_ranking_is_consistent():
     labels = [1, 0, 1, 1, 1, 0, 0, 0]
     ranking = _ranking(flags)
     baseline = Baseline(p_qualified={0: 0.6, 1: 0.4}, qualified_count=40)
-    report = evaluate_ranking(ranking, labels, baseline, k_list=(2, 5), ndcs_k_max=8)
-    assert set(report.skew_at) == {2, 5}
-    for k in (2, 5):
-        assert report.skew_at[k] == pytest.approx(skew_oracle(flags, k, 0.4), abs=1e-12)
-        assert report.precision_at[k] == pytest.approx(precision_oracle(labels, k))
-        assert report.counts_at[k] == sum(flags[:k])
-    assert report.ndcs == pytest.approx(ndcs_oracle(flags, 8, 0.4), abs=1e-12)
+    # No cutoff at all is what an evolution snapshot shorter than every k gets.
+    for k_list in ((2, 5), ()):
+        report = evaluate_ranking(ranking, labels, baseline, k_list=k_list, ndcs_k_max=8)
+        assert set(report.skew_at) == set(report.precision_at) == set(report.counts_at) == set(k_list)
+        for k in k_list:
+            assert report.skew_at[k] == pytest.approx(skew_oracle(flags, k, 0.4), abs=1e-12)
+            assert report.precision_at[k] == pytest.approx(precision_oracle(labels, k))
+            assert report.counts_at[k] == sum(flags[:k])
+        assert report.ndcs == pytest.approx(ndcs_oracle(flags, 8, 0.4), abs=1e-12)
 
 
 def test_int8_columns_count_past_127():
@@ -166,7 +168,7 @@ def test_int8_columns_count_past_127():
 def test_evaluate_ranking_length_mismatch():
     ranking = _ranking([1, 0])
     baseline = Baseline(p_qualified={0: 0.5, 1: 0.5}, qualified_count=2)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^protected values and labels must have equal length$"):
         evaluate_ranking(ranking, [1], baseline, k_list=(1,), ndcs_k_max=1)
 
 
