@@ -22,6 +22,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from fairsim import (
     Baseline,
     ConfigError,
+    EmptyQualifiedPool,
     ExperimentConfig,
     FairRegularizer,
     GenConfig,
@@ -394,6 +395,13 @@ def _regularizer(w_a: np.ndarray, lam: float) -> FairRegularizer:
     return FairRegularizer(w_a=w_a, sigma_x=np.eye(m), w_reg=w_a, lam=lam, alpha_a=0.0)
 
 
+def _norm(v: np.ndarray) -> float:
+    """``|v|`` scaled by its largest entry first, so that it does not underflow to 0
+    when the squares of tiny (say 1e-163) entries do, as ``np.linalg.norm``'s do."""
+    top = float(np.abs(v).max())
+    return top * float(np.linalg.norm(v / top)) if top else 0.0
+
+
 @st.composite
 def update_inputs(draw, bound=1e100):
     m = draw(st.integers(1, 4))
@@ -428,7 +436,7 @@ def test_penalty_step_without_mistake_shrinks_alignment(inputs, strength, eta):
     padded = reg.padded_direction
     y = 1 if float(w @ np.concatenate(([1.0], x))) >= 0.0 else 0
     after = regularized_update(w, x, y, eta, reg)
-    rounding = 1e-12 * float(np.linalg.norm(w) * np.linalg.norm(padded))
+    rounding = 1e-12 * _norm(w) * _norm(padded)
     assert abs(float(after @ padded)) <= abs(float(w @ padded)) + rounding
 
 
@@ -445,7 +453,7 @@ def test_penalty_step_without_mistake_scales_only_the_aligned_part(inputs, stren
     assert perceptron_update(w, x, y, eta) is w  # no mistake
     after = regularized_update(w, x, y, eta, _regularizer(w_a, lam))
     # A few roundings of eps * |w| each, far below 1e-12 |w|; the floor covers subnormal w.
-    rounding = 1e-12 * float(np.linalg.norm(w)) + 1e-300
+    rounding = 1e-12 * _norm(w) + 1e-300
     aligned = float(w @ unit)
     assert abs(float(after @ unit) - (1.0 - lam * norm2) * aligned) <= rounding
     assert np.abs((after - (after @ unit) * unit) - (w - aligned * unit)).max() <= rounding
@@ -640,12 +648,16 @@ def _study_reference(cfg: ExperimentConfig, experiment: str) -> dict:
     """Each metrics.csv row's ``(skew, precision, ndcs, count_group1)``, keyed by its
     ``(config_id, seed, p_bias, eta, lambda, k)``. Pools, labels and the warm model
     come from the documented seed streams; each cell runs the greedy mask oracle,
-    and each report re-ranks its rows by a stable argsort and counts directly."""
+    and each report re-ranks its rows by a stable argsort and counts directly.
+    None if some seed's online pool gives a group no candidate the fair rule accepts."""
     want = {}
     for seed in cfg.seeds:
         fair_pool, online_pool = (generate_pool(replace(cfg.gen, seed=derive_seed(seed, stream)))
                                   for stream in (STREAM_FAIR_POOL, STREAM_ONLINE_POOL))
         fair_user = UserConfig(0.0, cfg.user_weights, derive_seed(seed, STREAM_FAIR_USER))
+        fair_scores = scores_expression(online_pool.features, np.asarray(cfg.user_weights))
+        if set(online_pool.protected[fair_scores >= 0.0].tolist()) != {0, 1}:
+            return None
         warm = warm_start(label_pool(fair_pool, fair_user), cfg.warm_sample_size,
                           cfg.warm_rounds, cfg.warm_eta, derive_seed(seed, STREAM_WARM)).weights
         share = compute_baseline(online_pool, fair_user).p_qualified[1]
@@ -692,10 +704,14 @@ def _study_reference(cfg: ExperimentConfig, experiment: str) -> dict:
 @settings(deadline=None, max_examples=30)
 @given(cfg=tiny_studies())
 def test_each_study_matches_a_reference_built_from_the_oracles(runner, experiment, cfg):
+    want = _study_reference(cfg, experiment)
+    if want is None:  # tiny pools often leave one group unqualified; the study refuses them
+        with pytest.raises(EmptyQualifiedPool):
+            runner(cfg)
+        return
     rows = results_to_rows(runner(cfg), experiment)
     got = {tuple(row[name] for name in CSV_FIELDS[:6]): tuple(row[name] for name in CSV_FIELDS[6:])
            for row in rows}
-    want = _study_reference(cfg, experiment)
     assert len(got) == len(rows) and got.keys() == want.keys()
     for key, (skew, precision, ndcs_value, count) in want.items():
         got_skew, got_precision, got_ndcs, got_count = got[key]
