@@ -7,7 +7,11 @@ prediction leaves them untouched.
 
 Online personalization is greedy: each round the model shows the single
 highest-scoring candidate not shown before (ties resolve to the lowest pool
-index), receives that candidate's stored label, and updates.
+index), receives that candidate's stored label, and updates. On pools of at
+least ``SHORTLIST_MIN_ROWS`` rows the loop rescores only a shortlist of the
+best unshown rows between full scans (lazy greedy evaluation, as in Minoux's
+accelerated greedy algorithm), and takes a pick from it only when a bound
+proves that a full scan would pick the same row.
 """
 
 import csv
@@ -26,6 +30,11 @@ from .usermodel import LabeledPool, score_all
 
 if TYPE_CHECKING:  # import cycle: fairreg builds on LinearModel
     from .fairreg import FairRegularizer
+
+# The online loop's shortlist: how many rows it rescores between full scans, and the
+# pool size from which that beats rescoring every row (both measured; see CHANGES.md).
+SHORTLIST = 256
+SHORTLIST_MIN_ROWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,6 +145,78 @@ class OnlineTrace:
     snapshots: list[tuple[int, LinearModel]]
 
 
+_U = 2.0**-53  # unit roundoff of float64
+_TINY = 2.0**-1022  # smallest normal float: more than one product loses to underflow
+_HUGE = 2.0**1000  # past this weight size a score could overflow; such rounds rescan
+
+
+class _Shortlist:
+    """The best unshown rows at the last full scan, and a bound on every other row.
+
+    A full scan at weights ``w_s`` keeps the ``SHORTLIST`` best unshown rows (pool
+    indices ascending, with a C-order copy of their rows) and ``tau``, the best score
+    left outside them. At later weights ``w`` with ``dw = w - w_s``, no outside row
+    scores above ``tau + dw0 + sum_k max(dw_k * lo_k, dw_k * hi_k)``, where ``lo_k``
+    and ``hi_k`` are the pool's column extremes. A computed score is within
+    ``e = gamma_(m+1) * (|w0| + sum_k |w_k| * mag_k)`` of the exact one, ``mag_k``
+    being the column's largest magnitude (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 3.1). So a copied row may score up to ``2e`` away from
+    its full-scan score, whatever kernel scores each, and the copy's best row is
+    the full scan's pick when it clears the bound by ``2e`` and the runner-up by
+    ``4e``. The bound carries ``e`` at both ``w`` and ``w_s``.
+    """
+
+    def __init__(self, features, keys, k, w, columns):
+        """Keep the ``k`` best rows by ``keys``, a full scan at ``w`` negated, with
+        every shown row at ``+inf``; ``columns`` holds ``lo``, ``hi`` and ``mag`` with
+        the intercept's 1.0 in front. Nothing is kept when a score could overflow."""
+        self.lo, self.hi, self.mag = columns
+        m1 = len(self.mag)  # the dot product's length: the features and the intercept
+        # gamma_(m+1), and gamma_(m+4) for the bound's own sum, both doubled to cover
+        # the roundings of the checks' arithmetic; what each product can lose to
+        # underflow comes on top.
+        self.gamma = 2.0 * m1 * _U / (1.0 - m1 * _U)
+        self.gamma_sum = 2.0 * (m1 + 3) * _U / (1.0 - (m1 + 3) * _U)
+        self.tiny = m1 * _TINY
+        self.ws = w.tolist()
+        size = sum(abs(wk) * mk for wk, mk in zip(self.ws, self.mag))
+        self.e_s = self.gamma * size + self.tiny
+        self.live = k if size < _HUGE else 0
+        if not self.live:
+            return
+        order = np.argpartition(keys, k)
+        self.tau = -keys.item(order[k])  # -inf when no unshown row is left outside
+        self.tau_mag = abs(self.tau) if self.tau > -np.inf else 0.0
+        self.index = np.sort(order[:k])
+        self.rows = features[self.index]
+        self.shown = np.zeros(k)  # added to the shortlist's scores: -inf once shown
+
+    def pick(self, w) -> int:
+        """The row a full scan at ``w`` would pick, or -1 when the bound cannot tell."""
+        if not self.live:
+            return -1
+        size = reach = spread = 0.0
+        for wk, sk, lo, hi, mk in zip(w.tolist(), self.ws, self.lo, self.hi, self.mag):
+            size += abs(wk) * mk
+            d = wk - sk
+            reach += d * hi if d > 0.0 else d * lo
+            spread += abs(d) * mk
+        if not size < _HUGE:
+            return -1
+        e = self.gamma * size + self.tiny
+        bound = self.tau + reach + e + self.e_s + self.gamma_sum * (self.tau_mag + spread)
+        scores = score_all(w, self.rows)
+        scores += self.shown
+        b = int(scores.argmax())
+        best = scores.item(b)
+        scores[b] = -np.inf
+        if best - 2.0 * e > bound and best - scores.item(scores.argmax()) > 4.0 * e:
+            self.shown[b] = -np.inf
+            self.live -= 1
+            return self.index.item(b)
+        return -1
+
+
 def run_online(
     model: LinearModel,
     pool: LabeledPool,
@@ -146,10 +227,18 @@ def run_online(
 ) -> tuple[LinearModel, OnlineTrace]:
     """Personalize a model by showing the greedy top candidate each round.
 
-    Each round: score the full pool, pick the highest-scoring candidate never
-    shown before (ties to the lowest index), apply one update with that
-    candidate's stored label, and record the pick. With a regularizer, the
-    update also applies the fairness penalty every round, mistakes or not.
+    Each round: pick the highest-scoring candidate never shown before (ties to
+    the lowest index), apply one update with that candidate's stored label, and
+    record the pick. With a regularizer, the update also applies the fairness
+    penalty every round, mistakes or not.
+
+    Below ``SHORTLIST_MIN_ROWS`` rows every round scores the full pool. From there
+    on, a full scan also keeps the ``SHORTLIST`` best unshown rows, and the rounds
+    after it rescore only those. A round takes the shortlist's best row only when
+    the rounding-safe bound of ``_Shortlist`` proves that a full scan would pick it;
+    it rescans, and rebuilds the shortlist, when the weights have moved too far for
+    that, when the best row is within rounding of a rival, or once the shortlist
+    is used up. So every pick, and every result, is the full scan's.
 
     Each penalty step scales the weight component along ``w_reg`` by
     ``1 - lambda * |w_reg|^2``, so the run diverges once that factor leaves
@@ -170,13 +259,26 @@ def run_online(
                 f"lambda={regularizer.lam!r} exceeds the online stability limit "
                 f"2 / |w_reg|^2 = {2.0 / norm2:.6g}"
             )
+    n = len(features)
+    columns = shortlist = None
+    if n >= SHORTLIST_MIN_ROWS and rounds > 1:
+        lo = [1.0] + [float(c.min()) for c in features.T]
+        hi = [1.0] + [float(c.max()) for c in features.T]
+        columns = lo, hi, [max(-a, b) for a, b in zip(lo, hi)]
     shown = np.empty(rounds, dtype=np.intp)
     snapshots: list[tuple[int, LinearModel]] = []
     w = start = model.weights
     for r in range(1, rounds + 1):
-        scores = score_all(w, features)
-        scores[shown[: r - 1]] = -np.inf
-        i = int(scores.argmax())
+        i = -1 if shortlist is None else shortlist.pick(w)
+        if i < 0:
+            scores = score_all(w, features)
+            scores[shown[: r - 1]] = -np.inf
+            i = int(scores.argmax())
+            if columns is not None and r < rounds:
+                scores[i] = -np.inf
+                np.negative(scores, out=scores)
+                shortlist = _Shortlist(features, scores, min(SHORTLIST, n - r), w, columns)
+            del scores  # so the next scan and its partition are the only pool-length arrays
         shown[r - 1] = i
         if regularizer is None:
             w = perceptron_update(w, features[i], int(pool.labels[i]), eta)

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -31,6 +32,7 @@ from fairsim import (
     warm_start,
     zero_model,
 )
+from fairsim import learner
 
 from _oracles import greedy_online_oracle
 
@@ -301,7 +303,7 @@ def test_run_online_is_pure(tiny_labeled):
 
 @pytest.mark.parametrize("lam", [None, 0.0, 5.0])
 @pytest.mark.parametrize("start", ["zero", "warm"])
-def test_run_online_matches_boolean_mask_loop(tiny_labeled, lam, start):
+def test_run_online_matches_boolean_mask_loop(monkeypatch, tiny_labeled, lam, start):
     # Every row appears twice (rows 60..119 repeat 0..59), so scores tie all along.
     twice = LabeledPool(
         features=np.concatenate([tiny_labeled.features] * 2),
@@ -316,13 +318,73 @@ def test_run_online_matches_boolean_mask_loop(tiny_labeled, lam, start):
     else:
         reg = fit_auxiliary(twice).with_strength(lam)
         step = partial(regularized_update, eta=eta, reg=reg)
-    final, trace = run_online(model, twice, len(twice), eta, regularizer=reg)
     want_w, want_shown, _ = greedy_online_oracle(
         model.weights, twice.features, twice.labels, len(twice), score_all, step
     )
-    assert trace.shown_order.tolist() == want_shown
-    assert trace.shown_order.dtype == np.intp and not trace.shown_order.flags.writeable
-    assert final.weights.tobytes() == want_w.tobytes()
+    # The second run keeps a 5-row shortlist, forced on below its real cutoff.
+    for forced in (False, True):
+        if forced:
+            monkeypatch.setattr(learner, "SHORTLIST", 5)
+            monkeypatch.setattr(learner, "SHORTLIST_MIN_ROWS", 0)
+        final, trace = run_online(model, twice, len(twice), eta, regularizer=reg)
+        assert trace.shown_order.tolist() == want_shown
+        assert trace.shown_order.dtype == np.intp and not trace.shown_order.flags.writeable
+        assert final.weights.tobytes() == want_w.tobytes()
+
+
+def _online_cell(n, lam, eta=0.01, rounds=500):
+    """A sweep-like cell on an ``n``-row default pool: the warm model, a user biased
+    at 0.8, the penalty at strength ``lam`` and at most ``rounds`` rounds; returns
+    run_online's inputs."""
+    pool = generate_pool(GenConfig(n=n, seed=3))
+    fair = label_pool(pool, default_user(0.0, seed=11))
+    warm = warm_start(fair, sample_size=min(n, 1000), rounds=1000, eta=0.3, seed=4)
+    reg = fit_auxiliary(fair).with_strength(lam)
+    return warm, label_pool(pool, default_user(0.8, seed=13)), min(rounds, n), eta, reg
+
+
+@pytest.mark.parametrize("lam", [0.0, 10.0])
+def test_run_online_rescores_a_shortlist_above_the_cutoff(monkeypatch, lam):
+    # At the real constants: above the cutoff the picks and weights are the full
+    # scan's, bit for bit, while far fewer rows are scored; below it, every round
+    # scores the whole pool.
+    for n in (6000, 300):
+        warm, labeled, rounds, eta, reg = _online_cell(n, lam)
+        rows = []
+
+        def counted(weights, features):
+            rows.append(len(features))
+            return score_all(weights, features)
+
+        monkeypatch.setattr(learner, "score_all", counted)
+        final, trace = run_online(warm, labeled, rounds, eta, regularizer=reg)
+        monkeypatch.undo()
+        want_w, want_shown, _ = greedy_online_oracle(
+            warm.weights, labeled.features, labeled.labels, rounds, score_all,
+            partial(regularized_update, eta=eta, reg=reg),
+        )
+        assert trace.shown_order.tolist() == want_shown
+        assert final.weights.tobytes() == want_w.tobytes()
+        if n >= learner.SHORTLIST_MIN_ROWS:
+            assert sum(rows) < rounds * n / 4
+        else:
+            assert rows == [n] * rounds
+
+
+def test_run_online_holds_at_most_two_score_arrays():
+    # A full scan holds its scores and the partition's index array; the shortlist
+    # adds only arrays of its own size, and the shown order has one entry a round.
+    n = 20000
+    warm, labeled, rounds, eta, reg = _online_cell(n, 10.0, eta=0.1)
+    tracemalloc.start()
+    try:
+        run_online(warm, labeled, rounds, eta, regularizer=reg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m = labeled.features.shape[1]
+    assert n >= learner.SHORTLIST_MIN_ROWS
+    assert peak <= 2 * 8 * n + 8 * rounds + 64 * learner.SHORTLIST * (m + 1)
 
 
 def test_run_online_argument_errors(tiny_labeled):

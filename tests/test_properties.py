@@ -2,9 +2,9 @@
 the array type rules, the bounded scalar annotations, the exact ranking order,
 the pool build's and online step's expressions pinned bit for bit, the algebraic
 invariants of the online steps, of Skew@k and NDCS, of the regularizer's fit and
-of the warm start's scale, the online loop and re-ranked reports against naive
-references on tie-heavy pools, and each study's metrics.csv rows against a
-reference built from those oracles."""
+of the warm start's scale, the online loop (with and without a forced shortlist)
+and re-ranked reports against naive references on tie-heavy pools, and each
+study's metrics.csv rows against a reference built from those oracles."""
 
 import json
 import re
@@ -58,6 +58,7 @@ from fairsim import (
     skew_at_k,
     warm_start,
 )
+from fairsim import learner
 from fairsim.datagen import (
     BOUNDS, BinaryArray, Count, FloatArray, Group, Rate, Seed, Share, Size, _parse, config_to_dict,
     gen_config_from_dict,
@@ -531,12 +532,12 @@ def test_warm_start_eta_fixes_only_the_norm(seed, p_bias, exponent, k):
 
 
 @st.composite
-def tie_heavy_pools(draw):
+def tie_heavy_pools(draw, max_features=4):
     """Weights and a labeled pool whose scores tie often: features and weights
     in steps of 0.1, rows repeated from a few distinct ones, the zero model, and
     sometimes one row a single ulp away from another in one feature."""
     n = draw(st.integers(1, 300))
-    m = draw(st.integers(1, 4))
+    m = draw(st.integers(1, max_features))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     distinct = draw(st.integers(1, n))
     features = (rng.integers(-10, 11, size=(distinct, m)) / 10)[rng.integers(0, distinct, n)]
@@ -556,9 +557,13 @@ def tie_heavy_pools(draw):
 
 
 @settings(deadline=None, max_examples=100)
-@given(inputs=tie_heavy_pools(), eta=st.sampled_from([0.0, 0.1]) | st.floats(0.0, 10.0),
-       data=st.data())
+@given(inputs=tie_heavy_pools(max_features=6),
+       eta=st.sampled_from([0.0, 0.1]) | st.floats(0.0, 10.0), data=st.data())
 def test_run_online_matches_the_mask_oracle_on_tie_heavy_pools(inputs, eta, data):
+    # Up to 6 features: a gathered copy may score a row to other bits than the whole
+    # pool does (rows of 4 or more features under some BLAS kernels, one-row copies
+    # under any), so a shortlist may not trust its copy's bits. Each case runs as it
+    # is and again with a shortlist of 1-8 rows forced on at every pool size.
     w, pool = inputs
     n, m = pool.features.shape
     rounds = data.draw(st.integers(0, n))
@@ -576,17 +581,21 @@ def test_run_online_matches_the_mask_oracle_on_tie_heavy_pools(inputs, eta, data
         step = partial(regularized_step_expression, eta=eta, w_reg=reg.w_reg, lam=lam)
     else:
         step = partial(perceptron_step_expression, eta=eta)
-    final, trace = run_online(LinearModel(w), pool, rounds, eta, regularizer=reg,
-                              snapshot_interval=snapshot_interval)
     want_w, want_shown, want_snapshots = greedy_online_oracle(
         w, pool.features, pool.labels, rounds, lambda v, f: scores_expression(f, v), step,
         snapshot_interval,
     )
-    assert trace.shown_order.tolist() == want_shown
-    assert _same_bits(final.weights, want_w)
-    assert [r for r, _ in trace.snapshots] == [r for r, _ in want_snapshots]
-    for (_, got), (_, want) in zip(trace.snapshots, want_snapshots):
-        assert _same_bits(got.weights, want)
+    shortlist = data.draw(st.integers(1, 8), label="SHORTLIST")
+    for forced in (False, True):
+        with mock.patch.object(learner, "SHORTLIST", shortlist), \
+                mock.patch.object(learner, "SHORTLIST_MIN_ROWS", 0 if forced else n + 1):
+            final, trace = run_online(LinearModel(w), pool, rounds, eta, regularizer=reg,
+                                      snapshot_interval=snapshot_interval)
+        assert trace.shown_order.tolist() == want_shown
+        assert _same_bits(final.weights, want_w)
+        assert [r for r, _ in trace.snapshots] == [r for r, _ in want_snapshots]
+        for (_, got), (_, want) in zip(trace.snapshots, want_snapshots):
+            assert _same_bits(got.weights, want)
 
 
 @settings(deadline=None, max_examples=100)
