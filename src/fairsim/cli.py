@@ -81,13 +81,9 @@ def _cmd_warm(args) -> int:
 def _cmd_online(args) -> int:
     model, _ = load_model(args.model)
     pool = load_labeled(args.pool)
-    regularizer = None
-    if args.regularizer:
-        regularizer = load_regularizer(args.regularizer)
-        if args.lam is not None:
-            regularizer = regularizer.with_strength(args.lam)
-    elif args.lam is not None:
-        regularizer = fit_auxiliary(pool).with_strength(args.lam)
+    regularizer = load_regularizer(args.regularizer) if args.regularizer else None
+    if args.lam is not None:
+        regularizer = (regularizer or fit_auxiliary(pool)).with_strength(args.lam)
     final, trace = run_online(model, pool, args.rounds, args.eta, regularizer=regularizer)
     save_model(final, args.out, args.rounds)
     print(f"wrote {args.out}")

@@ -263,7 +263,7 @@ def protected_values(pool: Pool) -> np.ndarray:
 
 
 def write_columns(path: str | Path, features: np.ndarray, int_columns: dict) -> None:
-    """Write CSV with header ``x1,...,xm`` plus the named integer columns.
+    """Write CSV with header ``x1,...,xm`` (none when m is 0) plus the named integer columns.
 
     Floats are serialized with 17 significant digits so that reading restores
     them bit for bit.
@@ -278,7 +278,7 @@ def write_columns(path: str | Path, features: np.ndarray, int_columns: dict) -> 
 def read_columns(path: str | Path, int_names: list[str], build):
     """``build(features, *int_columns)`` from CSV written by :func:`write_columns`.
 
-    ``features`` is the (n, m) float array and each integer column an (n,) array.
+    ``features`` is the (n, m) float array and each integer column an (n,) int8 array.
     Every cell must parse; otherwise a ConfigError names the file and the 1-based
     data row. The values are ``build``'s to check: a FairsimError it raises is
     re-raised as the same type with the file name in front.
@@ -294,7 +294,7 @@ def read_columns(path: str | Path, int_names: list[str], build):
         # library adds about 0.2 MB of RSS to the commands that read no CSV.
         from array import array
 
-        features, ints = array("d"), array("q")
+        features, ints = array("d"), array("b")  # int8 cells, as the records store them
         for row_no, row in enumerate(reader, start=1):
             if len(row) != m + width:
                 raise ConfigError(
@@ -303,10 +303,10 @@ def read_columns(path: str | Path, int_names: list[str], build):
             try:
                 features.extend([float(v) for v in row[:m]])
                 ints.extend([int(v) for v in row[m:]])
-            except (ValueError, OverflowError) as exc:  # OverflowError: an int past 64 bits
+            except (ValueError, OverflowError) as exc:  # OverflowError: an int past int8
                 raise ConfigError(f"{path}: data row {row_no}: {exc}") from None
     features = np.frombuffer(features, dtype=np.float64).reshape(-1, m)
-    ints = np.frombuffer(ints, dtype=np.int64).reshape(-1, width)
+    ints = np.frombuffer(ints, dtype=np.int8).reshape(-1, width)
     try:
         return build(features, *ints.T)
     except FairsimError as exc:

@@ -255,11 +255,7 @@ def run_evolution(cfg: ExperimentConfig, verbose: bool = False) -> list[SeedResu
     ``snapshot_interval`` rounds, re-rank the candidates shown so far with the
     current model snapshot and report metrics against the shared baseline.
     NDCS at a snapshot sums over every prefix of the shown list."""
-    if not 1 <= cfg.snapshot_interval <= cfg.online_rounds:
-        raise ConfigError(
-            "evolution needs 1 <= snapshot_interval <= online_rounds, got snapshot_interval="
-            f"{cfg.snapshot_interval} and online_rounds={cfg.online_rounds}"
-        )
+    _parse(Size, cfg.snapshot_interval, "snapshot_interval", at_most=cfg.online_rounds)
     cells = [(eta, 0.0) for eta in cfg.eta_grid]
     return _run_grid(
         cfg, "evolution", cells,

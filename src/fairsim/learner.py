@@ -14,7 +14,6 @@ accelerated greedy algorithm), and takes a pick from it only when a bound
 proves that a full scan would pick the same row.
 """
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -23,7 +22,7 @@ import numpy as np
 
 from .datagen import (
     Count, FloatArray, Rate, Seed, Size, _parse, check_fields, feature_matrix, read_json_keys,
-    write_json,
+    write_columns, write_json,
 )
 from .errors import ConfigError, DimensionMismatch
 from .usermodel import LabeledPool, score_all
@@ -305,8 +304,8 @@ def load_model(path: str | Path) -> tuple[LinearModel, int]:
 
 def save_trace(trace: OnlineTrace, pool: LabeledPool, path: str | Path) -> None:
     """Write a trace as CSV: ``round,pool_index,label,protected`` (1-based rounds)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["round", "pool_index", "label", "protected"])
-        for r, i in enumerate(trace.shown_order, start=1):
-            writer.writerow([r, i, int(pool.labels[i]), int(pool.protected[i])])
+    shown = trace.shown_order
+    write_columns(path, np.empty((shown.size, 0)), {
+        "round": range(1, shown.size + 1), "pool_index": shown,
+        "label": pool.labels[shown], "protected": pool.protected[shown],
+    })

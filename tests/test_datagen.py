@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from fairsim import (
     ConfigError,
+    DimensionMismatch,
     GenConfig,
     Normal,
     NumericalError,
@@ -203,6 +206,12 @@ def test_empty_pool_helpers_raise(tmp_path):
         load_pool(header_only)
 
 
+def test_pool_rejects_columns_of_other_lengths():
+    problem = "features (3, 2) and protected (2,) are not (n, m) and (n,)"
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(problem)}$"):
+        Pool(features=np.ones((3, 2)), protected=[0, 1])
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_pool_rejects_non_finite_features(value):
     with pytest.raises(NumericalError, match=rf"^features\[1, 0\] must be finite, got {value}$"):
@@ -241,6 +250,25 @@ def test_load_pool_rejects_an_int_cell_past_64_bits(tmp_path, tiny_pool, rewrite
     save_pool(tiny_pool, path)
     rewrite_cell(path, 6, -1, "99999999999999999999")
     with pytest.raises(ConfigError, match=r"pool\.csv: data row 6: "):
+        load_pool(path)
+
+
+def test_load_pool_rejects_an_int_cell_outside_int8(tmp_path, tiny_pool, rewrite_cell):
+    # Integer cells are buffered as int8, the records' own dtype, so 300 fails to parse.
+    path = tmp_path / "pool.csv"
+    save_pool(tiny_pool, path)
+    rewrite_cell(path, 6, -1, "300")
+    with pytest.raises(ConfigError, match=r"pool\.csv: data row 6: "):
+        load_pool(path)
+
+
+def test_load_pool_rejects_a_row_missing_a_cell(tmp_path, tiny_pool):
+    path = tmp_path / "pool.csv"
+    save_pool(tiny_pool, path)
+    lines = path.read_text().splitlines()
+    lines[5] = lines[5].rsplit(",", 1)[0]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=r"pool\.csv: data row 5 has 3 fields, expected 4$"):
         load_pool(path)
 
 

@@ -211,9 +211,8 @@ def test_cells_do_not_depend_on_the_p_bias_order():
 
 
 def test_evolution_requires_snapshot_interval():
-    for interval in (0, 21):
-        problem = ("evolution needs 1 <= snapshot_interval <= online_rounds, "
-                   f"got snapshot_interval={interval} and online_rounds=20")
+    for interval, problem in ((0, "snapshot_interval must be at least 1, got 0"),
+                              (21, "snapshot_interval must be at most 20, got 21")):
         with pytest.raises(ConfigError, match=f"^{re.escape(problem)}$"):
             run_evolution(tiny_config(snapshot_interval=interval))
     cfg = tiny_config(snapshot_interval=20, seeds=(1,), p_bias_grid=(1.0,), eta_grid=(0.05,))

@@ -75,6 +75,11 @@ def test_fit_auxiliary_argument_errors(tiny_pool):
     targets = np.ones(len(tiny_pool))
     inf_targets = np.concatenate((targets[:-1], [np.inf]))
     fit = partial(fit_auxiliary, tiny_pool)
+
+    def fit_past_the_float_range():
+        with np.errstate(over="ignore"):  # the Gram matrix overflows to inf
+            return fit_auxiliary(Pool(tiny_pool.features * 1e200, tiny_pool.protected))
+
     for call, error, problem in (
         # One row holds one protected value, so the both-groups check covers it.
         (partial(fit_auxiliary, one_row), ConfigError,
@@ -85,6 +90,10 @@ def test_fit_auxiliary_argument_errors(tiny_pool):
         (partial(fit, alpha_a=np.nan), ConfigError, "alpha_a must be a finite number, got nan"),
         (partial(fit, alpha_a=np.inf), ConfigError, "alpha_a must be a finite number, got inf"),
         (partial(fit, alpha_a=True), ConfigError, "alpha_a must be a finite number, got True"),
+        (fit_past_the_float_range, SingularSystemError,
+         "auxiliary fit: unreliable solve, relative residual nan (cond=inf)"),
+        (partial(regularized_update, np.zeros(3), [0.5, 0.1], 1, 0.1, reg), DimensionMismatch,
+         "regularizer direction does not match model width"),
         # Parsed before the solve, whose error path would take a condition number of NaNs.
         (partial(solve_exact, nan_design, targets, reg), NumericalError,
          "design[1, 3] must be finite, got nan"),

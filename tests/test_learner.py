@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fairsim import (
+    DEFAULT_USER_WEIGHTS,
     ConfigError,
     DimensionMismatch,
     GenConfig,
@@ -369,6 +370,34 @@ def test_run_online_rescores_a_shortlist_above_the_cutoff(monkeypatch, lam):
             assert sum(rows) < rounds * n / 4
         else:
             assert rows == [n] * rounds
+
+
+def test_run_online_shortlist_rescans_when_a_score_could_overflow(monkeypatch):
+    # Past _HUGE = 2^1000 for sum_k |w_k| * M_k the rounding bound is not to be trusted,
+    # so every round scans the whole pool; just below it the shortlist serves the rounds.
+    # At eta 1e301 the first mistake, in round 3, carries the weights past it mid-run.
+    pool = generate_pool(GenConfig(n=5000, seed=3))
+    labeled = label_pool(pool, default_user(0.8, seed=13))
+    rounds = 60
+    for scale, eta, full_scans in ((3e301, 0.01, rounds), (1e305, 0.01, rounds),
+                                   (1e300, 0.01, 1), (1e300, 1e301, rounds - 2)):
+        model = LinearModel(np.array(DEFAULT_USER_WEIGHTS) * scale)
+        rows = []
+
+        def counted(weights, features):
+            rows.append(len(features))
+            return score_all(weights, features)
+
+        monkeypatch.setattr(learner, "score_all", counted)
+        final, trace = run_online(model, labeled, rounds, eta)
+        monkeypatch.undo()
+        want_w, want_shown, _ = greedy_online_oracle(
+            model.weights, labeled.features, labeled.labels, rounds, score_all,
+            partial(perceptron_update, eta=eta),
+        )
+        assert trace.shown_order.tolist() == want_shown
+        assert final.weights.tobytes() == want_w.tobytes()
+        assert rows.count(len(labeled)) == full_scans
 
 
 def test_run_online_holds_at_most_two_score_arrays():
