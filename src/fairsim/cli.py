@@ -11,6 +11,7 @@ import csv
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 
 from .datagen import (
     GenConfig, Size, _parse, gen_config_from_dict, generate_pool, load_pool, read_json, save_pool,
@@ -29,6 +30,7 @@ from .learner import load_model, run_online, save_model, save_trace, warm_start
 from .metrics import load_baseline, ndcs, precision_at_k, skew_at_k
 from .usermodel import (
     DEFAULT_USER_WEIGHTS,
+    LABELED_COLUMNS,
     UserConfig,
     label_pool,
     load_labeled,
@@ -54,31 +56,28 @@ def _given(args, *names) -> dict:
     return {name: value for name in names if (value := getattr(args, name, None)) is not None}
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> list[str]:
     cfg = gen_config_from_dict(read_json(args.config)) if args.config else GenConfig()
     cfg = replace(cfg, **_given(args, "n", "p_group", "seed"))
     save_pool(generate_pool(cfg), args.out)
-    print(f"wrote {args.out}")
-    return 0
+    return [args.out]
 
 
-def _cmd_label(args) -> int:
+def _cmd_label(args) -> list[str]:
     pool = load_pool(args.pool)
     user = UserConfig(p_bias=args.p_bias, weights=_parse_weights(args.weights), seed=args.seed)
     save_labeled(label_pool(pool, user), args.out)
-    print(f"wrote {args.out}")
-    return 0
+    return [args.out]
 
 
-def _cmd_warm(args) -> int:
+def _cmd_warm(args) -> list[str]:
     pool = load_labeled(args.pool)
     model = warm_start(pool, **_given(args, "sample_size", "rounds", "eta", "seed"))
     save_model(model, args.out, 0)
-    print(f"wrote {args.out}")
-    return 0
+    return [args.out]
 
 
-def _cmd_online(args) -> int:
+def _cmd_online(args) -> list[str]:
     model, _ = load_model(args.model)
     pool = load_labeled(args.pool)
     regularizer = load_regularizer(args.regularizer) if args.regularizer else None
@@ -86,19 +85,17 @@ def _cmd_online(args) -> int:
         regularizer = (regularizer or fit_auxiliary(pool)).with_strength(args.lam)
     final, trace = run_online(model, pool, args.rounds, args.eta, regularizer=regularizer)
     save_model(final, args.out, args.rounds)
-    print(f"wrote {args.out}")
     if args.trace:
         save_trace(trace, pool, args.trace)
-        print(f"wrote {args.trace}")
-    return 0
+    return [path for path in (args.out, args.trace) if path]
 
 
-def _cmd_metrics(args) -> int:
+def _cmd_metrics(args) -> list[str]:
     if not args.k and args.ndcs_k is None:
         raise ConfigError("metrics needs --k or --ndcs-k")
     with open(args.ranking, newline="") as fh:
         header = next(csv.reader(fh), [])
-    if header[-1:] == ["bias_coin"]:
+    if header[-len(LABELED_COLUMNS):] == LABELED_COLUMNS:
         ranking = load_labeled(args.ranking)
         protected, labels = ranking.protected, ranking.labels
     else:
@@ -111,7 +108,7 @@ def _cmd_metrics(args) -> int:
             print(f"precision@{k} = {precision_at_k(labels, k)!r}")
     if args.ndcs_k is not None:
         print(f"ndcs@{args.ndcs_k} = {ndcs(protected, args.ndcs_k, baseline, **group)!r}")
-    return 0
+    return []
 
 
 def _load_experiment_config(args) -> ExperimentConfig:
@@ -124,7 +121,7 @@ def _run_one_seed(kind: str, cfg: ExperimentConfig, seed: int, verbose: bool):
     return runner(replace(cfg, seeds=(seed,)), verbose=verbose)
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args) -> list[str]:
     kind = args.command
     experiment, runner = _EXPERIMENTS[kind]
     cfg = _load_experiment_config(args)
@@ -136,18 +133,12 @@ def _cmd_experiment(args) -> int:
         # Imported here: the process pool costs about 50 ms of start-up.
         from concurrent.futures import ProcessPoolExecutor
 
-        results = []
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(cfg.seeds))) as pool:
-            futures = [
-                pool.submit(_run_one_seed, kind, cfg, seed, args.verbose) for seed in cfg.seeds
-            ]
-            for future in futures:
-                results.extend(future.result())
+            run = partial(_run_one_seed, kind, cfg, verbose=args.verbose)
+            results = [res for part in pool.map(run, cfg.seeds) for res in part]
     else:
         results = runner(cfg, verbose=args.verbose)
-    exp_dir = write_results(results, out_dir, experiment, cfg)
-    print(f"wrote {exp_dir}")
-    return 0
+    return [write_results(results, out_dir, experiment, cfg)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,10 +214,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        written = args.func(args)
     except (FairsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for path in written:
+        print(f"wrote {path}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -290,22 +290,29 @@ def read_columns(path: str | Path, int_names: list[str], build):
         m = len(header) - width
         if m < 1 or header != [f"x{j + 1}" for j in range(m)] + int_names:
             raise ConfigError(f"{path}: header {header} is not x1..xm followed by {int_names}")
-        # Flat C buffers, not an object per cell. Imported here: loading the module's shared
-        # library adds about 0.2 MB of RSS to the commands that read no CSV.
+        # Flat buffers, not an object per cell: int8 cells here, the features in one owned
+        # array below. Imported here: loading the array module's shared library adds about
+        # 0.2 MB of RSS to the commands that read no CSV.
         from array import array
 
-        features, ints = array("d"), array("b")  # int8 cells, as the records store them
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != m + width:
-                raise ConfigError(
-                    f"{path}: data row {row_no} has {len(row)} fields, expected {m + width}"
-                )
-            try:
-                features.extend([float(v) for v in row[:m]])
-                ints.extend([int(v) for v in row[m:]])
-            except (ValueError, OverflowError) as exc:  # OverflowError: an int past int8
-                raise ConfigError(f"{path}: data row {row_no}: {exc}") from None
-    features = np.frombuffer(features, dtype=np.float64).reshape(-1, m)
+        ints = array("b")  # int8 cells, as the records store them
+
+        def rows():
+            for row_no, row in enumerate(reader, start=1):
+                if len(row) != m + width:
+                    raise ConfigError(
+                        f"{path}: data row {row_no} has {len(row)} fields, expected {m + width}"
+                    )
+                try:
+                    values = [float(v) for v in row[:m]]
+                    ints.extend([int(v) for v in row[m:]])
+                except (ValueError, OverflowError) as exc:  # OverflowError: an int past int8
+                    raise ConfigError(f"{path}: data row {row_no}: {exc}") from None
+                yield values
+
+        # Owned and read-only, so the record keeps it without a copy.
+        features = np.fromiter(rows(), np.dtype((np.float64, m)))
+    features.setflags(write=False)
     ints = np.frombuffer(ints, dtype=np.int8).reshape(-1, width)
     try:
         return build(features, *ints.T)

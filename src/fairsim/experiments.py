@@ -67,7 +67,7 @@ class ExperimentConfig:
     eta_grid: tuple[Rate, ...] = (1e-4, 1e-3, 0.01, 0.05, 0.1)
     lambda_grid: tuple[Rate, ...] = (0.0, 0.1, 1.0, 10.0, 100.0)
     warm_sample_size: Size = 1000
-    warm_rounds: Count = 1000
+    warm_rounds: Size = 1000
     warm_eta: Rate = 0.3
     online_rounds: Size = 1000
     snapshot_interval: Count = 25
@@ -101,6 +101,10 @@ class ExperimentConfig:
         if self.gen.seed != 0:
             raise ConfigError(f"gen.seed must be 0, got {self.gen.seed}: every study derives its "
                               "pool seeds from seeds, so set seeds instead")
+        etas = ((f"eta_grid[{i}]", eta) for i, eta in enumerate(self.eta_grid))
+        for path, value in (("warm_eta", self.warm_eta), ("sweep_eta", self.sweep_eta), *etas):
+            if value == 0.0:  # a zero step leaves the model where it starts
+                raise ConfigError(f"{path} must be positive, got {value}")
         ks = ((f"k_list[{i}]", k) for i, k in enumerate(self.k_list))
         for path, value in (("warm_sample_size", self.warm_sample_size),
                             ("online_rounds", self.online_rounds), *ks):
@@ -203,27 +207,35 @@ def _ranked_report(
 
 
 def _run_grid(
-    cfg: ExperimentConfig, experiment: str, cells: list[tuple[float, float]], *,
-    warm_reports: bool, snapshot_interval: int = 0, with_regularizer: bool = False,
+    cfg: ExperimentConfig, experiment: str, *, sweep: bool = False, snapshots: bool = False,
     verbose: bool = False,
 ) -> list[SeedResult]:
-    """The cell loop of every study: per seed, p_bias and ``(eta, lam)`` cell, run
-    the shared warm model online (penalized at ``lam`` if ``with_regularizer``,
-    ``lam = 0`` included), then report the re-ranked pool for the final model and
-    each snapshot. ``warm_reports`` adds one warm-model report per (seed, p_bias).
+    """The cell loop of every study: per seed, p_bias and ``(eta, lam)`` cell, run the
+    shared warm model online, then report the re-ranked pool for the final model and
+    each snapshot. A ``sweep`` has one cell per lambda at ``sweep_eta``, penalized
+    (``lam = 0`` included); other studies one per eta at ``lam = 0``. With ``snapshots``
+    the model is snapshotted every ``snapshot_interval`` rounds; without, each (seed,
+    p_bias) also reports the warm model.
     """
+    cells = ([(cfg.sweep_eta, lam) for lam in cfg.lambda_grid] if sweep
+             else [(eta, 0.0) for eta in cfg.eta_grid])
+    interval = cfg.snapshot_interval if snapshots else 0
+    if snapshots:
+        _parse(Size, interval, "snapshot_interval", at_most=cfg.online_rounds)
+        if interval < min(cfg.k_list):  # an earlier snapshot would write no metrics.csv row
+            raise ConfigError(f"snapshot_interval must be at least min(k_list) = "
+                              f"{min(cfg.k_list)}, got {interval}")
     results = []
     for seed in cfg.seeds:
-        res, labeled = build_seed_context(cfg, seed, with_regularizer=with_regularizer)
+        res, labeled = build_seed_context(cfg, seed, with_regularizer=sweep)
         for p_bias, pool in labeled:
-            warm_report = (
-                _ranked_report(res.warm_model, pool, res.baseline, cfg) if warm_reports else None
-            )
+            warm_report = None if snapshots else _ranked_report(
+                res.warm_model, pool, res.baseline, cfg)
             for eta, lam in cells:
-                reg = res.regularizer.with_strength(lam) if with_regularizer else None
+                reg = res.regularizer.with_strength(lam) if sweep else None
                 final, trace = run_online(
                     res.warm_model, pool, cfg.online_rounds, eta,
-                    regularizer=reg, snapshot_interval=snapshot_interval,
+                    regularizer=reg, snapshot_interval=interval,
                 )
                 evolution = [
                     (r, _ranked_report(snapshot, pool, res.baseline, cfg, trace.shown_order[:r]))
@@ -246,8 +258,7 @@ def run_final_eval(cfg: ExperimentConfig, verbose: bool = False) -> list[SeedRes
     then re-rank the full online pool with the final model and report metrics.
     The untouched warm model is evaluated on the same pool as a comparison
     series."""
-    cells = [(eta, 0.0) for eta in cfg.eta_grid]
-    return _run_grid(cfg, "final_eval", cells, warm_reports=True, verbose=verbose)
+    return _run_grid(cfg, "final_eval", verbose=verbose)
 
 
 def run_evolution(cfg: ExperimentConfig, verbose: bool = False) -> list[SeedResult]:
@@ -255,12 +266,7 @@ def run_evolution(cfg: ExperimentConfig, verbose: bool = False) -> list[SeedResu
     ``snapshot_interval`` rounds, re-rank the candidates shown so far with the
     current model snapshot and report metrics against the shared baseline.
     NDCS at a snapshot sums over every prefix of the shown list."""
-    _parse(Size, cfg.snapshot_interval, "snapshot_interval", at_most=cfg.online_rounds)
-    cells = [(eta, 0.0) for eta in cfg.eta_grid]
-    return _run_grid(
-        cfg, "evolution", cells,
-        warm_reports=False, snapshot_interval=cfg.snapshot_interval, verbose=verbose,
-    )
+    return _run_grid(cfg, "evolution", snapshots=True, verbose=verbose)
 
 
 def run_reg_sweep(cfg: ExperimentConfig, verbose: bool = False) -> list[SeedResult]:
@@ -268,10 +274,7 @@ def run_reg_sweep(cfg: ExperimentConfig, verbose: bool = False) -> list[SeedResu
     regularizer is fitted once per seed on the fair pool, its strength swept,
     and each cell evaluated like a final-eval cell. The lambda = 0 column
     reproduces the unregularized runs bit for bit."""
-    cells = [(cfg.sweep_eta, lam) for lam in cfg.lambda_grid]
-    return _run_grid(
-        cfg, "reg_sweep", cells, warm_reports=True, with_regularizer=True, verbose=verbose
-    )
+    return _run_grid(cfg, "reg_sweep", sweep=True, verbose=verbose)
 
 
 CSV_FIELDS = (

@@ -76,7 +76,10 @@ class FairRegularizer:
 
 
 def _solve_reported(A: np.ndarray, b: np.ndarray, context: str) -> np.ndarray:
-    """Direct solve with a singularity report carrying a condition diagnostic."""
+    """Direct solve with a singularity report carrying a condition diagnostic. A
+    non-finite ``A`` or ``b``, from arithmetic past the float range, is refused first."""
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise SingularSystemError(f"{context}: the system overflows the float range")
     try:
         w = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
@@ -112,9 +115,10 @@ def fit_auxiliary(pool: Pool, alpha_a: float = 1e-3) -> FairRegularizer:
     n, m = features.shape
     centered = features - features.mean(axis=0)
     attrs_centered = attrs - attrs.mean()
-    gram = centered.T @ centered
-    w_a = _solve_reported(gram + alpha_a * n * np.eye(m), centered.T @ attrs_centered,
-                          "auxiliary fit")
+    with np.errstate(over="ignore", invalid="ignore"):  # _solve_reported refuses an overflow
+        gram = centered.T @ centered
+        A, b = gram + alpha_a * n * np.eye(m), centered.T @ attrs_centered
+    w_a = _solve_reported(A, b, "auxiliary fit")
     sigma_x = gram / n
     return FairRegularizer(w_a=w_a, sigma_x=sigma_x, w_reg=sigma_x @ w_a,
                            lam=0.0, alpha_a=alpha_a)
@@ -139,8 +143,9 @@ def solve_exact(design: np.ndarray, targets: np.ndarray, reg: FairRegularizer) -
         raise DimensionMismatch(
             f"design has {X.shape[0]} rows but the regularizer expects {padded.size}"
         )
-    A = X @ X.T + reg.lam * np.outer(padded, padded)
-    w = _solve_reported(A, X @ y, "exact solve")
+    with np.errstate(over="ignore", invalid="ignore"):  # _solve_reported refuses an overflow
+        A, b = X @ X.T + reg.lam * np.outer(padded, padded), X @ y
+    w = _solve_reported(A, b, "exact solve")
     return LinearModel(w)
 
 

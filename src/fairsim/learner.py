@@ -15,6 +15,7 @@ proves that a full scan would pick the same row.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -125,8 +126,7 @@ def warm_start(
     picks = rng.integers(0, sample_size, size=rounds)
     features = feature_matrix(pool)
     w = np.zeros(features.shape[1] + 1)
-    for i in picks:
-        j = int(subsample[i])
+    for j in subsample[picks].tolist():
         w = perceptron_update(w, features[j], int(pool.labels[j]), eta)
     return LinearModel(w)
 
@@ -249,6 +249,7 @@ def run_online(
     features = feature_matrix(pool)
     if features.shape[1] != model.weights.size - 1:
         raise DimensionMismatch("pool features do not match the model")
+    step = perceptron_update
     if regularizer is not None:
         from .fairreg import regularized_update
 
@@ -258,6 +259,7 @@ def run_online(
                 f"lambda={regularizer.lam!r} exceeds the online stability limit "
                 f"2 / |w_reg|^2 = {2.0 / norm2:.6g}"
             )
+        step = partial(regularized_update, reg=regularizer)
     n = len(features)
     columns = shortlist = None
     if n >= SHORTLIST_MIN_ROWS and rounds > 1:
@@ -279,10 +281,7 @@ def run_online(
                 shortlist = _Shortlist(features, scores, min(SHORTLIST, n - r), w, columns)
             del scores  # so the next scan and its partition are the only pool-length arrays
         shown[r - 1] = i
-        if regularizer is None:
-            w = perceptron_update(w, features[i], int(pool.labels[i]), eta)
-        else:
-            w = regularized_update(w, features[i], int(pool.labels[i]), eta, regularizer)
+        w = step(w, features[i], int(pool.labels[i]), eta)
         if snapshot_interval and r % snapshot_interval == 0:
             snapshots.append((r, model if w is start else LinearModel(w)))
     final = model if w is start else LinearModel(w)

@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,6 +15,7 @@ from fairsim import (
     default_user,
     feature_matrix,
     fit_auxiliary,
+    label_pool,
     load_labeled,
     load_model,
     load_pool,
@@ -167,6 +167,23 @@ def test_online_fits_regularizer_when_only_lambda_given(tmp_path):
     np.testing.assert_array_equal(a.weights, b.weights)
 
 
+def test_online_lambda_past_the_float_range_prints_one_error_line(tmp_path, capfd):
+    # capfd, not capsys: LAPACK would print its own complaints straight to fd 2.
+    pool_csv = tmp_path / "pool.csv"
+    assert main(["generate", "--n", "200", "--seed", "4", "--out", str(pool_csv)]) == 0
+    labeled = label_pool(load_pool(pool_csv), default_user(0.5, 1))
+    huge_csv = tmp_path / "huge.csv"
+    save_labeled(replace(labeled, features=labeled.features * 1e200), huge_csv)
+    zero_json = tmp_path / "zero.json"
+    zero_json.write_text(json.dumps({"weights": [0.0] * (labeled.features.shape[1] + 1),
+                                     "round": 0}))
+    capfd.readouterr()
+    assert main(["online", "--model", str(zero_json), "--pool", str(huge_csv), "--lambda", "1",
+                 "--out", str(tmp_path / "m.json")]) == 1
+    out, err = capfd.readouterr()
+    assert (out, err) == ("", "error: auxiliary fit: the system overflows the float range\n")
+
+
 def test_eval_experiment_writes_outputs(tmp_path):
     cfg_path = write_experiment_config(tmp_path)
     out_dir = tmp_path / "out"
@@ -270,7 +287,7 @@ def test_jobs_are_capped_at_the_seed_count(tmp_path, monkeypatch, capsys):
     workers = []
 
     class InlineExecutor:
-        """Records max_workers and runs each submitted job at once, in this process."""
+        """Records max_workers and runs each mapped job at once, in this process."""
 
         def __init__(self, max_workers):
             workers.append(max_workers)
@@ -281,10 +298,8 @@ def test_jobs_are_capped_at_the_seed_count(tmp_path, monkeypatch, capsys):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
+        def map(self, fn, iterable):
+            return [fn(item) for item in iterable]
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlineExecutor)
     cfg_path = write_experiment_config(tmp_path)
@@ -382,6 +397,11 @@ def test_cli_error_exits(tmp_path, capsys, rewrite_cell):
     unqualified.write_text(json.dumps(TINY_EXPERIMENT | {
         "gen": {"n": 400, "proxy_dists": [proxy]}, "user_weights": [-0.5, 0.0, 1.0],
     }))
+    # Degenerate studies: a zero step or no warm rounds leaves a model where it starts.
+    zero_steps = {}
+    for name, value in (("warm_eta", 0), ("warm_rounds", 0), ("sweep_eta", 0.0)):
+        zero_steps[name] = tmp_path / f"zero_{name}.json"
+        zero_steps[name].write_text(json.dumps({name: value}))
     for argv, named in (
         (["metrics", "--ranking", str(pool_csv), "--baseline", str(no_count), "--k", "5"],
          "no_count.json: key 'qualified_count' is missing"),
@@ -431,6 +451,14 @@ def test_cli_error_exits(tmp_path, capsys, rewrite_cell):
          "error: metrics needs --k or --ndcs-k\n"),
         (["eval", "--eta", "-1", "--out", str(tmp_path / "out")],
          "error: eta_grid[0] must be at least 0, got -1.0\n"),
+        (["eval", "--eta", "0", "--out", str(tmp_path / "out")],
+         "error: eta_grid[0] must be positive, got 0.0\n"),
+        (["eval", "--config", str(zero_steps["warm_eta"]), "--out", str(tmp_path / "out")],
+         "error: experiment config.warm_eta must be positive, got 0.0\n"),
+        (["eval", "--config", str(zero_steps["warm_rounds"]), "--out", str(tmp_path / "out")],
+         "error: experiment config.warm_rounds must be at least 1, got 0\n"),
+        (["sweep", "--config", str(zero_steps["sweep_eta"]), "--out", str(tmp_path / "out")],
+         "error: experiment config.sweep_eta must be positive, got 0.0\n"),
         (["eval", "--seed", "3", "--seed", "3", "--out", str(tmp_path / "out")],
          "error: seeds must not repeat a value, got (3, 3)\n"),
         (["sweep", "--config", str(truncated), "--out", str(tmp_path / "out")], truncated_error),

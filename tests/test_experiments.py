@@ -40,7 +40,7 @@ def tiny_config(**overrides):
     base = dict(
         gen=GenConfig(n=60),
         p_bias_grid=(0.0, 1.0),
-        eta_grid=(0.0, 0.05),
+        eta_grid=(0.01, 0.05),
         lambda_grid=(0.0, 1.0),
         warm_sample_size=20,
         warm_rounds=30,
@@ -116,11 +116,10 @@ def test_final_eval_grid_shape_and_shared_warm():
         assert all(r.seed == res.seed for r in res.cells)
 
 
-def test_final_eval_zero_eta_is_a_fixed_point():
-    for res in run_final_eval(tiny_config(eta_grid=(0.0,))):
-        for r in res.cells:
-            np.testing.assert_array_equal(r.final_model.weights, res.warm_model.weights)
-            assert r.report_final.skew_at == r.report_warm.skew_at
+def test_final_eval_refuses_a_zero_eta():
+    # A zero step would make every online model the warm model.
+    with pytest.raises(ConfigError, match=r"^eta_grid\[0\] must be positive, got 0\.0$"):
+        tiny_config(eta_grid=(0.0,))
 
 
 def test_sweep_zero_lambda_reproduces_plain_online_runs():
@@ -212,7 +211,9 @@ def test_cells_do_not_depend_on_the_p_bias_order():
 
 def test_evolution_requires_snapshot_interval():
     for interval, problem in ((0, "snapshot_interval must be at least 1, got 0"),
-                              (21, "snapshot_interval must be at most 20, got 21")):
+                              (21, "snapshot_interval must be at most 20, got 21"),
+                              # A snapshot at round 4 ranks 4 rows, fewer than any k.
+                              (4, "snapshot_interval must be at least min(k_list) = 5, got 4")):
         with pytest.raises(ConfigError, match=f"^{re.escape(problem)}$"):
             run_evolution(tiny_config(snapshot_interval=interval))
     cfg = tiny_config(snapshot_interval=20, seeds=(1,), p_bias_grid=(1.0,), eta_grid=(0.05,))

@@ -76,9 +76,8 @@ def test_fit_auxiliary_argument_errors(tiny_pool):
     inf_targets = np.concatenate((targets[:-1], [np.inf]))
     fit = partial(fit_auxiliary, tiny_pool)
 
-    def fit_past_the_float_range():
-        with np.errstate(over="ignore"):  # the Gram matrix overflows to inf
-            return fit_auxiliary(Pool(tiny_pool.features * 1e200, tiny_pool.protected))
+    def fit_past_the_float_range():  # the Gram matrix overflows to inf
+        return fit_auxiliary(Pool(tiny_pool.features * 1e200, tiny_pool.protected))
 
     for call, error, problem in (
         # One row holds one protected value, so the both-groups check covers it.
@@ -91,7 +90,10 @@ def test_fit_auxiliary_argument_errors(tiny_pool):
         (partial(fit, alpha_a=np.inf), ConfigError, "alpha_a must be a finite number, got inf"),
         (partial(fit, alpha_a=True), ConfigError, "alpha_a must be a finite number, got True"),
         (fit_past_the_float_range, SingularSystemError,
-         "auxiliary fit: unreliable solve, relative residual nan (cond=inf)"),
+         "auxiliary fit: the system overflows the float range"),
+        # X @ X.T overflows to inf; refused before the solve, which would print to stderr.
+        (partial(solve_exact, design * 1e200, targets, reg), SingularSystemError,
+         "exact solve: the system overflows the float range"),
         (partial(regularized_update, np.zeros(3), [0.5, 0.1], 1, 0.1, reg), DimensionMismatch,
          "regularizer direction does not match model width"),
         # Parsed before the solve, whose error path would take a condition number of NaNs.

@@ -629,16 +629,16 @@ def test_ranked_report_matches_a_stable_argsort_and_direct_counts(inputs, share,
 
 @st.composite
 def tiny_studies(draw):
-    """Experiment configs over default pools of at most 60 candidates: one or two
-    seeds, one to three values per grid, rounds <= n and a snapshot interval in
-    [1, rounds]. With no warm rounds the warm model is zero and every score ties."""
+    """Experiment config fields over default pools of at most 60 candidates: one or
+    two seeds, one to three values per grid, rounds <= n and a snapshot interval in
+    [1, rounds]. A zero eta or no warm rounds, which the config refuses, can be drawn."""
     n = draw(st.integers(20, 60))
     rounds = draw(st.integers(1, n))
 
     def grid(values):
         return draw(st.lists(st.sampled_from(values), min_size=1, max_size=3, unique=True))
 
-    return ExperimentConfig(
+    return dict(
         gen=GenConfig(n=n),
         p_bias_grid=grid([0.0, 0.3, 0.5, 0.8, 1.0]),
         eta_grid=grid([0.0, 0.001, 0.01, 0.1, 0.5]),
@@ -711,8 +711,19 @@ def _study_reference(cfg: ExperimentConfig, experiment: str) -> dict:
     (run_final_eval, "final_eval"), (run_evolution, "evolution"), (run_reg_sweep, "reg_sweep"),
 ])
 @settings(deadline=None, max_examples=30)
-@given(cfg=tiny_studies())
-def test_each_study_matches_a_reference_built_from_the_oracles(runner, experiment, cfg):
+@given(fields=tiny_studies())
+def test_each_study_matches_a_reference_built_from_the_oracles(runner, experiment, fields):
+    if 0.0 in fields["eta_grid"] or fields["warm_rounds"] == 0:  # a step that moves nothing
+        with pytest.raises(ConfigError, match=r"^(eta_grid\[\d\] must be positive, got 0\.0"
+                                              r"|warm_rounds must be at least 1, got 0)$"):
+            ExperimentConfig(**fields)
+        return
+    cfg = ExperimentConfig(**fields)
+    if experiment == "evolution" and cfg.snapshot_interval < min(cfg.k_list):
+        # Checked before any pool is drawn: a snapshot that early would write no row.
+        with pytest.raises(ConfigError, match=r"^snapshot_interval must be at least min\(k_list\)"):
+            runner(cfg)
+        return
     want = _study_reference(cfg, experiment)
     if want is None:  # tiny pools often leave one group unqualified; the study refuses them
         with pytest.raises(EmptyQualifiedPool):

@@ -115,14 +115,15 @@ def test_labels_and_coins_take_one_byte_per_candidate(traced):
 
 
 def test_load_labeled_holds_no_object_per_cell(tmp_path, traced):
-    # Six cells a row, three floats and three int8 flags: flat buffers of the stored
-    # dtypes peak at about 56 bytes a row here. Buffering the flags as int64 peaked at
-    # about 78, and a Python list per row with a float object per cell at about 7 MB.
+    # Six cells a row, three floats and three int8 flags: one owned feature array, which
+    # the record keeps, and an int8 flag buffer peak at about 37 bytes a row here. A
+    # feature buffer the record had to copy peaked at about 57, flags buffered as int64
+    # at about 78, and a Python list per row with a float object per cell at about 7 MB.
     n = 20_000
     path = tmp_path / "labeled.csv"
     save_labeled(label_pool(generate_pool(GenConfig(n=n, seed=5)), default_user(0.5, 2)), path)
     _, _, peak = traced(lambda: load_labeled(path))
-    assert peak < 64 * n
+    assert peak < 48 * n
 
 
 def test_labeled_pool_length_mismatch(tiny_pool):
