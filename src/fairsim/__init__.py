@@ -33,7 +33,6 @@ from .usermodel import (
     DEFAULT_USER_WEIGHTS,
     LabeledPool,
     UserConfig,
-    default_user,
     label_pool,
     load_labeled,
     save_labeled,

@@ -10,6 +10,7 @@ import argparse
 import csv
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import replace
 from functools import partial
 
@@ -28,14 +29,7 @@ from .experiments import (
 from .fairreg import fit_auxiliary, load_regularizer
 from .learner import load_model, run_online, save_model, save_trace, warm_start
 from .metrics import load_baseline, ndcs, precision_at_k, skew_at_k
-from .usermodel import (
-    DEFAULT_USER_WEIGHTS,
-    LABELED_COLUMNS,
-    UserConfig,
-    label_pool,
-    load_labeled,
-    save_labeled,
-)
+from .usermodel import LABELED_COLUMNS, UserConfig, label_pool, load_labeled, save_labeled
 
 _EXPERIMENTS = {
     "eval": ("final_eval", run_final_eval),
@@ -56,28 +50,30 @@ def _given(args, *names) -> dict:
     return {name: value for name in names if (value := getattr(args, name, None)) is not None}
 
 
-def _cmd_generate(args) -> list[str]:
+def _cmd_generate(args) -> Iterable[str]:
     cfg = gen_config_from_dict(read_json(args.config)) if args.config else GenConfig()
     cfg = replace(cfg, **_given(args, "n", "p_group", "seed"))
     save_pool(generate_pool(cfg), args.out)
-    return [args.out]
+    yield args.out
 
 
-def _cmd_label(args) -> list[str]:
+def _cmd_label(args) -> Iterable[str]:
     pool = load_pool(args.pool)
-    user = UserConfig(p_bias=args.p_bias, weights=_parse_weights(args.weights), seed=args.seed)
-    save_labeled(label_pool(pool, user), args.out)
-    return [args.out]
+    given = _given(args, "seed", "weights")
+    if "weights" in given:
+        given["weights"] = _parse_weights(given["weights"])
+    save_labeled(label_pool(pool, UserConfig(args.p_bias, **given)), args.out)
+    yield args.out
 
 
-def _cmd_warm(args) -> list[str]:
+def _cmd_warm(args) -> Iterable[str]:
     pool = load_labeled(args.pool)
     model = warm_start(pool, **_given(args, "sample_size", "rounds", "eta", "seed"))
     save_model(model, args.out, 0)
-    return [args.out]
+    yield args.out
 
 
-def _cmd_online(args) -> list[str]:
+def _cmd_online(args) -> Iterable[str]:
     model, _ = load_model(args.model)
     pool = load_labeled(args.pool)
     regularizer = load_regularizer(args.regularizer) if args.regularizer else None
@@ -85,12 +81,13 @@ def _cmd_online(args) -> list[str]:
         regularizer = (regularizer or fit_auxiliary(pool)).with_strength(args.lam)
     final, trace = run_online(model, pool, args.rounds, args.eta, regularizer=regularizer)
     save_model(final, args.out, args.rounds)
+    yield args.out
     if args.trace:
         save_trace(trace, pool, args.trace)
-    return [path for path in (args.out, args.trace) if path]
+        yield args.trace
 
 
-def _cmd_metrics(args) -> list[str]:
+def _cmd_metrics(args) -> Iterable[str]:
     if not args.k and args.ndcs_k is None:
         raise ConfigError("metrics needs --k or --ndcs-k")
     with open(args.ranking, newline="") as fh:
@@ -108,7 +105,7 @@ def _cmd_metrics(args) -> list[str]:
             print(f"precision@{k} = {precision_at_k(labels, k)!r}")
     if args.ndcs_k is not None:
         print(f"ndcs@{args.ndcs_k} = {ndcs(protected, args.ndcs_k, baseline, **group)!r}")
-    return []
+    return ()
 
 
 def _load_experiment_config(args) -> ExperimentConfig:
@@ -121,7 +118,7 @@ def _run_one_seed(kind: str, cfg: ExperimentConfig, seed: int, verbose: bool):
     return runner(replace(cfg, seeds=(seed,)), verbose=verbose)
 
 
-def _cmd_experiment(args) -> list[str]:
+def _cmd_experiment(args) -> Iterable[str]:
     kind = args.command
     experiment, runner = _EXPERIMENTS[kind]
     cfg = _load_experiment_config(args)
@@ -138,7 +135,7 @@ def _cmd_experiment(args) -> list[str]:
             results = [res for part in pool.map(run, cfg.seeds) for res in part]
     else:
         results = runner(cfg, verbose=args.verbose)
-    return [write_results(results, out_dir, experiment, cfg)]
+    yield write_results(results, out_dir, experiment, cfg)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -156,8 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("label", help="materialize user labels for a pool")
     p.add_argument("--pool", required=True)
     p.add_argument("--p-bias", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--weights", default=",".join(str(w) for w in DEFAULT_USER_WEIGHTS))
+    p.add_argument("--seed", type=int)
+    p.add_argument("--weights", help="comma-separated acceptance weights, intercept first")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_label)
 
@@ -214,12 +211,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        written = args.func(args)
+        for path in args.func(args):  # each path as its file lands
+            print(f"wrote {path}")
     except (FairsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for path in written:
-        print(f"wrote {path}")
     return 0
 
 

@@ -157,8 +157,9 @@ def build_seed_context(
     Stream assignments: the fair pool, online pool, fair user, biased user,
     and warm-start subsampling each get an independent sub-seed derived from
     the experiment seed. Labels are materialized once per (seed, p_bias), so
-    every eta and lambda cell of a seed sees identical feedback. EmptyQualifiedPool
-    is raised if a group has no qualified online candidate.
+    every eta and lambda cell of a seed sees identical feedback. ConfigError is
+    raised if the warm model stays zero, and EmptyQualifiedPool if a group has no
+    qualified online candidate.
     """
     fair_pool = generate_pool(replace(cfg.gen, seed=derive_seed(seed, STREAM_FAIR_POOL)))
     fair_user = UserConfig(
@@ -171,6 +172,8 @@ def build_seed_context(
         eta=cfg.warm_eta,
         seed=derive_seed(seed, STREAM_WARM),
     )
+    if not warm.weights.any():  # e.g. every warm pick accepted: no step from zero weights
+        raise ConfigError(f"seed {seed}: the warm model stays zero, so every warm score ties")
     regularizer = fit_auxiliary(fair_pool, alpha_a=cfg.alpha_a) if with_regularizer else None
     del fair_pool  # freed before the online pool is drawn
     online_pool = generate_pool(replace(cfg.gen, seed=derive_seed(seed, STREAM_ONLINE_POOL)))

@@ -27,22 +27,17 @@ class UserConfig:
 
     ``weights`` has length m + 1 with the intercept first; the fair acceptance
     rule is ``w0 + w . x >= 0``. The coin stream drawn from ``seed`` is
-    independent of pool generation.
+    independent of pool generation. ``UserConfig(p)`` is the default user.
     """
 
     p_bias: Share
-    weights: tuple[float, ...]
-    seed: Seed
+    weights: tuple[float, ...] = DEFAULT_USER_WEIGHTS
+    seed: Seed = 0
 
     def __post_init__(self):
         check_fields(self)
         if len(self.weights) < 2:
             raise ConfigError("weights must hold an intercept plus at least one coefficient")
-
-
-def default_user(p_bias: float, seed: int = 0) -> UserConfig:
-    """User with the default acceptance weights and the given bias level."""
-    return UserConfig(p_bias=p_bias, weights=DEFAULT_USER_WEIGHTS, seed=seed)
 
 
 def score_all(weights, features: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ import warnings
 import pytest
 from hypothesis import settings
 
-from fairsim import GenConfig, default_user, generate_pool, label_pool
+from fairsim import GenConfig, UserConfig, generate_pool, label_pool
 
 # `pytest --hypothesis-profile=ci` (the CI tier-1 step) draws the same examples
 # on every run, so a tie-heavy case that fails once fails again.
@@ -79,7 +79,7 @@ def tiny_pool():
 
 @pytest.fixture(scope="session")
 def fair_user():
-    return default_user(0.0, seed=7)
+    return UserConfig(0.0, seed=7)
 
 
 @pytest.fixture(scope="session")

@@ -24,8 +24,8 @@ from fairsim import (
     ExperimentConfig,
     GenConfig,
     Pool,
+    UserConfig,
     compute_baseline,
-    default_user,
     derive_seed,
     feature_matrix,
     fit_auxiliary,
@@ -92,7 +92,7 @@ def online_pools():
 
 
 def test_criterion_01_metric_oracle_equivalence():
-    user = default_user(0.0)
+    user = UserConfig(0.0)
     base_pool = generate_pool(GenConfig(n=12, seed=2))
     order = np.argsort(-score_all(user.weights, feature_matrix(base_pool)), kind="stable")
     features = feature_matrix(base_pool)[order]
@@ -229,7 +229,7 @@ def test_criterion_09_solver_consistency():
     pool = generate_pool(GenConfig(n=200, seed=31))
     feats = feature_matrix(pool)
     design = np.vstack([np.ones(len(feats)), feats.T])
-    targets = score_all(default_user(0.0).weights, feats) >= 0.0
+    targets = score_all(UserConfig(0.0).weights, feats) >= 0.0
     targets = targets.astype(float)
     reg = fit_auxiliary(pool).with_strength(5.0)
     exact = solve_exact(design, targets, reg)

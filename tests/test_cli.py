@@ -11,8 +11,8 @@ import pytest
 import fairsim
 from fairsim import (
     ExperimentConfig,
+    UserConfig,
     compute_baseline,
-    default_user,
     feature_matrix,
     fit_auxiliary,
     label_pool,
@@ -94,7 +94,7 @@ def test_pipeline_generate_label_warm_online_metrics(tmp_path, capsys):
 
     baseline_json = tmp_path / "baseline.json"
     pool = load_pool(pool_csv)
-    save_baseline(compute_baseline(pool, default_user(0.0)), baseline_json)
+    save_baseline(compute_baseline(pool, UserConfig(0.0)), baseline_json)
 
     # rank the labeled pool by the final model and ask the CLI to score it
     labeled = load_labeled(labeled_csv)
@@ -114,7 +114,7 @@ def test_pipeline_generate_label_warm_online_metrics(tmp_path, capsys):
         ]
     ) == 0
     out = capsys.readouterr().out.splitlines()
-    baseline = compute_baseline(pool, default_user(0.0))
+    baseline = compute_baseline(pool, UserConfig(0.0))
     want_skew = skew_at_k(ranked.protected, 10, baseline)
     want_prec = float(ranked.labels[:10].mean())
     want_ndcs = ndcs(ranked.protected, 25, baseline)
@@ -128,7 +128,7 @@ def test_metrics_on_plain_pool_prints_no_precision(tmp_path, capsys):
     baseline_json = tmp_path / "baseline.json"
     assert main(["generate", "--n", "40", "--seed", "8", "--out", str(pool_csv)]) == 0
     pool = load_pool(pool_csv)
-    save_baseline(compute_baseline(pool, default_user(0.0)), baseline_json)
+    save_baseline(compute_baseline(pool, UserConfig(0.0)), baseline_json)
     capsys.readouterr()
     assert main(
         ["metrics", "--ranking", str(pool_csv), "--baseline", str(baseline_json), "--k", "5"]
@@ -171,7 +171,7 @@ def test_online_lambda_past_the_float_range_prints_one_error_line(tmp_path, capf
     # capfd, not capsys: LAPACK would print its own complaints straight to fd 2.
     pool_csv = tmp_path / "pool.csv"
     assert main(["generate", "--n", "200", "--seed", "4", "--out", str(pool_csv)]) == 0
-    labeled = label_pool(load_pool(pool_csv), default_user(0.5, 1))
+    labeled = label_pool(load_pool(pool_csv), UserConfig(0.5, seed=1))
     huge_csv = tmp_path / "huge.csv"
     save_labeled(replace(labeled, features=labeled.features * 1e200), huge_csv)
     zero_json = tmp_path / "zero.json"
@@ -237,6 +237,37 @@ def test_warm_leaves_unset_flags_to_warm_start(tmp_path):
     assert main(["warm", "--pool", str(labeled_csv), "--out", str(warm_json)]) == 0
     want = warm_start(load_labeled(labeled_csv))
     np.testing.assert_array_equal(load_model(warm_json)[0].weights, want.weights)
+
+
+def test_label_leaves_unset_flags_to_the_user_config(tmp_path):
+    pool_csv, got_csv, want_csv = (tmp_path / name for name in ("p.csv", "got.csv", "want.csv"))
+    assert main(["generate", "--n", "200", "--seed", "2", "--out", str(pool_csv)]) == 0
+    assert main(["label", "--pool", str(pool_csv), "--p-bias", "0.5", "--out", str(got_csv)]) == 0
+    save_labeled(label_pool(load_pool(pool_csv), UserConfig(0.5)), want_csv)
+    assert got_csv.read_bytes() == want_csv.read_bytes()
+    assert main(["label", "--pool", str(pool_csv), "--p-bias", "0.5", "--seed", "4",
+                 "--weights=-0.5,0.25,0.5,0", "--out", str(got_csv)]) == 0
+    user = UserConfig(0.5, weights=(-0.5, 0.25, 0.5, 0.0), seed=4)
+    save_labeled(label_pool(load_pool(pool_csv), user), want_csv)
+    assert got_csv.read_bytes() == want_csv.read_bytes()
+
+
+def test_online_reports_the_model_it_wrote_before_the_trace_fails(tmp_path, capsys):
+    pool_csv, labeled_csv, warm_json = (tmp_path / name for name in ("p.csv", "l.csv", "w.json"))
+    assert main(["generate", "--n", "60", "--seed", "4", "--out", str(pool_csv)]) == 0
+    assert main(["label", "--pool", str(pool_csv), "--p-bias", "0.5",
+                 "--out", str(labeled_csv)]) == 0
+    assert main(["warm", "--pool", str(labeled_csv), "--sample-size", "20", "--rounds", "30",
+                 "--out", str(warm_json)]) == 0
+    final_json = tmp_path / "final.json"
+    capsys.readouterr()
+    assert main(["online", "--model", str(warm_json), "--pool", str(labeled_csv),
+                 "--rounds", "10", "--out", str(final_json),
+                 "--trace", str(tmp_path / "nodir" / "t.csv")]) == 1
+    out, err = capsys.readouterr()
+    assert out == f"wrote {final_json}\n"
+    assert err.startswith("error:") and "nodir" in err and len(err.splitlines()) == 1, err
+    assert load_model(final_json)[1] == 10
 
 
 def test_out_dir_falls_back_to_environment(tmp_path, monkeypatch):
@@ -348,7 +379,7 @@ def test_cli_error_exits(tmp_path, capsys, rewrite_cell):
     ) == 1
     capsys.readouterr()
     baseline_json = tmp_path / "baseline.json"
-    save_baseline(compute_baseline(load_pool(pool_csv), default_user(0.0)), baseline_json)
+    save_baseline(compute_baseline(load_pool(pool_csv), UserConfig(0.0)), baseline_json)
     assert main(
         ["metrics", "--ranking", str(pool_csv), "--baseline", str(baseline_json), "--k", "99"]
     ) == 1
@@ -396,6 +427,11 @@ def test_cli_error_exits(tmp_path, capsys, rewrite_cell):
              "group1": {"kind": "normal", "mean": -1.0, "std": 0.01}}
     unqualified.write_text(json.dumps(TINY_EXPERIMENT | {
         "gen": {"n": 400, "proxy_dists": [proxy]}, "user_weights": [-0.5, 0.0, 1.0],
+    }))
+    # Degenerate studies: every candidate qualifies, so no warm pick is a mistake.
+    all_qualified = tmp_path / "all_qualified.json"
+    all_qualified.write_text(json.dumps(TINY_EXPERIMENT | {
+        "gen": {"n": 300}, "user_weights": [1.0, 0.0, 0.0, 0.0],
     }))
     # Degenerate studies: a zero step or no warm rounds leaves a model where it starts.
     zero_steps = {}
@@ -474,6 +510,8 @@ def test_cli_error_exits(tmp_path, capsys, rewrite_cell):
          "error: every protected value is 0; the fit needs both groups\n"),
         (["eval", "--config", str(unqualified), "--out", str(tmp_path / "out")],
          "error: seed 1: group 1 has no qualified online candidate\n"),
+        (["evolve", "--config", str(all_qualified), "--out", str(tmp_path / "out")],
+         "error: seed 1: the warm model stays zero, so every warm score ties\n"),
     ):
         assert main(argv) == 1
         err = capsys.readouterr().err

@@ -8,8 +8,11 @@ import pytest
 
 from fairsim import (
     ConfigError,
+    EmptyQualifiedPool,
     ExperimentConfig,
     GenConfig,
+    Normal,
+    ProxyDist,
     build_seed_context,
     derive_seed,
     evaluate_ranking,
@@ -120,6 +123,26 @@ def test_final_eval_refuses_a_zero_eta():
     # A zero step would make every online model the warm model.
     with pytest.raises(ConfigError, match=r"^eta_grid\[0\] must be positive, got 0\.0$"):
         tiny_config(eta_grid=(0.0,))
+
+
+# Group 1's proxy sits near -1, where the fair rule rejects every candidate.
+UNQUALIFIED_GROUP = dict(gen=GenConfig(n=60, proxy_dists=(ProxyDist(Normal(1.0, 0.01),
+                                                                     Normal(-1.0, 0.01)),)),
+                         user_weights=(-0.5, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("runner", [run_final_eval, run_evolution, run_reg_sweep])
+@pytest.mark.parametrize("overrides, error, problem", [
+    ({"warm_rounds": 0}, ConfigError, "warm_rounds must be at least 1, got 0"),
+    ({"eta_grid": (0.05, 0.0)}, ConfigError, "eta_grid[1] must be positive, got 0.0"),
+    (UNQUALIFIED_GROUP, EmptyQualifiedPool, "seed 1: group 1 has no qualified online candidate"),
+    # Every candidate qualifies, so every warm pick is labelled 1 and none is a mistake.
+    ({"user_weights": (1.0, 0.0, 0.0, 0.0)}, ConfigError,
+     "seed 1: the warm model stays zero, so every warm score ties"),
+])
+def test_each_study_refuses_a_degenerate_config(runner, overrides, error, problem):
+    with pytest.raises(error, match=f"^{re.escape(problem)}$"):
+        runner(tiny_config(**overrides))
 
 
 def test_sweep_zero_lambda_reproduces_plain_online_runs():

@@ -197,6 +197,22 @@ def test_solve_exact_reports_singular_systems():
         solve_exact(design, np.ones(8), reg)
 
 
+def test_solves_refuse_an_inaccurate_solution(tiny_pool, monkeypatch):
+    # No finite system reaches this exit on every BLAS kernel set (the 13 x 13 Hilbert
+    # system solves cleanly on some), so LAPACK's answer is shifted, or made NaN.
+    design = np.vstack([np.ones(len(tiny_pool)), tiny_pool.features.T])
+    reg = fit_auxiliary(tiny_pool)
+    exact = partial(solve_exact, design, np.ones(len(tiny_pool)), reg)
+    solve = np.linalg.solve
+    for shift, relative in ((1e-3, r"\d\.\d{3}e[-+]\d\d"), (np.nan, "nan")):
+        monkeypatch.setattr(np.linalg, "solve", lambda A, b: solve(A, b) + shift)
+        for call, context in ((exact, "exact solve"),
+                              (partial(fit_auxiliary, tiny_pool), "auxiliary fit")):
+            with pytest.raises(SingularSystemError, match=rf"^{context}: unreliable solve, "
+                               rf"relative residual {relative} \(cond=\d\.\d{{3}}e[-+]\d\d\)$"):
+                call()
+
+
 def test_solve_exact_dimension_errors(tiny_pool):
     reg = fit_auxiliary(tiny_pool)
     with pytest.raises(DimensionMismatch):

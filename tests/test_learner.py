@@ -15,7 +15,7 @@ from fairsim import (
     LinearModel,
     NumericalError,
     Pool,
-    default_user,
+    UserConfig,
     feature_matrix,
     fit_auxiliary,
     generate_pool,
@@ -217,7 +217,7 @@ def test_warm_start_scale_invariance(tiny_labeled):
 def test_warm_start_learns_the_fair_rule():
     # pinned full-scale case: high accuracy on the training subsample
     pool = generate_pool(GenConfig(seed=10))
-    labeled = label_pool(pool, default_user(0.0, seed=110))
+    labeled = label_pool(pool, UserConfig(0.0, seed=110))
     model = warm_start(labeled, sample_size=1000, rounds=1000, seed=1)
     rng = np.random.default_rng(1)
     subsample = rng.permutation(len(labeled))[:1000]
@@ -338,10 +338,10 @@ def _online_cell(n, lam, eta=0.01, rounds=500):
     at 0.8, the penalty at strength ``lam`` and at most ``rounds`` rounds; returns
     run_online's inputs."""
     pool = generate_pool(GenConfig(n=n, seed=3))
-    fair = label_pool(pool, default_user(0.0, seed=11))
+    fair = label_pool(pool, UserConfig(0.0, seed=11))
     warm = warm_start(fair, sample_size=min(n, 1000), rounds=1000, eta=0.3, seed=4)
     reg = fit_auxiliary(fair).with_strength(lam)
-    return warm, label_pool(pool, default_user(0.8, seed=13)), min(rounds, n), eta, reg
+    return warm, label_pool(pool, UserConfig(0.8, seed=13)), min(rounds, n), eta, reg
 
 
 @pytest.mark.parametrize("lam", [0.0, 10.0])
@@ -377,7 +377,7 @@ def test_run_online_shortlist_rescans_when_a_score_could_overflow(monkeypatch):
     # so every round scans the whole pool; just below it the shortlist serves the rounds.
     # At eta 1e301 the first mistake, in round 3, carries the weights past it mid-run.
     pool = generate_pool(GenConfig(n=5000, seed=3))
-    labeled = label_pool(pool, default_user(0.8, seed=13))
+    labeled = label_pool(pool, UserConfig(0.8, seed=13))
     rounds = 60
     for scale, eta, full_scans in ((3e301, 0.01, rounds), (1e305, 0.01, rounds),
                                    (1e300, 0.01, 1), (1e300, 1e301, rounds - 2)):

@@ -3,8 +3,9 @@ the array type rules, the bounded scalar annotations, the exact ranking order,
 the pool build's and online step's expressions pinned bit for bit, the algebraic
 invariants of the online steps, of Skew@k and NDCS, of the regularizer's fit and
 of the warm start's scale, the online loop (with and without a forced shortlist)
-and re-ranked reports against naive references on tie-heavy pools, and each
-study's metrics.csv rows against a reference built from those oracles."""
+and re-ranked reports against naive references on tie-heavy pools, each
+study's metrics.csv rows against a reference built from those oracles, and each
+study's refusal of a seed whose warm model or penalty direction stays zero."""
 
 import json
 import re
@@ -24,6 +25,7 @@ from fairsim import (
     ConfigError,
     EmptyQualifiedPool,
     ExperimentConfig,
+    FairsimError,
     FairRegularizer,
     GenConfig,
     LabeledPool,
@@ -35,7 +37,6 @@ from fairsim import (
     Uniform,
     UserConfig,
     compute_baseline,
-    default_user,
     derive_seed,
     feature_matrix,
     fit_auxiliary,
@@ -523,7 +524,7 @@ def test_scores_covary_with_the_auxiliary_prediction_as_w_dot_w_reg(seed, alpha_
 def test_warm_start_eta_fixes_only_the_norm(seed, p_bias, exponent, k):
     # From zero weights a power-of-two factor on eta scales every product and sum
     # of the trajectory exactly, so each prediction, and each step, is unchanged.
-    labeled = label_pool(generate_pool(GenConfig(n=200, seed=seed)), default_user(p_bias, seed))
+    labeled = label_pool(generate_pool(GenConfig(n=200, seed=seed)), UserConfig(p_bias, seed=seed))
     eta = 10.0**exponent
     base = warm_start(labeled, sample_size=100, rounds=200, eta=eta, seed=seed).weights
     scaled = warm_start(labeled, sample_size=100, rounds=200, eta=eta * 2.0**k, seed=seed)
@@ -629,11 +630,13 @@ def test_ranked_report_matches_a_stable_argsort_and_direct_counts(inputs, share,
 
 @st.composite
 def tiny_studies(draw):
-    """Experiment config fields over default pools of at most 60 candidates: one or
-    two seeds, one to three values per grid, rounds <= n and a snapshot interval in
-    [1, rounds]. A zero eta or no warm rounds, which the config refuses, can be drawn."""
+    """Experiment config fields over default pools of at most 60 candidates that every
+    study accepts: one or two seeds, one to three values per grid, positive steps,
+    min(k_list) <= rounds <= n and a snapshot interval in [min(k_list), rounds]. The
+    config's refusals are checked by explicit rows in test_experiments."""
     n = draw(st.integers(20, 60))
-    rounds = draw(st.integers(1, n))
+    k_list = draw(st.lists(st.integers(1, n), min_size=1, max_size=3, unique=True))
+    rounds = draw(st.integers(min(k_list), n))
 
     def grid(values):
         return draw(st.lists(st.sampled_from(values), min_size=1, max_size=3, unique=True))
@@ -641,14 +644,14 @@ def tiny_studies(draw):
     return dict(
         gen=GenConfig(n=n),
         p_bias_grid=grid([0.0, 0.3, 0.5, 0.8, 1.0]),
-        eta_grid=grid([0.0, 0.001, 0.01, 0.1, 0.5]),
+        eta_grid=grid([0.001, 0.01, 0.1, 0.5]),
         lambda_grid=grid([0.0, 0.1, 1.0, 10.0]),
         warm_sample_size=draw(st.integers(1, n)),
-        warm_rounds=draw(st.integers(0, 60)),
+        warm_rounds=draw(st.integers(1, 60)),
         online_rounds=rounds,
-        snapshot_interval=draw(st.integers(1, rounds)),
+        snapshot_interval=draw(st.integers(min(k_list), rounds)),
         seeds=draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=2, unique=True)),
-        k_list=draw(st.lists(st.integers(1, n), min_size=1, max_size=3, unique=True)),
+        k_list=k_list,
         sweep_eta=draw(st.sampled_from([0.01, 0.1])),
     )
 
@@ -658,17 +661,25 @@ def _study_reference(cfg: ExperimentConfig, experiment: str) -> dict:
     ``(config_id, seed, p_bias, eta, lambda, k)``. Pools, labels and the warm model
     come from the documented seed streams; each cell runs the greedy mask oracle,
     and each report re-ranks its rows by a stable argsort and counts directly.
-    None if some seed's online pool gives a group no candidate the fair rule accepts."""
+    The error the study must raise instead, for the first seed whose warm model stays
+    zero or whose online pool gives a group no candidate the fair rule accepts."""
     want = {}
     for seed in cfg.seeds:
         fair_pool, online_pool = (generate_pool(replace(cfg.gen, seed=derive_seed(seed, stream)))
                                   for stream in (STREAM_FAIR_POOL, STREAM_ONLINE_POOL))
         fair_user = UserConfig(0.0, cfg.user_weights, derive_seed(seed, STREAM_FAIR_USER))
-        fair_scores = scores_expression(online_pool.features, np.asarray(cfg.user_weights))
-        if set(online_pool.protected[fair_scores >= 0.0].tolist()) != {0, 1}:
-            return None
         warm = warm_start(label_pool(fair_pool, fair_user), cfg.warm_sample_size,
                           cfg.warm_rounds, cfg.warm_eta, derive_seed(seed, STREAM_WARM)).weights
+        if not warm.any():  # e.g. every warm pick accepted
+            return ConfigError(f"seed {seed}: the warm model stays zero, so every warm score ties")
+        fair_scores = scores_expression(online_pool.features, np.asarray(cfg.user_weights))
+        qualified = set(online_pool.protected[fair_scores >= 0.0].tolist())
+        if not qualified:
+            return EmptyQualifiedPool("no candidate passes the fair acceptance rule")
+        if qualified != {0, 1}:
+            (group,) = {0, 1} - qualified
+            return EmptyQualifiedPool(f"seed {seed}: group {group} has no qualified online "
+                                      "candidate")
         share = compute_baseline(online_pool, fair_user).p_qualified[1]
         w_reg = fit_auxiliary(fair_pool, alpha_a=cfg.alpha_a).w_reg
         for p_bias in cfg.p_bias_grid:
@@ -713,20 +724,10 @@ def _study_reference(cfg: ExperimentConfig, experiment: str) -> dict:
 @settings(deadline=None, max_examples=30)
 @given(fields=tiny_studies())
 def test_each_study_matches_a_reference_built_from_the_oracles(runner, experiment, fields):
-    if 0.0 in fields["eta_grid"] or fields["warm_rounds"] == 0:  # a step that moves nothing
-        with pytest.raises(ConfigError, match=r"^(eta_grid\[\d\] must be positive, got 0\.0"
-                                              r"|warm_rounds must be at least 1, got 0)$"):
-            ExperimentConfig(**fields)
-        return
     cfg = ExperimentConfig(**fields)
-    if experiment == "evolution" and cfg.snapshot_interval < min(cfg.k_list):
-        # Checked before any pool is drawn: a snapshot that early would write no row.
-        with pytest.raises(ConfigError, match=r"^snapshot_interval must be at least min\(k_list\)"):
-            runner(cfg)
-        return
     want = _study_reference(cfg, experiment)
-    if want is None:  # tiny pools often leave one group unqualified; the study refuses them
-        with pytest.raises(EmptyQualifiedPool):
+    if isinstance(want, FairsimError):  # a degenerate tiny pool; the study refuses it
+        with pytest.raises(type(want), match=f"^{re.escape(str(want))}$"):
             runner(cfg)
         return
     rows = results_to_rows(runner(cfg), experiment)
@@ -737,3 +738,46 @@ def test_each_study_matches_a_reference_built_from_the_oracles(runner, experimen
         got_skew, got_precision, got_ndcs, got_count = got[key]
         assert (got_skew, got_precision, got_count) == (skew, precision, count), key
         assert got_ndcs == pytest.approx(ndcs_value, rel=1e-12, abs=1e-12), key
+
+
+@st.composite
+def degenerate_studies(draw):
+    """One-seed configs over pools of at most 40 candidates. Half keep the default
+    pool and user; the other half draw a recipe that may be degenerate: a constant
+    attribute (or only constant ones), one group only, or a fair rule that accepts
+    everyone or no one. Any warm sample may be a single row."""
+    n = draw(st.integers(2, 40))
+    gen, user = GenConfig(n=n), {}
+    if draw(st.booleans()):
+        harmless = draw(st.lists(st.sampled_from([Uniform(0.0, 1.0), Uniform(0.5, 0.5),
+                                                  Uniform(0.0, 0.0)]), max_size=2))
+        proxies = draw(st.lists(st.just(gen.proxy_dists[0]), min_size=0 if harmless else 1,
+                                max_size=2))
+        coefs = draw(st.lists(st.sampled_from([0.3, 1.0, 0.0]), min_size=len(harmless + proxies),
+                              max_size=len(harmless + proxies)))
+        # Every attribute's mean is near 0.5, so -sum(coefs) / 2 splits the pool about evenly.
+        intercept = draw(st.sampled_from([-sum(coefs) / 2, 10.0, -10.0]))
+        gen = GenConfig(p_group=draw(st.sampled_from([0.5, 0.0, 1.0])),
+                        harmless_dists=tuple(harmless), proxy_dists=tuple(proxies), n=n)
+        user = {"user_weights": (intercept, *coefs)}
+    k = draw(st.integers(1, n))
+    rounds = draw(st.integers(k, n))
+    return ExperimentConfig(
+        gen=gen, **user, p_bias_grid=(0.5,), eta_grid=(0.1,), lambda_grid=(0.0, 1.0),
+        warm_sample_size=draw(st.integers(1, n)), warm_rounds=draw(st.integers(1, 20)),
+        online_rounds=rounds, snapshot_interval=draw(st.integers(k, rounds)),
+        seeds=(draw(st.integers(0, 2**32 - 1)),), k_list=(k,), sweep_eta=0.1,
+    )
+
+
+@pytest.mark.parametrize("runner", [run_final_eval, run_evolution, run_reg_sweep])
+@settings(deadline=None, max_examples=60)
+@given(cfg=degenerate_studies())
+def test_each_study_refuses_a_seed_whose_warm_model_or_penalty_stays_zero(runner, cfg):
+    try:
+        results = runner(cfg)
+    except FairsimError:
+        return
+    for res in results:
+        assert res.warm_model.weights.any()
+        assert runner is not run_reg_sweep or res.regularizer.w_reg.any()

@@ -7,7 +7,7 @@ import shlex
 from pathlib import Path
 
 from fairsim import (
-    ExperimentConfig, compute_baseline, default_user, experiment_config_from_dict, load_labeled,
+    ExperimentConfig, UserConfig, compute_baseline, experiment_config_from_dict, load_labeled,
     load_model, load_pool, rank_by_model, save_baseline, save_labeled,
 )
 from fairsim.cli import main
@@ -55,7 +55,7 @@ def test_readme_pipeline_runs(tmp_path, monkeypatch, capsys):
             order = rank_by_model(final, labeled.features)
             save_labeled(LabeledPool(labeled.features[order], labeled.protected[order],
                                      labeled.labels[order], labeled.bias_coin[order]), "ranked.csv")
-            save_baseline(compute_baseline(load_pool("pool.csv"), default_user(0.0)),
+            save_baseline(compute_baseline(load_pool("pool.csv"), UserConfig(0.0)),
                           "baseline.json")
             capsys.readouterr()
         assert main(line[1:]) == 0, line

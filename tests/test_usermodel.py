@@ -14,7 +14,6 @@ from fairsim import (
     Pool,
     UserConfig,
     compute_baseline,
-    default_user,
     feature_matrix,
     fit_auxiliary,
     generate_pool,
@@ -32,6 +31,7 @@ from _oracles import fair_scores_oracle
 
 def test_default_weights_value():
     assert DEFAULT_USER_WEIGHTS == (-0.48, 0.35, 0.28, 0.28)
+    assert UserConfig(0.3) == UserConfig(0.3, DEFAULT_USER_WEIGHTS, seed=0)
 
 
 def test_score_all_matches_scalar_arithmetic(tiny_pool):
@@ -55,13 +55,13 @@ def test_zero_bias_labels_follow_fair_rule(tiny_pool, fair_user):
 
 
 def test_full_bias_labels_copy_protected(tiny_pool):
-    labeled = label_pool(tiny_pool, default_user(1.0, seed=3))
+    labeled = label_pool(tiny_pool, UserConfig(1.0, seed=3))
     np.testing.assert_array_equal(labeled.labels, protected_values(tiny_pool))
     assert labeled.bias_coin.all()
 
 
 def test_mixed_labels_split_by_coin(tiny_pool):
-    user = default_user(0.5, seed=11)
+    user = UserConfig(0.5, seed=11)
     labeled = label_pool(tiny_pool, user)
     fair = np.array(
         [1 if s >= 0.0 else 0 for s in fair_scores_oracle(tiny_pool, user.weights)]
@@ -74,25 +74,25 @@ def test_mixed_labels_split_by_coin(tiny_pool):
 
 
 def test_same_user_seed_reproduces_labels(tiny_pool):
-    a = label_pool(tiny_pool, default_user(0.5, seed=21))
-    b = label_pool(tiny_pool, default_user(0.5, seed=21))
+    a = label_pool(tiny_pool, UserConfig(0.5, seed=21))
+    b = label_pool(tiny_pool, UserConfig(0.5, seed=21))
     np.testing.assert_array_equal(a.labels, b.labels)
     np.testing.assert_array_equal(a.bias_coin, b.bias_coin)
 
 
 def test_bias_coins_nest_as_p_bias_grows(tiny_pool):
     # same seed, higher p_bias: every point biased at 0.3 stays biased at 0.7
-    low = label_pool(tiny_pool, default_user(0.3, seed=4)).bias_coin.astype(bool)
-    high = label_pool(tiny_pool, default_user(0.7, seed=4)).bias_coin.astype(bool)
+    low = label_pool(tiny_pool, UserConfig(0.3, seed=4)).bias_coin.astype(bool)
+    high = label_pool(tiny_pool, UserConfig(0.7, seed=4)).bias_coin.astype(bool)
     assert (high[low]).all()
     assert high.sum() > low.sum()
 
 
 def test_user_config_validation():
     with pytest.raises(ConfigError):
-        default_user(-0.1)
+        UserConfig(-0.1)
     with pytest.raises(ConfigError):
-        default_user(1.1)
+        UserConfig(1.1)
     with pytest.raises(ConfigError):
         UserConfig(p_bias=0.5, weights=(), seed=0)
     for overrides, problem in (
@@ -110,7 +110,7 @@ def test_user_config_validation():
 def test_labels_and_coins_take_one_byte_per_candidate(traced):
     n = 100_000
     pool = generate_pool(GenConfig(n=n, seed=5))
-    _, kept, _ = traced(lambda: label_pool(pool, default_user(0.4, seed=2)))
+    _, kept, _ = traced(lambda: label_pool(pool, UserConfig(0.4, seed=2)))
     assert kept < 2.05 * n
 
 
@@ -121,7 +121,7 @@ def test_load_labeled_holds_no_object_per_cell(tmp_path, traced):
     # at about 78, and a Python list per row with a float object per cell at about 7 MB.
     n = 20_000
     path = tmp_path / "labeled.csv"
-    save_labeled(label_pool(generate_pool(GenConfig(n=n, seed=5)), default_user(0.5, 2)), path)
+    save_labeled(label_pool(generate_pool(GenConfig(n=n, seed=5)), UserConfig(0.5, seed=2)), path)
     _, _, peak = traced(lambda: load_labeled(path))
     assert peak < 48 * n
 
@@ -168,7 +168,7 @@ def test_a_labeled_pool_reads_as_its_pool(tmp_path, tiny_pool, tiny_labeled):
     got, want = fit_auxiliary(tiny_labeled), fit_auxiliary(plain)
     for name in ("w_a", "sigma_x", "w_reg"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-    fair = default_user(0.0)
+    fair = UserConfig(0.0)
     assert compute_baseline(tiny_labeled, fair) == compute_baseline(plain, fair)
     save_pool(tiny_labeled, tmp_path / "labeled.csv")
     save_pool(plain, tmp_path / "plain.csv")
