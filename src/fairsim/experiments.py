@@ -38,10 +38,9 @@ from .learner import LinearModel, OnlineTrace, rank_by_model, run_online, save_m
 from .metrics import Baseline, MetricsReport, compute_baseline, evaluate_ranking, save_baseline
 from .usermodel import DEFAULT_USER_WEIGHTS, LabeledPool, UserConfig, label_pool
 
-# Sub-stream tags for deriving independent seeds from one experiment seed.
+# Sub-stream tags for deriving independent seeds from one experiment seed (2 is retired).
 STREAM_FAIR_POOL = 0
 STREAM_ONLINE_POOL = 1
-STREAM_FAIR_USER = 2
 STREAM_ONLINE_USER = 3
 STREAM_WARM = 4
 
@@ -154,17 +153,15 @@ def build_seed_context(
     pairs in ``cfg.p_bias_grid`` order, so a caller that drops each pair before
     taking the next holds one labeled copy of the online pool, whatever the grid.
 
-    Stream assignments: the fair pool, online pool, fair user, biased user,
-    and warm-start subsampling each get an independent sub-seed derived from
-    the experiment seed. Labels are materialized once per (seed, p_bias), so
-    every eta and lambda cell of a seed sees identical feedback. ConfigError is
+    Stream assignments: the fair pool, online pool, biased user, and warm-start
+    subsampling each get an independent sub-seed derived from the experiment seed;
+    the fair user draws no coin. Labels are materialized once per (seed, p_bias),
+    so every eta and lambda cell of a seed sees identical feedback. ConfigError is
     raised if the warm model stays zero, and EmptyQualifiedPool if a group has no
     qualified online candidate.
     """
     fair_pool = generate_pool(replace(cfg.gen, seed=derive_seed(seed, STREAM_FAIR_POOL)))
-    fair_user = UserConfig(
-        p_bias=0.0, weights=cfg.user_weights, seed=derive_seed(seed, STREAM_FAIR_USER)
-    )
+    fair_user = UserConfig(0.0, cfg.user_weights)  # draws no coin at p_bias 0, so needs no seed
     warm = warm_start(
         label_pool(fair_pool, fair_user),
         sample_size=cfg.warm_sample_size,

@@ -26,6 +26,7 @@ solves ``(X X^T + lambda * w_reg~ w_reg~^T) w = X Y^T`` exactly.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,15 @@ class FairRegularizer:
     def with_strength(self, lam: float) -> "FairRegularizer":
         """Same fitted directions with a different penalty strength."""
         return replace(self, lam=lam)
+
+    def online_step(self) -> partial:
+        """The online update: ``regularized_update`` bound to this penalty. Raises ConfigError
+        past the stability limit ``lambda * |w_reg|^2 <= 2``; ``solve_exact`` has none."""
+        norm2 = float(self.w_reg @ self.w_reg)
+        if self.lam * norm2 > 2.0:
+            raise ConfigError(f"lambda={self.lam!r} exceeds the online stability limit "
+                              f"2 / |w_reg|^2 = {2.0 / norm2:.6g}")
+        return partial(regularized_update, reg=self)  # read now, so a later wrapper is bound
 
 
 def _solve_reported(A: np.ndarray, b: np.ndarray, context: str) -> np.ndarray:

@@ -15,7 +15,6 @@ proves that a full scan would pick the same row.
 """
 
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -25,7 +24,7 @@ from .datagen import (
     Count, FloatArray, Rate, Seed, Size, _parse, check_fields, feature_matrix, read_json_keys,
     write_columns, write_json,
 )
-from .errors import ConfigError, DimensionMismatch
+from .errors import DimensionMismatch
 from .usermodel import LabeledPool, score_all
 
 if TYPE_CHECKING:  # import cycle: fairreg builds on LinearModel
@@ -249,17 +248,7 @@ def run_online(
     features = feature_matrix(pool)
     if features.shape[1] != model.weights.size - 1:
         raise DimensionMismatch("pool features do not match the model")
-    step = perceptron_update
-    if regularizer is not None:
-        from .fairreg import regularized_update
-
-        norm2 = float(regularizer.w_reg @ regularizer.w_reg)
-        if regularizer.lam * norm2 > 2.0:
-            raise ConfigError(
-                f"lambda={regularizer.lam!r} exceeds the online stability limit "
-                f"2 / |w_reg|^2 = {2.0 / norm2:.6g}"
-            )
-        step = partial(regularized_update, reg=regularizer)
+    step = perceptron_update if regularizer is None else regularizer.online_step()
     n = len(features)
     columns = shortlist = None
     if n >= SHORTLIST_MIN_ROWS and rounds > 1:

@@ -31,7 +31,6 @@ from fairsim.datagen import config_to_dict
 from fairsim.experiments import (
     CSV_FIELDS,
     STREAM_FAIR_POOL,
-    STREAM_FAIR_USER,
     STREAM_ONLINE_POOL,
     STREAM_ONLINE_USER,
     STREAM_WARM,
@@ -63,7 +62,6 @@ def test_derive_seed_matches_seed_sequence_and_separates_streams():
     streams = [
         STREAM_FAIR_POOL,
         STREAM_ONLINE_POOL,
-        STREAM_FAIR_USER,
         STREAM_ONLINE_USER,
         STREAM_WARM,
     ]

@@ -254,6 +254,24 @@ def test_regularized_update_noop_returns_same_object():
     assert regularized_update(w, [0.0, 1.0], 1, eta=0.5, reg=reg) is w
 
 
+def test_online_step_is_regularized_update_bound_to_the_penalty(monkeypatch, tiny_labeled):
+    rng = np.random.default_rng(5)
+    for lam in (0.0, 0.3, 1.0):  # |w_reg|^2 <= 2, so each is within the stability limit
+        reg = _make_reg(rng.uniform(-1.0, 1.0, 2), lam)
+        step = reg.online_step()
+        for _ in range(4):
+            w, x, y, eta = rng.normal(size=3), rng.normal(size=2), int(rng.integers(2)), 0.05
+            np.testing.assert_array_equal(step(w, x, y, eta), regularized_update(w, x, y, eta, reg))
+    # The step reads fairreg's global when run_online asks for it, so a wrapper installed
+    # after import sees every round, lambda 0 included.
+    calls = []
+    monkeypatch.setattr("fairsim.fairreg.regularized_update",
+                        lambda *args, **kw: calls.append(1) or regularized_update(*args, **kw))
+    run_online(zero_model(3), tiny_labeled, 10, eta=0.01,
+               regularizer=fit_auxiliary(tiny_labeled).with_strength(0.0))
+    assert len(calls) == 10
+
+
 def test_penalty_contracts_the_aligned_component_geometrically():
     reg = _make_reg([0.8, 0.6], lam=0.4)
     padded = reg.padded_direction
@@ -276,6 +294,8 @@ def test_run_online_rejects_lambda_past_the_stability_limit(tiny_labeled):
     run_online(model, tiny_labeled, 10, eta=0.01, regularizer=reg.with_strength(180.0))
     with pytest.raises(ConfigError, match=r"2 / \|w_reg\|\^2 = 180\.83"):
         run_online(model, tiny_labeled, 10, eta=0.01, regularizer=reg.with_strength(190.0))
+    with pytest.raises(ConfigError, match=r"2 / \|w_reg\|\^2 = 180\.83"):
+        reg.with_strength(190.0).online_step()
     # The batch solve has no such limit.
     design = np.vstack([np.ones(len(tiny_labeled)), feature_matrix(tiny_labeled).T])
     exact = solve_exact(design, tiny_labeled.labels.astype(float), reg.with_strength(190.0))

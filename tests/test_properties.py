@@ -67,7 +67,6 @@ from fairsim.datagen import (
 from fairsim.experiments import (
     CSV_FIELDS,
     STREAM_FAIR_POOL,
-    STREAM_FAIR_USER,
     STREAM_ONLINE_POOL,
     STREAM_ONLINE_USER,
     STREAM_WARM,
@@ -632,8 +631,9 @@ def test_ranked_report_matches_a_stable_argsort_and_direct_counts(inputs, share,
 def tiny_studies(draw):
     """Experiment config fields over default pools of at most 60 candidates that every
     study accepts: one or two seeds, one to three values per grid, positive steps,
-    min(k_list) <= rounds <= n and a snapshot interval in [min(k_list), rounds]. The
-    config's refusals are checked by explicit rows in test_experiments."""
+    min(k_list) <= rounds <= n and a snapshot interval in [min(k_list), rounds]. Warm
+    samples and rounds start at 10, so the warm model is rarely zero. The refusals are
+    checked by explicit rows in test_experiments."""
     n = draw(st.integers(20, 60))
     k_list = draw(st.lists(st.integers(1, n), min_size=1, max_size=3, unique=True))
     rounds = draw(st.integers(min(k_list), n))
@@ -646,8 +646,8 @@ def tiny_studies(draw):
         p_bias_grid=grid([0.0, 0.3, 0.5, 0.8, 1.0]),
         eta_grid=grid([0.001, 0.01, 0.1, 0.5]),
         lambda_grid=grid([0.0, 0.1, 1.0, 10.0]),
-        warm_sample_size=draw(st.integers(1, n)),
-        warm_rounds=draw(st.integers(1, 60)),
+        warm_sample_size=draw(st.integers(10, n)),
+        warm_rounds=draw(st.integers(10, 60)),
         online_rounds=rounds,
         snapshot_interval=draw(st.integers(min(k_list), rounds)),
         seeds=draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=2, unique=True)),
@@ -667,7 +667,7 @@ def _study_reference(cfg: ExperimentConfig, experiment: str) -> dict:
     for seed in cfg.seeds:
         fair_pool, online_pool = (generate_pool(replace(cfg.gen, seed=derive_seed(seed, stream)))
                                   for stream in (STREAM_FAIR_POOL, STREAM_ONLINE_POOL))
-        fair_user = UserConfig(0.0, cfg.user_weights, derive_seed(seed, STREAM_FAIR_USER))
+        fair_user = UserConfig(0.0, cfg.user_weights)
         warm = warm_start(label_pool(fair_pool, fair_user), cfg.warm_sample_size,
                           cfg.warm_rounds, cfg.warm_eta, derive_seed(seed, STREAM_WARM)).weights
         if not warm.any():  # e.g. every warm pick accepted

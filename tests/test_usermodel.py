@@ -52,6 +52,11 @@ def test_zero_bias_labels_follow_fair_rule(tiny_pool, fair_user):
     want = [1 if s >= 0.0 else 0 for s in fair_scores_oracle(tiny_pool, fair_user.weights)]
     assert list(labeled.labels) == want
     assert not labeled.bias_coin.any()
+    # No coin falls at p_bias 0, so the fair user needs no seed: any two give the same bytes.
+    other = label_pool(tiny_pool, UserConfig(0.0, fair_user.weights, seed=fair_user.seed + 1))
+    for a, b in ((labeled.labels, other.labels), (labeled.bias_coin, other.bias_coin)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert not other.bias_coin.any()
 
 
 def test_full_bias_labels_copy_protected(tiny_pool):
