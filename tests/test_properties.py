@@ -1,11 +1,13 @@
 """Property tests: CSV and config round trips, the zero-copy column accessors,
 the array type rules, the bounded scalar annotations, the exact ranking order,
-the pool build's and online step's expressions pinned bit for bit, the algebraic
-invariants of the online steps, of Skew@k and NDCS, of the regularizer's fit and
-of the warm start's scale, the online loop (with and without a forced shortlist)
-and re-ranked reports against naive references on tie-heavy pools, each
-study's metrics.csv rows against a reference built from those oracles, and each
-study's refusal of a seed whose warm model or penalty direction stays zero."""
+the pool build's and online step's expressions pinned bit for bit, the lock-step
+update pinned row by row to the one-cell steps, the algebraic invariants of the
+online steps, of Skew@k and NDCS, of the regularizer's fit and of the warm
+start's scale, the online loop (with and without a forced shortlist) and
+re-ranked reports against naive references on tie-heavy pools, each study's
+metrics.csv rows against a reference built from those oracles (cell by cell and
+in lock-step), and each study's refusal of a seed whose warm model or penalty
+direction stays zero."""
 
 import json
 import re
@@ -383,6 +385,59 @@ def test_regularized_update_is_the_fresh_padding_expression_bit_for_bit(inputs, 
         assert _same_bits(got, want)
 
 
+@st.composite
+def lockstep_updates(draw):
+    """Weights (cells, m + 1) with some entries ±0.0, one row (1, x) and label per cell,
+    a step size and a regularizer (or None) per cell with lambda from 0 up to the
+    stability bound 2 / |w_reg|^2, and some cells whose prediction is already right."""
+    cells, m = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        w, x = rng.normal(size=(cells, m + 1)), rng.normal(size=(cells, m))
+    else:
+        w = draw(arrays(np.float64, (cells, m + 1), elements=BOUNDED))
+        x = draw(arrays(np.float64, (cells, m), elements=BOUNDED))
+    zeros = draw(arrays(np.bool_, w.shape))
+    w[zeros] = draw(arrays(np.float64, int(zeros.sum()), elements=SIGNED_ZERO))
+    y = draw(arrays(np.int64, cells, elements=st.integers(0, 1)))
+    right = draw(arrays(np.bool_, cells))  # these rows get the label the weights predict
+    predicted = np.array([wc.dot(np.concatenate(([1.0], xc))) >= 0.0 for wc, xc in zip(w, x)])
+    y[right] = predicted[right]
+    etas = draw(arrays(np.float64, cells, elements=st.floats(0.0, 1e100) | SIGNED_ZERO))
+    regs = []
+    for _ in range(cells):
+        if draw(st.booleans()):
+            regs.append(None)
+            continue
+        w_a = draw(arrays(np.float64, m, elements=st.floats(-10.0, 10.0) | SIGNED_ZERO))
+        norm2 = float(w_a @ w_a)
+        lam = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)) * (
+            2.0 / norm2 if norm2 else 1.0)
+        while lam * norm2 > 2.0:
+            lam = float(np.nextafter(lam, 0.0))
+        regs.append(_regularizer(w_a, lam))
+    return w, x, y, etas, regs
+
+
+@settings(deadline=None, max_examples=150)
+@given(inputs=lockstep_updates())
+def test_lockstep_step_moves_each_row_as_its_one_cell_step_bit_for_bit(inputs):
+    w, x, y, etas, regs = inputs
+    m = x.shape[1]
+    lams = np.array([0.0 if reg is None else reg.lam for reg in regs])
+    padded = np.array([np.zeros(m + 1) if reg is None else reg.padded_direction for reg in regs])
+    batched = w.copy()
+    changed = learner._lockstep_step(batched, etas, lams, padded)(x, y.astype(float))
+    for c, reg in enumerate(regs):
+        row = w[c].copy()
+        row.setflags(write=False)
+        want = (perceptron_update(row, x[c], int(y[c]), etas[c]) if reg is None
+                else regularized_update(row, x[c], int(y[c]), etas[c], reg))
+        assert _same_bits(batched[c], want)
+        # A row changes exactly when the one-cell step returns a new array.
+        assert bool(changed[c]) == (want is not row)
+
+
 @settings(deadline=None, max_examples=150)
 @given(inputs=step_inputs())
 def test_rank_by_model_is_the_negated_scores_expression_bit_for_bit(inputs):
@@ -613,7 +668,7 @@ def test_ranked_report_matches_a_stable_argsort_and_direct_counts(inputs, share,
     rows = data.draw(st.just(slice(None)) | st.integers(1, n).flatmap(
         lambda r: st.permutations(range(n)).map(lambda p: p[:r])))
     baseline = Baseline(p_qualified={0: 1.0 - share, 1: share}, qualified_count=n)
-    report = _ranked_report(LinearModel(w), pool, baseline, cfg, rows)
+    report = _ranked_report(LinearModel(w), pool, pool.labels, baseline, cfg, rows)
     index = np.arange(n)[rows]
     order = index[np.argsort(-scores_expression(pool.features[index], w), kind="stable")]
     flags, labels = pool.protected[order].tolist(), pool.labels[order].tolist()
@@ -718,12 +773,7 @@ def _study_reference(cfg: ExperimentConfig, experiment: str) -> dict:
     return want
 
 
-@pytest.mark.parametrize("runner, experiment", [
-    (run_final_eval, "final_eval"), (run_evolution, "evolution"), (run_reg_sweep, "reg_sweep"),
-])
-@settings(deadline=None, max_examples=30)
-@given(fields=tiny_studies())
-def test_each_study_matches_a_reference_built_from_the_oracles(runner, experiment, fields):
+def _check_study_against_its_reference(runner, experiment, fields):
     cfg = ExperimentConfig(**fields)
     want = _study_reference(cfg, experiment)
     if isinstance(want, FairsimError):  # a degenerate tiny pool; the study refuses it
@@ -738,6 +788,29 @@ def test_each_study_matches_a_reference_built_from_the_oracles(runner, experimen
         got_skew, got_precision, got_ndcs, got_count = got[key]
         assert (got_skew, got_precision, got_count) == (skew, precision, count), key
         assert got_ndcs == pytest.approx(ndcs_value, rel=1e-12, abs=1e-12), key
+
+
+STUDIES = [
+    (run_final_eval, "final_eval"), (run_evolution, "evolution"), (run_reg_sweep, "reg_sweep"),
+]
+
+
+@pytest.mark.parametrize("runner, experiment", STUDIES)
+@settings(deadline=None, max_examples=30)
+@given(fields=tiny_studies())
+def test_each_study_matches_a_reference_built_from_the_oracles(runner, experiment, fields):
+    _check_study_against_its_reference(runner, experiment, fields)
+
+
+@pytest.mark.parametrize("runner, experiment", STUDIES)
+@settings(deadline=None, max_examples=30)
+@given(fields=tiny_studies(), shortlist=st.integers(1, 8))
+def test_each_study_matches_its_reference_in_lockstep(runner, experiment, fields, shortlist):
+    # The same check with the cutoff at 0 and a shortlist of 1-8 rows, so the tiny
+    # studies run every cell of a seed in one lock-step loop.
+    with mock.patch.object(learner, "SHORTLIST_MIN_ROWS", 0), \
+            mock.patch.object(learner, "SHORTLIST", shortlist):
+        _check_study_against_its_reference(runner, experiment, fields)
 
 
 @st.composite
