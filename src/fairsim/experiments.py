@@ -190,26 +190,18 @@ def build_seed_context(
     return SeedResult(seed, warm, baseline, regularizer, cells=[]), online_pool, labeled
 
 
-def _ranked_report(
-    model: LinearModel,
-    pool: Pool,
-    labels: np.ndarray,
-    baseline: Baseline,
-    cfg: ExperimentConfig,
-    rows=slice(None),
-) -> MetricsReport:
-    """Re-rank the pool's ``rows`` (default: all), labelled by ``labels``, by ``model``
-    and report metrics.
+def _ranked_report(model: LinearModel, features: np.ndarray, protected: np.ndarray,
+                   labels: np.ndarray, baseline: Baseline, cfg: ExperimentConfig) -> MetricsReport:
+    """Re-rank the rows handed in (one per row of ``features``, ``protected`` and
+    ``labels``) by ``model`` and report metrics.
 
     NDCS covers the top ``online_rounds`` positions, or every row if fewer are ranked.
     Only the positions the metrics read are sorted; the report still gets every row.
     """
-    features = feature_matrix(pool)[rows]
     ks = [k for k in cfg.k_list if k <= len(features)]
     k_max = min(cfg.online_rounds, len(features))
     order = rank_by_model(model, features, top=max(ks + [k_max]))
-    protected, ranked_labels = pool.protected[rows][order], labels[rows][order]
-    return evaluate_ranking(protected, ranked_labels, baseline, ks, ndcs_k_max=k_max)
+    return evaluate_ranking(protected[order], labels[order], baseline, ks, ndcs_k_max=k_max)
 
 
 def _run_grid(
@@ -257,23 +249,26 @@ def _run_grid(
                 (labels, eta, reg) for _, labels in columns for (eta, _), reg in zip(cells, regs)
             ], cfg.online_rounds, interval)
         runs = iter(runs)  # one run per cell, p_bias by p_bias
+        features, protected = feature_matrix(pool), pool.protected
         for p_bias, labels in columns:
             warm_report = None if snapshots else _ranked_report(
-                res.warm_model, pool, labels, res.baseline, cfg)
+                res.warm_model, features, protected, labels, res.baseline, cfg)
             for (eta, lam), (final, trace) in zip(cells, runs):
-                evolution = [
-                    (r, _ranked_report(snapshot, pool, labels, res.baseline, cfg,
-                                       trace.shown_order[:r]))
-                    for r, snapshot in trace.snapshots
-                ]
+                evolution = []
+                if snapshots:  # snapshot r ranks the first r shown rows: views of one gather
+                    shown = [c[trace.shown_order] for c in (features, protected, labels)]
+                    evolution = [(r, _ranked_report(snapshot, *(c[:r] for c in shown),
+                                                    res.baseline, cfg))
+                                 for r, snapshot in trace.snapshots]
                 res.cells.append(RunResult(
                     seed=seed, p_bias=p_bias, eta=eta, lam=lam, final_model=final, trace=trace,
-                    report_final=_ranked_report(final, pool, labels, res.baseline, cfg),
+                    report_final=_ranked_report(final, features, protected, labels,
+                                                res.baseline, cfg),
                     report_warm=warm_report, reports_evolution=evolution,
                 ))
             if verbose:
                 print(f"[{experiment}] seed={seed} p_bias={p_bias:g} done")
-        del pool  # before the next seed's pools are drawn
+        del pool, features, protected  # before the next seed's pools are drawn
         results.append(res)
     return results
 

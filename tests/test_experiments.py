@@ -2,6 +2,7 @@ import json
 import re
 import weakref
 from dataclasses import FrozenInstanceError, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,11 +21,14 @@ from fairsim import (
     load_baseline,
     load_model,
     load_regularizer,
+    perceptron_update,
     rank_by_model,
+    regularized_update,
     run_evolution,
     run_final_eval,
     run_online,
     run_reg_sweep,
+    score_all,
     write_results,
 )
 from fairsim import experiments, learner
@@ -37,6 +41,8 @@ from fairsim.experiments import (
     STREAM_WARM,
     results_to_rows,
 )
+
+from _oracles import greedy_online_oracle
 
 
 def tiny_config(**overrides):
@@ -183,21 +189,24 @@ def test_evolution_snapshots_and_reports():
     assert rounds == [5, 10, 15, 20]
     for round_index, report in result.reports_evolution:
         assert set(report.skew_at) == {k for k in cfg.k_list if k <= round_index}
-    # one snapshot replayed by hand: re-rank what was shown, then evaluate
+    # every snapshot replayed by hand: re-rank a fresh gather of what was shown, then evaluate
     res, _, pairs = build_seed_context(cfg, 1)
     labeled = dict(pairs)
-    round_index, snapshot = result.trace.snapshots[1]
-    shown = result.trace.shown_order[:round_index]
-    order = rank_by_model(snapshot, labeled[1.0].features[shown])
-    protected = labeled[1.0].protected[shown][order]
-    labels = labeled[1.0].labels[shown][order]
-    want = evaluate_ranking(
-        protected, labels, res.baseline, k_list=(5, 10), ndcs_k_max=round_index
-    )
-    got = result.reports_evolution[1][1]
-    assert got.skew_at == want.skew_at
-    assert got.ndcs == want.ndcs
-    assert got.precision_at == want.precision_at
+    assert len(result.trace.snapshots) == len(rounds)
+    for (round_index, snapshot), (r, got) in zip(result.trace.snapshots,
+                                                 result.reports_evolution):
+        assert r == round_index
+        shown = result.trace.shown_order[:round_index]
+        order = rank_by_model(snapshot, labeled[1.0].features[shown])
+        protected = labeled[1.0].protected[shown][order]
+        labels = labeled[1.0].labels[shown][order]
+        want = evaluate_ranking(protected, labels, res.baseline,
+                                k_list=[k for k in cfg.k_list if k <= round_index],
+                                ndcs_k_max=round_index)
+        assert got.skew_at == want.skew_at
+        assert got.ndcs == want.ndcs
+        assert got.precision_at == want.precision_at
+        assert got.counts_at == want.counts_at
 
 
 def test_a_seed_holds_one_pool_and_one_labeled_copy_at_a_time(monkeypatch):
@@ -224,7 +233,9 @@ def test_a_seed_holds_one_pool_and_one_labeled_copy_at_a_time(monkeypatch):
 @pytest.mark.parametrize("sweep", [True, False], ids=["sweep", "evolve"])
 def test_lockstep_grid_equals_per_cell_run_online_bit_for_bit(monkeypatch, sweep):
     # At the real constants a 6 000-row seed runs its cells in one lock-step loop; each
-    # cell's final weights, shown order and snapshots are its own run_online call's.
+    # cell's final weights, shown order and snapshots are its own run_online call's. Above
+    # the cutoff run_online is itself a one-cell run_lockstep, so they are also the mask
+    # oracle's, which scans the whole pool every round.
     cfg = ExperimentConfig(gen=GenConfig(n=6000), p_bias_grid=(0.2, 0.8), eta_grid=(0.01, 0.1),
                            lambda_grid=(0.0, 10.0), seeds=(3,))
     assert cfg.gen.n >= learner.SHORTLIST_MIN_ROWS
@@ -256,6 +267,15 @@ def test_lockstep_grid_equals_per_cell_run_online_bit_for_bit(monkeypatch, sweep
             assert [(r, m.weights.tobytes()) for r, m in cell.trace.snapshots] == \
                 [(r, m.weights.tobytes()) for r, m in trace.snapshots]
             assert len(trace.snapshots) == (0 if sweep else cfg.online_rounds // interval)
+            step = (partial(perceptron_update, eta=eta) if reg is None
+                    else partial(regularized_update, eta=eta, reg=reg))
+            want_w, want_shown, want_snapshots = greedy_online_oracle(
+                res.warm_model.weights, pool.features, pool.labels, cfg.online_rounds,
+                score_all, step, interval)
+            assert cell.final_model.weights.tobytes() == want_w.tobytes()
+            assert cell.trace.shown_order.tolist() == want_shown
+            assert [(r, m.weights.tobytes()) for r, m in cell.trace.snapshots] == \
+                [(r, w.tobytes()) for r, w in want_snapshots]
     assert not got
 
 

@@ -432,12 +432,13 @@ def test_a_lockstep_seed_holds_at_most_one_label_column_per_p_bias_more(traced):
     def one_labelled_pool_at_a_time():
         res, pool, labeled = build_seed_context(cfg, 3)
         for _, labeled_pool in labeled:
-            reports = [_ranked_report(res.warm_model, pool, labeled_pool.labels, res.baseline, cfg)]
+            columns = pool.features, pool.protected, labeled_pool.labels
+            reports = [_ranked_report(res.warm_model, *columns, res.baseline, cfg)]
             for eta in cfg.eta_grid:
                 final, trace = run_online(res.warm_model, labeled_pool, cfg.online_rounds, eta)
-                reports.append(_ranked_report(final, pool, labeled_pool.labels, res.baseline, cfg))
+                reports.append(_ranked_report(final, *columns, res.baseline, cfg))
                 res.cells.append((final, trace, reports))
-            del labeled_pool
+            del labeled_pool, columns
         return res
 
     _, _, before = traced(one_labelled_pool_at_a_time)

@@ -668,7 +668,8 @@ def test_ranked_report_matches_a_stable_argsort_and_direct_counts(inputs, share,
     rows = data.draw(st.just(slice(None)) | st.integers(1, n).flatmap(
         lambda r: st.permutations(range(n)).map(lambda p: p[:r])))
     baseline = Baseline(p_qualified={0: 1.0 - share, 1: share}, qualified_count=n)
-    report = _ranked_report(LinearModel(w), pool, pool.labels, baseline, cfg, rows)
+    columns = (c[rows] for c in (pool.features, pool.protected, pool.labels))
+    report = _ranked_report(LinearModel(w), *columns, baseline, cfg)
     index = np.arange(n)[rows]
     order = index[np.argsort(-scores_expression(pool.features[index], w), kind="stable")]
     flags, labels = pool.protected[order].tolist(), pool.labels[order].tolist()
