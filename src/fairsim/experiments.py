@@ -217,8 +217,8 @@ def _run_grid(
 
     From ``learner.SHORTLIST_MIN_ROWS`` rows on, every cell of a seed runs in one
     :func:`run_lockstep` call, and the reports are built after it. A seed holds the
-    online pool and one label column per p_bias: each labelled pool is dropped once its
-    labels are taken (and, below the cutoff, its cells have run).
+    online pool and one ``(p_bias, n)`` int8 label matrix: each labelled pool is dropped
+    once its labels are copied into their row (and, below the cutoff, its cells have run).
     """
     cells = ([(cfg.sweep_eta, lam) for lam in cfg.lambda_grid] if sweep
              else [(eta, 0.0) for eta in cfg.eta_grid])
@@ -236,33 +236,37 @@ def _run_grid(
         # the benchmark's self-tests count those calls, one per cell, on their 300-row
         # pool. Once they count cell-rounds and updates instead, it can go.
         per_cell = len(pool) < learner.SHORTLIST_MIN_ROWS
-        columns, runs = [], []
-        for p_bias, labeled_pool in labeled:
-            columns.append((p_bias, labeled_pool.labels))
+        labels, runs = np.empty((len(cfg.p_bias_grid), len(pool)), np.int8), []
+        # A plain loop with a row counter: zip or enumerate would keep each labelled pool
+        # alive, in the result tuple they reuse, into the labelling of the next.
+        row = 0
+        for _, labeled_pool in labeled:
+            labels[row] = labeled_pool.labels
+            row += 1
             if per_cell:
                 runs += [run_online(res.warm_model, labeled_pool, cfg.online_rounds, eta,
                                     regularizer=reg, snapshot_interval=interval)
                          for (eta, _), reg in zip(cells, regs)]
             del labeled_pool  # before the next p_bias is labeled
         if not per_cell:
-            runs = run_lockstep(res.warm_model, pool, [
-                (labels, eta, reg) for _, labels in columns for (eta, _), reg in zip(cells, regs)
+            runs = run_lockstep(res.warm_model, pool, labels, [
+                (row, eta, reg) for row in range(len(labels)) for (eta, _), reg in zip(cells, regs)
             ], cfg.online_rounds, interval)
         runs = iter(runs)  # one run per cell, p_bias by p_bias
         features, protected = feature_matrix(pool), pool.protected
-        for p_bias, labels in columns:
+        for p_bias, p_labels in zip(cfg.p_bias_grid, labels):
             warm_report = None if snapshots else _ranked_report(
-                res.warm_model, features, protected, labels, res.baseline, cfg)
+                res.warm_model, features, protected, p_labels, res.baseline, cfg)
             for (eta, lam), (final, trace) in zip(cells, runs):
                 evolution = []
                 if snapshots:  # snapshot r ranks the first r shown rows: views of one gather
-                    shown = [c[trace.shown_order] for c in (features, protected, labels)]
+                    shown = [c[trace.shown_order] for c in (features, protected, p_labels)]
                     evolution = [(r, _ranked_report(snapshot, *(c[:r] for c in shown),
                                                     res.baseline, cfg))
                                  for r, snapshot in trace.snapshots]
                 res.cells.append(RunResult(
                     seed=seed, p_bias=p_bias, eta=eta, lam=lam, final_model=final, trace=trace,
-                    report_final=_ranked_report(final, features, protected, labels,
+                    report_final=_ranked_report(final, features, protected, p_labels,
                                                 res.baseline, cfg),
                     report_warm=warm_report, reports_evolution=evolution,
                 ))

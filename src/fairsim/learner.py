@@ -181,7 +181,7 @@ def run_online(
     lambda exceeds ``2 / |w_reg|^2``.
     """
     if len(pool) >= SHORTLIST_MIN_ROWS:  # run_lockstep parses the arguments itself
-        (run,) = run_lockstep(model, pool, [(pool.labels, eta, regularizer)], rounds,
+        (run,) = run_lockstep(model, pool, pool.labels[None], [(0, eta, regularizer)], rounds,
                               snapshot_interval)
         return run
     rounds, eta = _parse(Count, rounds, "rounds", at_most=len(pool)), _parse(Rate, eta, "eta")
@@ -205,50 +205,43 @@ def run_online(
     return final, OnlineTrace(shown_order=shown, snapshots=snapshots)
 
 
-def _lockstep_step(w: np.ndarray, etas: np.ndarray, lams: np.ndarray, padded: np.ndarray):
+def _lockstep_step(w: np.ndarray, xa: np.ndarray, y: np.ndarray, etas: np.ndarray,
+                   lams: np.ndarray, padded: np.ndarray) -> np.ndarray:
     """The online update of every cell at once, on the ``(cells, m + 1)`` weights ``w`` in
-    place. ``step(x, y)`` moves row c as ``regularized_update(w[c], x[c], y[c], etas[c],
-    reg)`` would for a penalty of strength ``lams[c]`` along ``padded[c]``
-    (``perceptron_update`` where that is 0), bit for bit, and returns which rows changed.
+    place: row c moves as ``regularized_update(w[c], x, y[c], etas[c], reg)`` would, for
+    ``xa[c] = (1, x)`` and a penalty of strength ``lams[c]`` along ``padded[c]``
+    (``perceptron_update`` where that is 0), bit for bit. Returns which rows changed.
     Each row's two dots, the sign test ``w . (1, x)`` and ``w . w_reg~``, are taken by
-    ``ndarray.dot`` as the one-cell steps take them; the rest is elementwise."""
-    xa, aligned = np.ones_like(w), np.zeros(len(w))  # each row's (1, x) and w . w_reg~
-    w_rows, xa_rows = list(w), list(xa)  # views
-    penalized = np.flatnonzero(lams != 0.0)
-    penalty_rows = [(w_rows[c], padded[c]) for c in penalized.tolist()]
-
-    def step(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        xa[:, 1:] = x
-        signs = np.array([wc.dot(xc) for wc, xc in zip(w_rows, xa_rows)])
-        aligned[penalized] = [wc.dot(pc) for wc, pc in penalty_rows]  # before w moves
-        err = y - (signs >= 0.0)
-        changed = err != 0.0
-        # Masked rather than a step of 0 * (1, x), so a row that keeps its weights keeps
-        # their bits, signed zeros included.
-        if changed.any():
-            np.add(w, (etas * err)[:, None] * xa, out=w, where=changed[:, None])
-        if penalty_rows:
-            moved = aligned != 0.0
-            np.subtract(w, (lams * aligned)[:, None] * padded, out=w, where=moved[:, None])
-            changed |= moved
-        return changed
-
-    return step
+    ``np.vecdot``, whose float64 loop calls the dot routine of ``ndarray.dot`` row by
+    row, as the one-cell steps take them; the rest is elementwise."""
+    signs, aligned = np.vecdot(w, xa), np.vecdot(w, padded)  # before w moves
+    err = np.subtract(y, signs >= 0.0, dtype=float)  # float(y) - yhat, as one cell takes it
+    changed = err != 0.0
+    # Masked rather than a step of 0 * (1, x), so a row that keeps its weights keeps
+    # their bits, signed zeros included.
+    np.add(w, (etas * err)[:, None] * xa, out=w, where=changed[:, None])
+    moved = (lams != 0.0) & (aligned != 0.0)  # inf * 0 is NaN: lambda = 0 never moves
+    np.subtract(w, (lams * aligned)[:, None] * padded, out=w, where=moved[:, None])
+    return changed | moved
 
 
 def run_lockstep(
     model: LinearModel,
     pool: Pool,
-    cells: list[tuple[np.ndarray, float, "FairRegularizer | None"]],
+    labels: np.ndarray,
+    cells: list[tuple[int, float, "FairRegularizer | None"]],
     rounds: int,
     snapshot_interval: int = 0,
 ) -> list[tuple[LinearModel, OnlineTrace]]:
     """Run several online cells over one pool together, one round of every cell per pass.
 
-    Each cell is ``(labels, eta, regularizer)``: a label per pool row and the arguments
-    :func:`run_online` takes. Every cell starts from ``model``, and its result is what
-    ``run_online`` returns for it, bit for bit: the weights are one ``(cells, m + 1)``
-    array, and ``_lockstep_step`` updates every row of it per round.
+    ``labels`` is an ``(L, n)`` matrix: L label rows, each with one 0/1 label per pool
+    row. Each cell is ``(row, eta, regularizer)``: the index of its label row and the
+    arguments :func:`run_online` takes; cells may share a row. Every cell starts from
+    ``model``, and its result is what ``run_online`` returns for it on the pool labelled
+    by that row, bit for bit: the weights are one ``(cells, m + 1)`` array,
+    ``_lockstep_step`` updates every row of it per round, and each round gathers every
+    cell's label from ``labels`` at once.
 
     The picks are lazy greedy (Minoux's accelerated greedy algorithm). A full scan at
     weights ``w_s`` keeps the cell's ``SHORTLIST`` best unshown rows (a copy) and
@@ -272,19 +265,20 @@ def run_lockstep(
     n, m = features.shape
     if m != model.weights.size - 1:
         raise DimensionMismatch("pool features do not match the model")
-    count, labels, etas, lams = len(cells), [], [], []
+    if labels.ndim != 2 or labels.shape[1] != n:
+        raise DimensionMismatch("labels must be a matrix with one column per candidate")
+    count, label_rows, etas, lams = len(cells), [], [], []
     padded = np.zeros((count, m + 1))
-    for c, (cell_labels, eta, reg) in enumerate(cells):
-        if cell_labels.shape != (n,):
-            raise DimensionMismatch("each cell needs one label per candidate")
-        labels.append(cell_labels)
+    for c, (row, eta, reg) in enumerate(cells):
+        label_rows.append(_parse(Count, row, "row", at_most=len(labels) - 1))
         etas.append(_parse(Rate, eta, "eta"))
         lams.append(0.0 if reg is None else reg.lam)
         if reg is not None:
             reg.online_step()  # refuses a lambda past the stability limit
             if reg.w_a.size != m:
                 raise DimensionMismatch("regularizer direction does not match model width")
-            padded[c] = reg.padded_direction
+            if reg.lam != 0.0:  # a zero row: w . 0 cannot overflow where w . w_reg~ might
+                padded[c] = reg.padded_direction
 
     # Column by column: a reduction over axis 0 of C-order rows is ten times slower.
     lo = np.array([1.0] + [c.min() for c in features.T])
@@ -300,8 +294,8 @@ def run_lockstep(
 
     cell, k = np.arange(count), max(1, min(SHORTLIST, n))
     w = np.tile(model.weights, (count, 1))
-    w_rows = list(w)  # views
-    step = _lockstep_step(w, np.array(etas), np.array(lams), padded)
+    xa = np.ones((count, m + 1))  # each cell's (1, x)
+    label_rows, etas, lams = np.array(label_rows, dtype=np.intp), np.array(etas), np.array(lams)
     changed = np.zeros(count, dtype=bool)
     shown = np.empty((count, rounds), dtype=np.intp)
     snapshots: list[list[tuple[int, LinearModel]]] = [[] for _ in range(count)]
@@ -332,7 +326,7 @@ def run_lockstep(
         picks = index[cell, best]
         hidden[ok, best[ok]] = True
         for c in (~ok).nonzero()[0].tolist():
-            full = score_all(w_rows[c], features)
+            full = score_all(w[c], features)
             full[shown[c, : r - 1]] = -np.inf
             picks[c] = i = int(full.argmax())
             hidden[c] = True
@@ -342,7 +336,7 @@ def run_lockstep(
                 kept = min(k, n - r)
                 order = np.argpartition(full, kept)
                 tau = -full.item(order[kept])  # -inf when no unshown row is left outside
-                w_s[c] = w_rows[c]
+                w_s[c] = w[c]
                 fixed[c] = tau + e[c] + gamma_sum * (abs(tau) if tau > -np.inf else 0.0)
                 index[c, :kept] = np.sort(order[:kept])
                 rows[c, :, :kept] = features[index[c, :kept]].T
@@ -350,13 +344,13 @@ def run_lockstep(
                 del order
             del full  # so the next scan and its partition are the only pool-length arrays
         shown[:, r - 1] = picks
-        changed |= step(features[picks], np.array(
-            [lab.item(i) for lab, i in zip(labels, picks.tolist())], dtype=float))
+        xa[:, 1:] = features[picks]
+        changed |= _lockstep_step(w, xa, labels[label_rows, picks], etas, lams, padded)
         if snapshot_interval and r % snapshot_interval == 0:
             for c in range(count):
-                snapshots[c].append((r, LinearModel(w_rows[c]) if changed[c] else model))
+                snapshots[c].append((r, LinearModel(w[c]) if changed[c] else model))
     shown.setflags(write=False)
-    return [(LinearModel(w_rows[c]) if changed[c] else model,
+    return [(LinearModel(w[c]) if changed[c] else model,
              OnlineTrace(shown_order=shown[c], snapshots=snapshots[c])) for c in range(count)]
 
 

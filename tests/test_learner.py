@@ -11,6 +11,7 @@ from fairsim import (
     ConfigError,
     DimensionMismatch,
     ExperimentConfig,
+    FairRegularizer,
     GenConfig,
     LabeledPool,
     LinearModel,
@@ -454,7 +455,8 @@ def test_lockstep_rescans_only_the_cell_whose_weights_pass_huge(monkeypatch):
     pool = generate_pool(GenConfig(n=6000, seed=3))
     biased, fair = (label_pool(pool, UserConfig(p, seed=13)) for p in (0.8, 0.0))
     model = LinearModel(np.array(DEFAULT_USER_WEIGHTS) * 1e300)
-    cells = [(biased.labels, 0.01, None), (biased.labels, 1e301, None), (fair.labels, 0.01, None)]
+    labels = np.stack([biased.labels, fair.labels])
+    cells = [(0, 0.01, None), (0, 1e301, None), (1, 0.01, None)]
     rounds = 60
     mag = np.concatenate(([1.0], np.abs(pool.features).max(axis=0)))
 
@@ -468,16 +470,16 @@ def test_lockstep_rescans_only_the_cell_whose_weights_pass_huge(monkeypatch):
         return score_all(weights, features)
 
     monkeypatch.setattr(learner, "score_all", counted)
-    runs = learner.run_lockstep(model, pool, cells, rounds, snapshot_interval=1)
+    runs = learner.run_lockstep(model, pool, labels, cells, rounds, snapshot_interval=1)
     monkeypatch.undo()
     # The weights after round r are the ones round r + 1 starts from.
     passed = sum(huge(snapshot.weights) for _, snapshot in runs[1][1].snapshots[:-1])
     assert 0 < passed < rounds - 1
     assert scanned.count(True) == passed
     assert scanned.count(False) == len(cells)  # round 1's scans: none of the others rescans
-    for (labels, eta, _), (final, trace) in zip(cells, runs):
+    for (row, eta, _), (final, trace) in zip(cells, runs):
         want_w, want_shown, _ = greedy_online_oracle(
-            model.weights, pool.features, labels, rounds, score_all,
+            model.weights, pool.features, labels[row], rounds, score_all,
             partial(perceptron_update, eta=eta),
         )
         assert trace.shown_order.tolist() == want_shown
@@ -492,6 +494,31 @@ def test_run_online_argument_errors(tiny_labeled):
         run_online(model, tiny_labeled, 10, eta=0.1, snapshot_interval=-1)
     with pytest.raises(DimensionMismatch):
         run_online(zero_model(2), tiny_labeled, 10, eta=0.1)
+
+
+def test_run_lockstep_argument_errors(tiny_labeled):
+    pool, model = tiny_labeled, zero_model(3)
+    labels = np.stack([pool.labels, 1 - pool.labels])
+    narrow = FairRegularizer(w_a=[1.0], sigma_x=[[1.0]], w_reg=[1.0], lam=0.0, alpha_a=0.0)
+    steep = fit_auxiliary(pool).with_strength(1e6)
+    limit = 2.0 / float(steep.w_reg @ steep.w_reg)
+    for args, error, problem in (
+        ((zero_model(2), pool, labels, [(0, 0.1, None)]), DimensionMismatch,
+         "pool features do not match the model"),
+        ((model, pool, pool.labels, [(0, 0.1, None)]), DimensionMismatch,
+         "labels must be a matrix with one column per candidate"),
+        ((model, pool, labels[:, 1:], [(0, 0.1, None)]), DimensionMismatch,
+         "labels must be a matrix with one column per candidate"),
+        ((model, pool, labels, [(0, 0.1, None), (2, 0.1, None)]), ConfigError,
+         "row must be at most 1, got 2"),
+        ((model, pool, labels, [(-1, 0.1, None)]), ConfigError, "row must be at least 0, got -1"),
+        ((model, pool, labels, [(0, 0.1, narrow)]), DimensionMismatch,
+         "regularizer direction does not match model width"),
+        ((model, pool, labels, [(1, 0.1, steep)]), ConfigError,
+         f"lambda=1000000.0 exceeds the online stability limit 2 / |w_reg|^2 = {limit:.6g}"),
+    ):
+        with pytest.raises(error, match=f"^{re.escape(problem)}$"):
+            learner.run_lockstep(*args, rounds=10)
 
 
 def test_model_roundtrip(tmp_path):

@@ -426,8 +426,8 @@ def test_lockstep_step_moves_each_row_as_its_one_cell_step_bit_for_bit(inputs):
     m = x.shape[1]
     lams = np.array([0.0 if reg is None else reg.lam for reg in regs])
     padded = np.array([np.zeros(m + 1) if reg is None else reg.padded_direction for reg in regs])
-    batched = w.copy()
-    changed = learner._lockstep_step(batched, etas, lams, padded)(x, y.astype(float))
+    batched, xa = w.copy(), np.concatenate((np.ones((len(x), 1)), x), axis=1)
+    changed = learner._lockstep_step(batched, xa, y.astype(float), etas, lams, padded)
     for c, reg in enumerate(regs):
         row = w[c].copy()
         row.setflags(write=False)
