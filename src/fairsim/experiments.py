@@ -10,7 +10,6 @@ bit-identical and the warm model is shared across every cell of a seed.
 
 import csv
 import json
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -39,7 +38,7 @@ from .learner import (
     LinearModel, OnlineTrace, rank_by_model, run_lockstep, run_online, save_model, warm_start,
 )
 from .metrics import Baseline, MetricsReport, compute_baseline, evaluate_ranking, save_baseline
-from .usermodel import DEFAULT_USER_WEIGHTS, LabeledPool, UserConfig, label_pool
+from .usermodel import DEFAULT_USER_WEIGHTS, UserConfig, label_pool
 
 # Sub-stream tags for deriving independent seeds from one experiment seed (2 is retired).
 STREAM_FAIR_POOL = 0
@@ -149,20 +148,20 @@ class SeedResult:
 
 def build_seed_context(
     cfg: ExperimentConfig, seed: int, with_regularizer: bool = False
-) -> tuple[SeedResult, Pool, Iterator[tuple[float, LabeledPool]]]:
-    """Generate pools, warm model, baseline, and labels for one seed.
+) -> tuple[SeedResult, Pool, tuple[UserConfig, ...]]:
+    """Generate pools, warm model and baseline for one seed, and its biased users.
 
-    Returns the seed's record, with no cells yet, the online pool, and lazy
-    ``(p_bias, LabeledPool)`` pairs in ``cfg.p_bias_grid`` order, so a caller that
-    drops each pair before taking the next holds one labeled copy of the online pool
-    at a time; each copy shares the pool's feature and protected arrays.
+    Returns the seed's record, with no cells yet, the online pool, and one user per
+    ``cfg.p_bias_grid`` value, in grid order. The caller labels the online pool with
+    each user (:func:`label_pool`); a labeled copy shares the pool's feature and
+    protected arrays, so only its two int8 columns are new.
 
     Stream assignments: the fair pool, online pool, biased user, and warm-start
     subsampling each get an independent sub-seed derived from the experiment seed;
-    the fair user draws no coin. Labels are materialized once per (seed, p_bias),
-    so every eta and lambda cell of a seed sees identical feedback. ConfigError is
-    raised if the warm model stays zero, and EmptyQualifiedPool if a group has no
-    qualified online candidate.
+    the fair user draws no coin, and every biased user shares one coin stream. Each
+    user labels the pool once per seed, so every eta and lambda cell of a (seed,
+    p_bias) sees identical feedback. ConfigError is raised if the warm model stays
+    zero, and EmptyQualifiedPool if a group has no qualified online candidate.
     """
     fair_pool = generate_pool(replace(cfg.gen, seed=derive_seed(seed, STREAM_FAIR_POOL)))
     fair_user = UserConfig(0.0, cfg.user_weights)  # draws no coin at p_bias 0, so needs no seed
@@ -183,11 +182,8 @@ def build_seed_context(
         if share == 0.0:  # its skew would measure only the floor
             raise EmptyQualifiedPool(f"seed {seed}: group {g} has no qualified online candidate")
     user_seed = derive_seed(seed, STREAM_ONLINE_USER)
-    labeled = (
-        (p, label_pool(online_pool, UserConfig(p_bias=p, weights=cfg.user_weights, seed=user_seed)))
-        for p in cfg.p_bias_grid
-    )
-    return SeedResult(seed, warm, baseline, regularizer, cells=[]), online_pool, labeled
+    users = tuple(UserConfig(p, cfg.user_weights, user_seed) for p in cfg.p_bias_grid)
+    return SeedResult(seed, warm, baseline, regularizer, cells=[]), online_pool, users
 
 
 def _ranked_report(model: LinearModel, features: np.ndarray, protected: np.ndarray,
@@ -216,9 +212,9 @@ def _run_grid(
     p_bias) also reports the warm model.
 
     From ``learner.SHORTLIST_MIN_ROWS`` rows on, every cell of a seed runs in one
-    :func:`run_lockstep` call, and the reports are built after it. A seed holds the
-    online pool and one ``(p_bias, n)`` int8 label matrix: each labelled pool is dropped
-    once its labels are copied into their row (and, below the cutoff, its cells have run).
+    :func:`run_lockstep` call, and the reports are built after it. The grid labels the
+    pool with each user in turn and drops each labelled copy once its labels are in their
+    row of one ``(p_bias, n)`` int8 matrix (and, below the cutoff, its cells have run).
     """
     cells = ([(cfg.sweep_eta, lam) for lam in cfg.lambda_grid] if sweep
              else [(eta, 0.0) for eta in cfg.eta_grid])
@@ -230,19 +226,16 @@ def _run_grid(
                               f"{min(cfg.k_list)}, got {interval}")
     results = []
     for seed in cfg.seeds:
-        res, pool, labeled = build_seed_context(cfg, seed, with_regularizer=sweep)
+        res, pool, users = build_seed_context(cfg, seed, with_regularizer=sweep)
         regs = [res.regularizer.with_strength(lam) if sweep else None for _, lam in cells]
         # The one fork: below the cutoff each cell is one run_online call, only because
         # the benchmark's self-tests count those calls, one per cell, on their 300-row
         # pool. Once they count cell-rounds and updates instead, it can go.
         per_cell = len(pool) < learner.SHORTLIST_MIN_ROWS
-        labels, runs = np.empty((len(cfg.p_bias_grid), len(pool)), np.int8), []
-        # A plain loop with a row counter: zip or enumerate would keep each labelled pool
-        # alive, in the result tuple they reuse, into the labelling of the next.
-        row = 0
-        for _, labeled_pool in labeled:
+        labels, runs = np.empty((len(users), len(pool)), np.int8), []
+        for row, user in enumerate(users):
+            labeled_pool = label_pool(pool, user)
             labels[row] = labeled_pool.labels
-            row += 1
             if per_cell:
                 runs += [run_online(res.warm_model, labeled_pool, cfg.online_rounds, eta,
                                     regularizer=reg, snapshot_interval=interval)

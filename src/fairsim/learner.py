@@ -36,9 +36,9 @@ if TYPE_CHECKING:  # import cycle: fairreg builds on LinearModel
 # The online loop's shortlist: how many rows it rescores between full scans. From
 # SHORTLIST_MIN_ROWS rows on, run_online is a one-cell run_lockstep call instead of a full
 # scan every round, and a study runs each seed's cells in one run_lockstep call instead of
-# one run_online call per cell. One lambda = 10 cell of 1 000 rounds (1 BLAS thread,
-# median of 7) took 22 / 40 / 45 / 53 / 106 ms by full scan and 46 / 56 / 45 / 51 / 81 ms
-# by run_lockstep at 8k / 16k / 24k / 32k / 48k rows; see README, The online loop.
+# one run_online call per cell. A lone cell's run_lockstep breaks even with the full scan
+# only near 24 000 rows; the cutoff stays lower because it also sets the grid's fork. The
+# timings are in README, The online loop.
 SHORTLIST = 256
 SHORTLIST_MIN_ROWS = 4096
 
@@ -68,7 +68,7 @@ def rank_by_model(model: LinearModel, features: np.ndarray, top: int | None = No
     order; the other rows follow in an unspecified but deterministic order, as in
     C++ ``std::partial_sort``. The head comes from a partition and numpy's default
     (unstable, SIMD-dispatched) sort. It is exact when its scores are distinct and
-    no row outside it ties the ``top``-th score; a tie, signed zero or NaN falls
+    no row outside it ties the ``top``-th score; a tie or signed zero falls
     back to the stable sort of every row.
     """
     keys = score_all(model.weights, features)

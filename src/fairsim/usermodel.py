@@ -16,7 +16,7 @@ from .datagen import (
     BinaryArray, Pool, Seed, Share, check_fields, feature_matrix, protected_values, read_columns,
     write_columns,
 )
-from .errors import ConfigError, DimensionMismatch
+from .errors import ConfigError, DimensionMismatch, NumericalError
 
 DEFAULT_USER_WEIGHTS = (-0.48, 0.35, 0.28, 0.28)
 
@@ -41,7 +41,8 @@ class UserConfig:
 
 
 def score_all(weights, features: np.ndarray) -> np.ndarray:
-    """Evaluate ``w0 + w . x`` for each row of an (n, m) ``features`` (intercept first)."""
+    """Evaluate ``w0 + w . x`` for each row of an (n, m) ``features`` (intercept first);
+    a score past the float range raises NumericalError rather than ranking as inf or NaN."""
     w = np.asarray(weights, dtype=float)
     f = np.asarray(features, dtype=float)
     if f.ndim != 2 or f.shape[1] != w.size - 1:
@@ -49,8 +50,11 @@ def score_all(weights, features: np.ndarray) -> np.ndarray:
             f"features of width {f.shape[-1] if f.ndim == 2 else '?'} do not match "
             f"{w.size - 1} coefficients"
         )
-    s = f @ w[1:]
-    s += w[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        s = f @ w[1:]
+        s += w[0]
+    if not np.isfinite(s).all():
+        raise NumericalError("scores overflow the float range: the weights are too large")
     return s
 
 

@@ -419,6 +419,10 @@ def test_cli_error_exits(tmp_path, capsys, rewrite_cell):
     wide_json.write_text(json.dumps(
         {"harmless_dists": [{"kind": "uniform", "lo": -1e308, "hi": 1e308}]}
     ))
+    # Weights of 1e308 carry most default rows' scores past the float range.
+    huge_model = tmp_path / "huge_model.json"
+    huge_model.write_text(json.dumps({"weights": [1e308] * 4, "round": 0}))
+    overflow = "error: scores overflow the float range: the weights are too large\n"
     # Degenerate studies: one group only, and a group none of whose candidates qualifies.
     one_group = tmp_path / "one_group.json"
     one_group.write_text(json.dumps(TINY_EXPERIMENT | {"gen": {"n": 400, "p_group": 0.0}}))
@@ -475,6 +479,10 @@ def test_cli_error_exits(tmp_path, capsys, rewrite_cell):
          "error: eta must be a finite number, got nan\n"),
         (["online", "--model", str(good_model), "--pool", str(labeled_csv), "--rounds", "-1",
           "--out", str(tmp_path / "m.json")], "error: rounds must be at least 0, got -1\n"),
+        (["label", "--pool", str(pool_csv), "--p-bias", "0.5", "--weights",
+          "1e308,1e308,1e308,1e308", "--out", str(tmp_path / "l.csv")], overflow),
+        (["online", "--model", str(huge_model), "--pool", str(labeled_csv), "--rounds", "5",
+          "--out", str(tmp_path / "m.json")], overflow),
         (["generate", "--p-group", "1.5", "--out", str(tmp_path / "g.csv")],
          "error: p_group must lie in [0, 1], got 1.5\n"),
         (["label", "--pool", str(pool_csv), "--p-bias", "2", "--out", str(tmp_path / "l.csv")],

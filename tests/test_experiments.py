@@ -18,6 +18,7 @@ from fairsim import (
     derive_seed,
     evaluate_ranking,
     experiment_config_from_dict,
+    label_pool,
     load_baseline,
     load_model,
     load_regularizer,
@@ -92,15 +93,18 @@ def cells(results):
 
 def test_build_seed_context_contents():
     cfg = tiny_config()
-    res, pool, pairs = build_seed_context(cfg, 1, with_regularizer=True)
+    res, pool, users = build_seed_context(cfg, 1, with_regularizer=True)
     assert res.seed == 1 and res.cells == []
-    labeled = dict(pairs)
-    assert set(labeled) == {0.0, 1.0}
-    assert labeled[0.0].features.shape == (60, 3)
-    assert len(labeled[0.0]) == 60
+    assert pool.features.shape == (60, 3)
+    # One user per p_bias, in grid order, all on the fair weights and one coin stream.
+    assert [user.p_bias for user in users] == list(cfg.p_bias_grid)
+    assert all(user.weights == cfg.user_weights
+               and user.seed == derive_seed(1, STREAM_ONLINE_USER) for user in users)
     # Each labeled copy shares the online pool's columns.
-    assert all(lp.features is pool.features and lp.protected is pool.protected
-               for lp in labeled.values())
+    for user in users:
+        lp = label_pool(pool, user)
+        assert len(lp) == 60
+        assert lp.features is pool.features and lp.protected is pool.protected
     assert res.regularizer is not None and res.regularizer.lam == 0.0
     bare, _, _ = build_seed_context(replace(cfg, p_bias_grid=(0.0,)), 1)
     assert bare.regularizer is None
@@ -190,16 +194,16 @@ def test_evolution_snapshots_and_reports():
     for round_index, report in result.reports_evolution:
         assert set(report.skew_at) == {k for k in cfg.k_list if k <= round_index}
     # every snapshot replayed by hand: re-rank a fresh gather of what was shown, then evaluate
-    res, _, pairs = build_seed_context(cfg, 1)
-    labeled = dict(pairs)
+    res, pool, (user,) = build_seed_context(cfg, 1)
+    labeled = label_pool(pool, user)
     assert len(result.trace.snapshots) == len(rounds)
     for (round_index, snapshot), (r, got) in zip(result.trace.snapshots,
                                                  result.reports_evolution):
         assert r == round_index
         shown = result.trace.shown_order[:round_index]
-        order = rank_by_model(snapshot, labeled[1.0].features[shown])
-        protected = labeled[1.0].protected[shown][order]
-        labels = labeled[1.0].labels[shown][order]
+        order = rank_by_model(snapshot, labeled.features[shown])
+        protected = labeled.protected[shown][order]
+        labels = labeled.labels[shown][order]
         want = evaluate_ranking(protected, labels, res.baseline,
                                 k_list=[k for k in cfg.k_list if k <= round_index],
                                 ndcs_k_max=round_index)
@@ -254,8 +258,9 @@ def test_lockstep_grid_equals_per_cell_run_online_bit_for_bit(monkeypatch, sweep
     assert calls == {"run_online": 0, "run_lockstep": 1}
     interval = 0 if sweep else cfg.snapshot_interval
     got = {(cell.p_bias, cell.eta, cell.lam): cell for cell in res.cells}
-    _, _, labeled = build_seed_context(cfg, 3, with_regularizer=sweep)
-    for p_bias, pool in labeled:
+    _, online_pool, users = build_seed_context(cfg, 3, with_regularizer=sweep)
+    for user in users:
+        p_bias, pool = user.p_bias, label_pool(online_pool, user)
         for eta, lam in ([(cfg.sweep_eta, lam) for lam in cfg.lambda_grid] if sweep
                          else [(eta, 0.0) for eta in cfg.eta_grid]):
             reg = res.regularizer.with_strength(lam) if sweep else None

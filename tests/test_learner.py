@@ -431,8 +431,9 @@ def test_a_lockstep_seed_holds_at_most_one_label_column_per_p_bias_more(traced):
     assert n >= learner.SHORTLIST_MIN_ROWS
 
     def one_labelled_pool_at_a_time():
-        res, pool, labeled = build_seed_context(cfg, 3)
-        for _, labeled_pool in labeled:
+        res, pool, users = build_seed_context(cfg, 3)
+        for user in users:
+            labeled_pool = label_pool(pool, user)
             columns = pool.features, pool.protected, labeled_pool.labels
             reports = [_ranked_report(res.warm_model, *columns, res.baseline, cfg)]
             for eta in cfg.eta_grid:
@@ -494,6 +495,20 @@ def test_run_online_argument_errors(tiny_labeled):
         run_online(model, tiny_labeled, 10, eta=0.1, snapshot_interval=-1)
     with pytest.raises(DimensionMismatch):
         run_online(zero_model(2), tiny_labeled, 10, eta=0.1)
+
+
+def test_scores_past_the_float_range_raise(tiny_labeled):
+    # Weights of 1e308 carry most default rows past the float range, whatever the kernel;
+    # above the cutoff such weights make the lock-step loop rescan the whole pool.
+    model = LinearModel(np.full(4, 1e308))
+    big = label_pool(generate_pool(GenConfig(n=learner.SHORTLIST_MIN_ROWS, seed=3)),
+                     UserConfig(0.5, seed=1))
+    problem = "scores overflow the float range: the weights are too large"
+    for call in (partial(rank_by_model, model, tiny_labeled.features),
+                 partial(run_online, model, tiny_labeled, 10, 0.1),
+                 partial(run_online, model, big, 10, 0.1)):
+        with pytest.raises(NumericalError, match=f"^{re.escape(problem)}$"):
+            call()
 
 
 def test_run_lockstep_argument_errors(tiny_labeled):

@@ -47,6 +47,17 @@ def test_score_all_dimension_mismatch(tiny_pool):
         score_all((0.0, 1.0), feats)
 
 
+def test_scores_past_the_float_range_raise(tiny_pool):
+    # Weights of 1e308 carry most default rows past the float range, whatever the kernel.
+    huge = (1e308,) * 4
+    problem = "scores overflow the float range: the weights are too large"
+    for call in (lambda: score_all(huge, feature_matrix(tiny_pool)),
+                 lambda: label_pool(tiny_pool, UserConfig(0.5, huge, seed=1)),
+                 lambda: compute_baseline(tiny_pool, UserConfig(0.0, huge))):
+        with pytest.raises(NumericalError, match=f"^{re.escape(problem)}$"):
+            call()
+
+
 def test_zero_bias_labels_follow_fair_rule(tiny_pool, fair_user):
     labeled = label_pool(tiny_pool, fair_user)
     want = [1 if s >= 0.0 else 0 for s in fair_scores_oracle(tiny_pool, fair_user.weights)]
